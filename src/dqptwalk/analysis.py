@@ -120,7 +120,7 @@ class _Evaluator:
 
     def __init__(self, spec: QuenchSpec):
         self.spec = spec
-        self.loss_f = spec.loss if spec.regime == "nonunitary" else 0.0
+        self.loss_f = spec.initial_loss
         self.psi0 = initial_state(spec).kets[0]
 
     def raw(self, ks):

@@ -362,11 +362,18 @@ _COMMANDS = {
 }
 
 
+# the only command that splits its work over threads
+_THREADED = ("phase-diagram",)
+
+
 def run(config: RunConfig) -> dict:
     if config.command not in _COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
     if config.threads < 1:
         raise ConfigError("threads must be at least 1")
+    if config.threads != 1 and config.command not in _THREADED:
+        raise ConfigError(f"{config.command} runs on one thread; --threads "
+                          f"applies only to {', '.join(_THREADED)}")
     return _COMMANDS[config.command](config)
 
 
@@ -380,7 +387,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value or JSON config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (phase-diagram only)")
         p.add_argument("--kpoints", type=int, default=None,
                        help="momentum grid size override")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

@@ -151,8 +151,9 @@ class TimeGrid:
 class PositionState:
     """Dense two-component wavefunction on a contiguous run of lattice sites.
 
-    amplitudes[0] holds H amplitudes, amplitudes[1] V amplitudes; column j is
-    site origin_offset + j.
+    amplitudes[..., 0, :] holds H amplitudes, amplitudes[..., 1, :] V
+    amplitudes; column j is site origin_offset + j. Leading axes, if any,
+    index independent replays of the same walk.
     """
 
     origin_offset: int
@@ -160,13 +161,13 @@ class PositionState:
 
     @property
     def sites(self) -> np.ndarray:
-        return self.origin_offset + np.arange(self.amplitudes.shape[1])
+        return self.origin_offset + np.arange(self.amplitudes.shape[-1])
 
     def site_spinor(self, x: int) -> np.ndarray:
         j = x - self.origin_offset
-        if 0 <= j < self.amplitudes.shape[1]:
-            return self.amplitudes[:, j].copy()
-        return np.zeros(2, dtype=complex)
+        if 0 <= j < self.amplitudes.shape[-1]:
+            return self.amplitudes[..., j].copy()
+        return np.zeros(self.amplitudes.shape[:-1], dtype=complex)
 
     def total_probability(self) -> float:
         return float((np.abs(self.amplitudes) ** 2).sum())

@@ -167,8 +167,7 @@ def overlaps(spec: QuenchSpec, grid: MomentumGrid | None = None) -> SectorTable:
     """Band-overlap data of the prepared state with the post-quench walk."""
     grid = grid or MomentumGrid()
     ks = grid.samples
-    loss_f = spec.loss if spec.regime == "nonunitary" else 0.0
-    es = eigensystem_arrays(spec.final_angles, loss_f, ks)
+    es = eigensystem_arrays(spec.final_angles, spec.initial_loss, ks)
     init = initial_state(spec)
     psi0 = init.kets[0]
 
@@ -199,8 +198,7 @@ def evolve_k(spec: QuenchSpec, k: float, n_steps: int) -> np.ndarray:
     momentum k; shape (m, 2) matching the initial kets."""
     if n_steps < 0:
         raise ConfigError("step count must be nonnegative")
-    loss_f = spec.loss if spec.regime == "nonunitary" else 0.0
-    u = floquet_matrix(spec.final_angles, loss_f, k)
+    u = floquet_matrix(spec.final_angles, spec.initial_loss, k)
     ut = np.linalg.matrix_power(u, n_steps)
     return initial_state(spec).kets @ ut.T
 
@@ -221,8 +219,8 @@ def loschmidt_k(spec: QuenchSpec, k: float, t, method: str = "two_mode"):
         return complex(np.dot(init.weights, vals))
     if method != "two_mode":
         raise ConfigError(f"unknown loschmidt method {method!r}")
-    loss_f = spec.loss if spec.regime == "nonunitary" else 0.0
-    es = eigensystem_arrays(spec.final_angles, loss_f, np.array([float(k)]))
+    es = eigensystem_arrays(spec.final_angles, spec.initial_loss,
+                            np.array([float(k)]))
     init = initial_state(spec)
     psi0 = init.kets[0]
     ct_p = complex(es["chi_p"][0] @ psi0)
@@ -282,8 +280,9 @@ def loschmidt_field(spec: QuenchSpec, grid: MomentumGrid | None = None,
 class PositionEvolution:
     """Real-space walk history from a localized start at the origin.
 
-    states[t] holds the (possibly unnormalized, for lossy walks) spinor field
-    after t steps for each prepared ket.
+    histories[j][t] holds the (possibly unnormalized, for lossy walks) spinor
+    field of prepared ket j after t steps; a batched replay puts its sample
+    axes in front of each field.
     """
 
     spec: QuenchSpec
@@ -337,31 +336,37 @@ def _step_params(angles: CoinAngles, l: float):
 
 
 def evolve_position(spec: QuenchSpec, n_steps: int,
-                    plate_angles: np.ndarray | None = None) -> PositionEvolution:
+                    plate_angles: np.ndarray | None = None,
+                    init: InitialState | None = None) -> PositionEvolution:
     """Run the post-quench walk in real space from a localized origin state.
 
-    plate_angles, when given, is a (n_steps, 4) per-step override of the four
-    coin plate angles (entry, mid, mid, exit); used to model miscalibrated
-    plates. Lossless walks ignore the second mid angle.
+    plate_angles, when given, is a (..., n_steps, 4) per-step override of the
+    four coin plate angles (entry, mid, mid, exit); used to model
+    miscalibrated plates. Leading axes batch independent replays, and every
+    amplitude array then carries them in front of its (2, n) site block.
+    Lossless walks ignore the second mid angle. init reuses prepared kets.
     """
     if n_steps < 0:
         raise ConfigError("step count must be nonnegative")
-    loss_f = spec.loss if spec.regime == "nonunitary" else 0.0
-    base = _step_params(spec.final_angles, loss_f)
-    init = initial_state(spec)
-    histories = []
-    for ket in init.kets:
-        psi = ket.reshape(2, 1).astype(complex)
-        hist = [PositionState(0, psi.copy())]
-        for s in range(n_steps):
-            if plate_angles is None:
-                a_en, a_m1, a_m2, a_ex = base[:4]
-            else:
-                a_en, a_m1, a_m2, a_ex = plate_angles[s]
-            psi = walk_step(psi, a_en, a_m1, a_m2, a_ex, base[4], base[5])
-            hist.append(PositionState(-2 * (s + 1), psi.copy()))
-        histories.append(tuple(hist))
-    return PositionEvolution(spec, n_steps, init.kets, init.weights, tuple(histories))
+    base = _step_params(spec.final_angles, spec.initial_loss)
+    if init is None:
+        init = initial_state(spec)
+    lead = () if plate_angles is None else np.shape(plate_angles)[:-2]
+    # the prepared kets walk side by side on axis -3
+    psi = np.broadcast_to(init.kets[:, :, None],
+                          lead + init.kets.shape + (1,)).astype(complex)
+    states = [psi]
+    for s in range(n_steps):
+        if plate_angles is None:
+            angles = base[:4]
+        else:
+            angles = [a[..., None] for a in np.moveaxis(plate_angles[..., s, :], -1, 0)]
+        psi = walk_step(psi, *angles, base[4], base[5])
+        states.append(psi)
+    histories = tuple(
+        tuple(PositionState(-2 * t, st[..., j, :, :]) for t, st in enumerate(states))
+        for j in range(len(init.kets)))
+    return PositionEvolution(spec, n_steps, init.kets, init.weights, histories)
 
 
 def pbar_table(spec: QuenchSpec, n_steps: int) -> dict:

@@ -96,6 +96,19 @@ def test_odd_kpoints_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["quench", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8"],
+    ["dtop", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8"],
+    ["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8"],
+    ["reproduce-figure", "--figure", "fig2a"],
+])
+def test_threads_rejected_where_unused(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert run_main(argv + ["--threads", 2, "--out", out]) == 2
+    assert "phase-diagram" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sectorless_dtop_is_physics_error(tmp_path, capsys):
     # same protocol on both sides: nothing crosses, no sectors
     rc = run_main(["dtop", "--set", "final_theta1=1/4",

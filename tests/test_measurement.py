@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dqptwalk.errors import ConfigError
+from dqptwalk.analysis import _Evaluator, find_fixed_points
+from dqptwalk.backend import walk_step
+from dqptwalk.errors import ConfigError, PhysicsError
+from dqptwalk.lattice import MomentumGrid, coin_matrix
 from dqptwalk.measurement import (
+    MC_BLOCK,
+    U_CIRC,
+    U_DIAG,
     ErrorModel,
     dephase,
     monte_carlo_errorbars,
@@ -11,7 +18,7 @@ from dqptwalk.measurement import (
     reconstruct_pbar,
     simulate_measurement_probs,
 )
-from dqptwalk.quench import QuenchSpec, pbar_table
+from dqptwalk.quench import QuenchSpec, _step_params, initial_state, pbar_table
 
 FLAT = (np.pi / 4, -np.pi / 2)
 SPEC = QuenchSpec(FLAT, (-np.pi / 2, 3 * np.pi / 8))
@@ -148,3 +155,156 @@ class TestMonteCarlo:
         assert lines[0] == "quantity,t,center,err_plus,err_minus,n_samples,seed"
         assert all(row.split(",")[0] == "dtop_m1" for row in lines[1:])
         assert len(lines) == 1 + 8
+
+
+def _reference_probs(spec, n_steps, run, eta):
+    """One replay's eight setting probabilities per step, one sample at a
+    time: serial walks per ket, scalar analyzer vectors."""
+    init = initial_state(spec)
+    base = _step_params(spec.final_angles, spec.initial_loss)
+    hists = []
+    for ket in init.kets:
+        psi = ket.reshape(2, 1).astype(complex)
+        hist = [psi]
+        for s in range(n_steps):
+            angles = base[:4] if run is None else run.plate_angles[s]
+            psi = walk_step(psi, *angles, base[4], base[5])
+            hist.append(psi)
+        hists.append(hist)
+    if run is None:
+        t_ev1 = t_rf1 = t_rf2 = t_ev2 = 1.0
+        us = (U_CIRC, U_DIAG, U_CIRC, U_DIAG)
+    else:
+        t_ev1, t_rf1, t_rf2, t_ev2 = run.transmissions
+        us = [coin_matrix(d) @ u for d, u in
+              zip(run.basis_deltas, (U_CIRC, U_DIAG, U_CIRC, U_DIAG))]
+
+    def project(r11, r22, r12, u):
+        return (np.abs(u[0]) ** 2 * r11 + np.abs(u[1]) ** 2 * r22
+                + 2 * np.real(np.conj(u[0]) * u[1] * r12))
+
+    coh = 2 * eta - 1
+    out = []
+    for t in range(n_steps + 1):
+        nx = 4 * t + 1
+        a11, a22, b11, b22 = (np.zeros(nx) for _ in range(4))
+        a12, b12 = np.zeros(nx, complex), np.zeros(nx, complex)
+        for w, ket, hist in zip(init.weights, init.kets, hists):
+            amp = hist[t]
+            v1 = np.sqrt(t_ev1) * amp[0]
+            v2 = np.sqrt(t_rf1) * ket[0] * np.ones(nx, dtype=complex)
+            a11 += w * np.abs(v1) ** 2
+            a22 += w * np.abs(v2) ** 2
+            a12 += w * v1 * np.conj(v2)
+            w1 = np.sqrt(t_rf2) * ket[1] * np.ones(nx, dtype=complex)
+            w2 = np.sqrt(t_ev2) * amp[1]
+            b11 += w * np.abs(w1) ** 2
+            b22 += w * np.abs(w2) ** 2
+            b12 += w * w1 * np.conj(w2)
+        n1, n2 = (t_ev1 + t_rf1) / 2, (t_rf2 + t_ev2) / 2
+        a11, a22, a12 = a11 / n1, a22 / n1, coh * a12 / n1
+        b11, b22, b12 = b11 / n2, b22 / n2, coh * b12 / n2
+        p11, p12 = project(a11, a22, a12, us[0]), project(a11, a22, a12, us[1])
+        p21, p22 = project(b11, b22, b12, us[2]), project(b11, b22, b12, us[3])
+        out.append(np.stack([p11, a11 + a22 - p11, p12, a11 + a22 - p12,
+                             p21, b11 + b22 - p21, p22, b11 + b22 - p22]))
+    return out
+
+
+def _reference_errorbars(spec, quantity, model, n_steps, grid, positions):
+    """Per-sample Monte Carlo replay with one Poisson draw per step."""
+    ref = _reference_probs(spec, n_steps, None, 1.0)
+    sites = [np.arange(-2 * t, 2 * t + 1) for t in range(n_steps + 1)]
+    if quantity == "dtop":
+        segs = find_fixed_points(spec).segments()
+        if not segs:
+            raise ConfigError("no winding sectors exist for this quench")
+        ks = np.linspace(*segs[0], 513)
+        A, B, energy = _Evaluator(spec).coeffs(ks)
+        dyn_rate = (A - B).real * energy.real
+    else:
+        ks = grid.samples
+
+    def measure(fields, rng):
+        vals = {}
+        for t, probs in enumerate(fields):
+            if rng is not None and model.total_coincidences > 0:
+                probs = poisson_counts(probs, model.total_coincidences, rng)
+            p1, p2 = probs[0] + probs[1], probs[4] + probs[5]
+            pbar = (1j * (probs[0] - p1 / 2 - probs[4] + p2 / 2)
+                    + (probs[2] - p1 / 2 + probs[6] - p2 / 2))
+            g = np.exp(-1j * np.outer(ks, sites[t])) @ pbar
+            if quantity == "rate_function":
+                mag = np.abs(g)
+                vals[("rate_function", t)] = (np.inf if np.any(mag == 0) else float(
+                    -(2.0 / mag.size) * np.log(mag).sum()))
+            elif quantity == "dtop":
+                z = g * np.exp(-1j * dyn_rate * t)
+                inc = np.angle(z[1:] * np.conj(z[:-1]))
+                vals[("dtop_m1", t)] = float(inc.sum() / (2 * np.pi))
+            else:
+                for x in positions:
+                    hit = np.nonzero(sites[t] == x)[0]
+                    z = complex(pbar[hit[0]]) if hit.size else 0.0j
+                    vals[(f"re_pbar_x{x}", t)] = z.real
+                    vals[(f"im_pbar_x{x}", t)] = z.imag
+        return vals
+
+    center = measure(ref, None)
+    hi = dict.fromkeys(center, 0.0)
+    lo = dict.fromkeys(center, 0.0)
+    for i in range(model.mc_samples):
+        rng = np.random.default_rng(model.seed ^ i)
+        fields = ref
+        if spec.is_unitary:
+            run = perturb_protocol(spec, model, rng, n_steps)
+            fields = _reference_probs(spec, n_steps, run, model.dephasing_eta)
+        for key, v in measure(fields, rng).items():
+            d = v - center[key]
+            if np.isfinite(d):
+                hi[key] = max(hi[key], d)
+                lo[key] = min(lo[key], d)
+    return sorted((q, float(t), float(center[(q, t)]), float(-lo[(q, t)]) + 0.0,
+                   float(hi[(q, t)]) + 0.0) for q, t in center)
+
+
+_REGIMES = {
+    "pure": {},
+    "mixed": {"regime": "mixed", "mix_p": 0.7},
+    "lossy": {"regime": "nonunitary", "loss": 0.36},
+}
+
+
+@given(regime=st.sampled_from(sorted(_REGIMES)),
+       quantity=st.sampled_from(["rate_function", "dtop", "pbar"]),
+       theta1=st.floats(-1.5, 1.5), theta2=st.floats(-1.5, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1), counts=st.sampled_from([0, 40000]))
+@example("pure", "dtop", -np.pi / 2, 3 * np.pi / 8, 7, 40000)
+@example("mixed", "dtop", -np.pi / 2, 3 * np.pi / 8, 8, 0)
+@example("lossy", "dtop", -np.pi / 3, np.pi / 5, 9, 40000)
+@example("mixed", "rate_function", -np.pi / 2, 3 * np.pi / 8, 2 ** 32 - 1, 0)
+@settings(max_examples=20, deadline=None)
+def test_batched_replay_equals_per_sample_reference(regime, quantity, theta1,
+                                                    theta2, seed, counts):
+    # counts=0 skips the Poisson pass, so the last bit of every replayed
+    # probability reaches the bars
+    # a sample count that leaves a partial last block
+    n = 3 * MC_BLOCK + 5
+    assert n >= 100 and n % MC_BLOCK
+    try:
+        spec = QuenchSpec(FLAT, (theta1, theta2), **_REGIMES[regime])
+    except PhysicsError:
+        return
+    model = ErrorModel(total_coincidences=counts, mc_samples=n, seed=seed)
+    grid = MomentumGrid(32)
+    args = (spec, quantity, model, 3, grid, (0, 2))
+    try:
+        want = _reference_errorbars(*args)
+    except (ConfigError, PhysicsError) as err:
+        with pytest.raises(type(err)):
+            monte_carlo_errorbars(spec, quantity, model, n_steps=3,
+                                  positions=(0, 2), grid=grid)
+        return
+    got = monte_carlo_errorbars(spec, quantity, model, n_steps=3,
+                               positions=(0, 2), grid=grid)
+    assert list(got.rows) == want

@@ -10,6 +10,7 @@ quantized amount that jumps at the critical times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -23,7 +24,6 @@ from .errors import (
     UndefinedDynamicPhaseError,
     UnresolvedPhaseJumpError,
 )
-from .floquet import eigensystem_arrays
 from .lattice import MomentumGrid, TimeGrid, normalize_angle
 from .quench import (
     LoschmidtField,
@@ -41,7 +41,6 @@ TRIVIAL_WEIGHT_MAX = 1e-10   # an overlap channel this flat is a non-quench
 PHASE_JUMP_GUARD = np.pi - 0.1
 DTOP_REFINE_POINTS = 16
 DTOP_REFINE_DEPTH = 3
-ENERGY_IMAG_TOL = 1e-9
 
 
 def _wrap(x):
@@ -105,8 +104,7 @@ def dynamic_phase(table: SectorTable, times) -> np.ndarray:
     if not table.energy_is_real:
         raise UndefinedDynamicPhaseError(
             "quasienergies are complex; the dynamical phase has no meaning here")
-    rate = (table.A - table.B).real * table.energy.real
-    return rate[:, None] * np.asarray(times, dtype=float)[None, :]
+    return table.dynamic_rate[:, None] * np.asarray(times, dtype=float)[None, :]
 
 
 def pgp(table: SectorTable, times) -> np.ndarray:
@@ -115,62 +113,35 @@ def pgp(table: SectorTable, times) -> np.ndarray:
     return _wrap(np.angle(g) - dynamic_phase(table, times))
 
 
+def _unwound(table: SectorTable, times) -> np.ndarray:
+    """G e^{-i phi_dyn}, (n_k, n_t), whose phase is the PGP; E is taken real."""
+    times = np.asarray(times, dtype=float)
+    phi = dynamic_phase(table, times)
+    g = two_mode_table(table.A, table.B, table.energy.real + 0j, times)
+    return g * np.exp(-1j * phi)
+
+
 class _Evaluator:
-    """Continuous-momentum access to the overlap data of one quench."""
+    """Overlap data of one quench at arbitrary momenta, kets prepared once."""
 
     def __init__(self, spec: QuenchSpec):
         self.spec = spec
-        self.loss_f = spec.initial_loss
-        self.psi0 = initial_state(spec).kets[0]
+        self.init = initial_state(spec)
 
-    def raw(self, ks):
-        ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        es = eigensystem_arrays(self.spec.final_angles, self.loss_f, ks)
-        ct_p = es["chi_p"] @ self.psi0
-        ct_m = es["chi_m"] @ self.psi0
-        b_p = es["psi_p"] @ self.psi0.conj()
-        b_m = es["psi_m"] @ self.psi0.conj()
-        return ct_p, ct_m, b_p, b_m, es["energy"]
-
-    def coeffs(self, ks):
-        """Two-mode weights A (e^{+iEt}) and B (e^{-iEt}) plus E."""
-        ct_p, ct_m, b_p, b_m, energy = self.raw(ks)
-        if self.spec.regime == "nonunitary":
-            return b_m * ct_m, b_p * ct_p, energy
-        a = np.abs(ct_m) ** 2
-        b = np.abs(ct_p) ** 2
-        if self.spec.regime == "mixed":
-            p = self.spec.mix_p
-            return (p * a + (1 - p) * b).astype(complex), \
-                   (p * b + (1 - p) * a).astype(complex), energy
-        return a.astype(complex), b.astype(complex), energy
+    def table(self, ks) -> SectorTable:
+        return overlaps(self.spec, ks, self.init)
 
     def ct_value(self, k: float, kind: str) -> complex:
-        ct_p, ct_m, _, _, _ = self.raw(k)
-        return complex((ct_m if kind == "minus" else ct_p)[0])
+        tab = self.table(k)
+        return complex((tab.ct_minus if kind == "minus" else tab.ct_plus)[0])
 
     def ct_abs(self, k: float, kind: str) -> float:
         return abs(self.ct_value(k, kind))
 
     def weight_h(self, k: float) -> float:
         """weight_minus - weight_plus; its zeros are the critical momenta."""
-        ct_p, ct_m, b_p, b_m, _ = self.raw(k)
-        if self.spec.regime == "nonunitary":
-            return float(np.abs(b_m * ct_m)[0] - np.abs(b_p * ct_p)[0])
-        return float((np.abs(ct_m) ** 2 - np.abs(ct_p) ** 2)[0])
-
-    def energy_at(self, k: float) -> complex:
-        return complex(self.raw(k)[4][0])
-
-    def z(self, ks, t: float) -> np.ndarray:
-        """G e^{-i phi_dyn}, whose phase is the PGP, along a momentum path."""
-        A, B, energy = self.coeffs(ks)
-        if np.abs(energy.imag).max() > ENERGY_IMAG_TOL:
-            raise UndefinedDynamicPhaseError(
-                "complex quasienergies on the path; geometric phase undefined")
-        e = energy.real
-        g = A * np.exp(1j * e * t) + B * np.exp(-1j * e * t)
-        return g * np.exp(-1j * (A - B).real * e * t)
+        tab = self.table(k)
+        return float(tab.weight_minus[0] - tab.weight_plus[0])
 
 
 @dataclass(frozen=True)
@@ -214,7 +185,8 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> Fix
     """
     grid = grid or MomentumGrid()
     ev = _Evaluator(spec)
-    ct_p, ct_m, _, _, _ = ev.raw(grid.samples)
+    table = ev.table(grid)
+    ct_p, ct_m = table.ct_plus, table.ct_minus
     ks = grid.samples
     h = grid.spacing
     found = []
@@ -301,6 +273,16 @@ class CriticalSet:
                 out.append(c.t0)
         return np.array(out)
 
+    def as_dict(self) -> dict:
+        """Fixed points, critical momenta, time scales and critical times as
+        plain types."""
+        return {
+            "fixed_points": [{"k": p.k, "kind": p.kind} for p in self.fixed_points.points],
+            "critical_momenta": [c.k for c in self.criticals],
+            "time_scales": [float(t) for t in self.time_scales],
+            "critical_times": [float(t) for t in self.critical_times],
+        }
+
     @property
     def critical_times(self) -> np.ndarray:
         """All odd multiples (2n-1) t0 up to t_max, merged across momenta."""
@@ -340,7 +322,7 @@ def find_critical(spec: QuenchSpec, grid: MomentumGrid | None = None,
         if f_lo * f_hi > 0:
             continue
         kc = brentq(ev.weight_h, k_lo, k_hi, xtol=1e-12)
-        e = ev.energy_at(kc).real
+        e = ev.table(kc).energy[0].real
         if e <= 1e-12:
             raise PhysicsError(f"vanishing quasienergy at critical momentum {kc}")
         criticals.append(CriticalMomentum(float(normalize_angle(kc)), float(e),
@@ -356,7 +338,7 @@ def find_critical(spec: QuenchSpec, grid: MomentumGrid | None = None,
 def _sector_winding(ev: _Evaluator, k_lo: float, k_hi: float, t: float,
                     n: int, depth: int) -> float:
     ks = np.linspace(k_lo, k_hi, n + 1)
-    z = ev.z(ks, t)
+    z = _unwound(ev.table(ks), [t])[:, 0]
     if np.abs(z).min() < 1e-12:
         raise IllDefinedPhaseError(
             f"G vanishes on the sector at t = {t}; phase winding undefined")
@@ -374,6 +356,18 @@ def _sector_winding(ev: _Evaluator, k_lo: float, k_hi: float, t: float,
     return total
 
 
+def _sector_bounds(spec: QuenchSpec, sector: int,
+                   fixed_points: FixedPointSet | None) -> tuple:
+    """Momentum bounds of a winding sector, numbered from 1."""
+    fps = fixed_points if fixed_points is not None else find_fixed_points(spec)
+    segs = fps.segments()
+    if not segs:
+        raise PhysicsError("fewer than two fixed points; no winding sectors exist")
+    if not 1 <= sector <= len(segs):
+        raise ConfigError(f"sector must be in 1..{len(segs)}, got {sector}")
+    return segs[sector - 1]
+
+
 def dtop(spec: QuenchSpec, t: float, sector: int = 1, resolution: int = 256,
          fixed_points: FixedPointSet | None = None) -> float:
     """Geometric-phase winding across one fixed-point sector at time t.
@@ -382,13 +376,7 @@ def dtop(spec: QuenchSpec, t: float, sector: int = 1, resolution: int = 256,
     consecutive fixed points and the phase at the ends is pinned, so for pure
     preparations the value is an integer away from critical times.
     """
-    fps = fixed_points if fixed_points is not None else find_fixed_points(spec)
-    segs = fps.segments()
-    if not segs:
-        raise PhysicsError("fewer than two fixed points; no winding sectors exist")
-    if not 1 <= sector <= len(segs):
-        raise ConfigError(f"sector must be in 1..{len(segs)}, got {sector}")
-    lo, hi = segs[sector - 1]
+    lo, hi = _sector_bounds(spec, sector, fixed_points)
     ev = _Evaluator(spec)
     return _sector_winding(ev, lo, hi, t, resolution, 0) / (2 * np.pi)
 
@@ -414,23 +402,10 @@ def dtop_trace(spec: QuenchSpec, sector: int, times,
     Bulk evaluation reuses one momentum table for all times; only times whose
     raw increments cross the jump guard are redone with local refinement.
     """
-    fps = fixed_points if fixed_points is not None else find_fixed_points(spec)
-    segs = fps.segments()
-    if not segs:
-        raise PhysicsError("fewer than two fixed points; no winding sectors exist")
-    if not 1 <= sector <= len(segs):
-        raise ConfigError(f"sector must be in 1..{len(segs)}, got {sector}")
-    lo, hi = segs[sector - 1]
+    lo, hi = _sector_bounds(spec, sector, fixed_points)
     times = np.asarray(times, dtype=float)
     ev = _Evaluator(spec)
-    ks = np.linspace(lo, hi, resolution + 1)
-    A, B, energy = ev.coeffs(ks)
-    if np.abs(energy.imag).max() > ENERGY_IMAG_TOL:
-        raise UndefinedDynamicPhaseError(
-            "complex quasienergies on the sector; geometric phase undefined")
-    e = energy.real
-    g = two_mode_table(A, B, energy.real + 0j, times)
-    z = g * np.exp(-1j * np.outer((A - B).real * e, times))
+    z = _unwound(ev.table(np.linspace(lo, hi, resolution + 1)), times)
     inc = np.angle(z[1:, :] * np.conj(z[:-1, :]))
     vals = inc.sum(axis=0) / (2 * np.pi)
     bad = np.abs(z).min(axis=0) < 1e-12
@@ -465,7 +440,72 @@ class DqptReport:
         return any(e.signals_agreeing >= 2 for e in self.events)
 
 
-def detect_dqpt(spec: QuenchSpec, grid: MomentumGrid | None = None,
+class QuenchAnalysis:
+    """One analysis pass over a quench on fixed momentum and time grids.
+
+    Each product is computed on first use and then kept, so the charts, the
+    report and the transition detector share one Loschmidt field, one
+    critical set and one set of order-parameter traces. A fixed-point or
+    critical search that fails with a PhysicsError (a trivial quench, say)
+    keeps that error as its value; callers decide whether it is fatal.
+    """
+
+    def __init__(self, spec: QuenchSpec, grid: MomentumGrid | None = None,
+                 tgrid: TimeGrid | None = None, dtop_resolution: int = 256):
+        self.spec = spec
+        self.grid = grid or MomentumGrid()
+        self.tgrid = tgrid or TimeGrid()
+        self.dtop_resolution = dtop_resolution
+
+    @cached_property
+    def field(self) -> LoschmidtField:
+        return loschmidt_field(self.spec, self.grid, self.tgrid)
+
+    @cached_property
+    def rate(self) -> RateTrace:
+        return rate_function(self.field)
+
+    @cached_property
+    def fixed_points(self) -> FixedPointSet | PhysicsError:
+        try:
+            return find_fixed_points(self.spec, self.grid)
+        except PhysicsError as err:
+            return err
+
+    @cached_property
+    def critical(self) -> CriticalSet | PhysicsError:
+        """Critical set up to the last sample time, or the search's error."""
+        fps = self.fixed_points
+        if isinstance(fps, PhysicsError):
+            return fps
+        try:
+            return find_critical(self.spec, self.grid, float(self.tgrid.samples[-1]),
+                                 fixed_points=fps)
+        except PhysicsError as err:
+            return err
+
+    @property
+    def critical_times(self) -> list:
+        """Critical times for chart marks; none if the critical search failed."""
+        crit = self.critical
+        return [] if isinstance(crit, PhysicsError) else [float(t) for t in crit.critical_times]
+
+    @cached_property
+    def dtop_traces(self) -> list:
+        """Order-parameter trace of every fixed-point sector, in sector order."""
+        fps = self.fixed_points
+        if isinstance(fps, PhysicsError):
+            return []
+        return [dtop_trace(self.spec, m, self.tgrid.samples, self.dtop_resolution,
+                           fixed_points=fps)
+                for m in range(1, len(fps.segments()) + 1)]
+
+    @cached_property
+    def dqpt(self) -> DqptReport:
+        return detect_dqpt(self)
+
+
+def detect_dqpt(spec: QuenchSpec | QuenchAnalysis, grid: MomentumGrid | None = None,
                 tgrid: TimeGrid | None = None, dip_cut: float = 0.05,
                 window: float = 0.05) -> DqptReport:
     """Reconcile three independent transition signatures.
@@ -473,10 +513,11 @@ def detect_dqpt(spec: QuenchSpec, grid: MomentumGrid | None = None,
     (1) times where min_k |G| dips toward zero, (2) the predicted ladder of
     critical times, (3) jumps of the sector order parameter across those
     times. Candidates within the agreement window merge into one event.
+    A QuenchAnalysis in place of the spec brings its own grids and products.
     """
-    grid = grid or MomentumGrid()
-    tgrid = tgrid or TimeGrid()
-    field = loschmidt_field(spec, grid, tgrid)
+    qa = spec if isinstance(spec, QuenchAnalysis) else QuenchAnalysis(spec, grid, tgrid)
+    spec = qa.spec
+    field = qa.field
     minabs = np.abs(field.values).min(axis=0)
     below = minabs < dip_cut
     dips = []
@@ -492,13 +533,9 @@ def detect_dqpt(spec: QuenchSpec, grid: MomentumGrid | None = None,
         else:
             i += 1
 
-    try:
-        crit = find_critical(spec, grid, t_max=float(field.times[-1]))
-        predicted = [float(t) for t in crit.critical_times]
-        fps = crit.fixed_points
-        n_sectors = len(fps.segments())
-    except (TrivialQuenchError, PhysicsError):
-        predicted, fps, n_sectors = [], None, 0
+    predicted = qa.critical_times
+    fps = None if isinstance(qa.critical, PhysicsError) else qa.critical.fixed_points
+    n_sectors = len(fps.segments()) if fps is not None else 0
 
     jumps = []
     if n_sectors and predicted:
@@ -537,12 +574,14 @@ def detect_dqpt(spec: QuenchSpec, grid: MomentumGrid | None = None,
                       np.array(jumps))
 
 
-def analysis_report(spec: QuenchSpec, grid: MomentumGrid | None = None,
+def analysis_report(spec: QuenchSpec | QuenchAnalysis, grid: MomentumGrid | None = None,
                     tgrid: TimeGrid | None = None,
                     dtop_resolution: int = 256) -> dict:
-    """Everything the command line serializes for one quench, as plain types."""
-    grid = grid or MomentumGrid()
-    tgrid = tgrid or TimeGrid()
+    """Everything the command line serializes for one quench, as plain types.
+    A QuenchAnalysis in place of the spec brings its own grids and products."""
+    qa = spec if isinstance(spec, QuenchAnalysis) \
+        else QuenchAnalysis(spec, grid, tgrid, dtop_resolution)
+    spec = qa.spec
     out = {
         "regime": spec.regime,
         "initial_angles": [spec.initial_angles.theta1, spec.initial_angles.theta2],
@@ -552,37 +591,25 @@ def analysis_report(spec: QuenchSpec, grid: MomentumGrid | None = None,
     if spec.mix_p is not None:
         out["mix_p"] = spec.mix_p
 
-    trace = rate_function(spec, grid, tgrid)
+    trace = qa.rate
     out["rate_function"] = [{"t": float(t), "g": (float(g) if np.isfinite(g) else None)}
                             for t, g in zip(trace.times, trace.values)]
 
-    try:
-        crit = find_critical(spec, grid, t_max=float(tgrid.samples[-1]))
-    except TrivialQuenchError as err:
-        out["trivial_quench"] = str(err)
-        out["fixed_points"] = []
-        out["critical_momenta"] = []
-        out["time_scales"] = []
-        out["critical_times"] = []
-        out["dtop_traces"] = []
+    crit = qa.critical
+    if isinstance(crit, TrivialQuenchError):
+        out["trivial_quench"] = str(crit)
+        out.update(dict.fromkeys(("fixed_points", "critical_momenta", "time_scales",
+                                  "critical_times", "dtop_traces"), []))
+    elif isinstance(crit, PhysicsError):
+        raise crit
     else:
-        fps = crit.fixed_points
-        out["fixed_points"] = [{"k": p.k, "kind": p.kind} for p in fps.points]
-        out["critical_momenta"] = [c.k for c in crit.criticals]
-        out["time_scales"] = [float(t) for t in crit.time_scales]
-        out["critical_times"] = [float(t) for t in crit.critical_times]
-        traces = []
-        if fps.segments():
-            for m in range(1, len(fps.segments()) + 1):
-                tr = dtop_trace(spec, m, tgrid.samples, dtop_resolution, fixed_points=fps)
-                traces.append({
-                    "m": m,
-                    "t": [float(t) for t in tr.times],
-                    "value": [(float(v) if np.isfinite(v) else None) for v in tr.values],
-                })
-        out["dtop_traces"] = traces
+        out.update(crit.as_dict())
+        out["dtop_traces"] = [{
+            "m": tr.sector,
+            "t": [float(t) for t in tr.times],
+            "value": [(float(v) if np.isfinite(v) else None) for v in tr.values],
+        } for tr in qa.dtop_traces]
 
-    report = detect_dqpt(spec, grid, tgrid)
     out["dqpt_events"] = [{"t_c": e.t_c, "signals_agreeing": e.signals_agreeing}
-                          for e in report.events]
+                          for e in qa.dqpt.events]
     return out

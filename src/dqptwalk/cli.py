@@ -12,7 +12,6 @@ symmetry-broken request, trivial quench), 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field
@@ -22,13 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .analysis import (
-    analysis_report,
-    find_critical,
-    find_fixed_points,
-    dtop_trace,
-    rate_function,
-)
+from .analysis import QuenchAnalysis, analysis_report
 from .errors import ConfigError, PhysicsError, TrivialQuenchError
 from .floquet import (
     phase_diagram_scan,
@@ -36,10 +29,10 @@ from .floquet import (
     winding_global_berry,
     winding_unitary,
 )
-from .lattice import MomentumGrid, TimeGrid
+from .lattice import MomentumGrid, TimeGrid, _g12, _write_csv
 from .measurement import ErrorModel, monte_carlo_errorbars
 from .presets import PRESET_IDS, preset
-from .quench import QuenchSpec, evolve_position, loschmidt_field
+from .quench import QuenchSpec, evolve_position
 
 
 def parse_pi_value(text) -> float:
@@ -124,6 +117,8 @@ def _grids(cfg, config: RunConfig, default_k=128):
 
 
 def _headline(spec: QuenchSpec) -> dict:
+    """Windings and the critical set on the default grids (2048 momenta,
+    t_max 7), whatever grids the run's artifacts use."""
     out: dict = {}
     try:
         if spec.is_unitary:
@@ -135,22 +130,13 @@ def _headline(spec: QuenchSpec) -> dict:
                               if status == "unbroken" else None)
     except PhysicsError:
         out["winding"] = None
-    try:
-        crit = find_critical(spec)
-    except TrivialQuenchError:
-        out["fixed_points"] = None
-        out["critical_momenta"] = None
-        out["time_scales"] = None
-    except PhysicsError:
-        out["fixed_points"] = []
-        out["critical_momenta"] = []
-        out["time_scales"] = []
+    crit = QuenchAnalysis(spec).critical
+    if isinstance(crit, PhysicsError):
+        empty = None if isinstance(crit, TrivialQuenchError) else []
+        out.update(dict.fromkeys(("fixed_points", "critical_momenta", "time_scales",
+                                  "critical_times"), empty))
     else:
-        out["fixed_points"] = [{"k": p.k, "kind": p.kind}
-                               for p in crit.fixed_points.points]
-        out["critical_momenta"] = [c.k for c in crit.criticals]
-        out["time_scales"] = [float(t) for t in crit.time_scales]
-        out["critical_times"] = [float(t) for t in crit.critical_times]
+        out.update(crit.as_dict())
     return out
 
 
@@ -182,52 +168,36 @@ class _Emitter:
 
 
 def _write_rate_csv(path, trace):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "g"])
-        for t, g in zip(trace.times, trace.values):
-            w.writerow([f"{t:.12g}", f"{g:.12g}"])
+    _write_csv(path, ["t", "g"], [[_g12(trace.times), _g12(trace.values)]])
 
 
 def _write_dtop_csv(path, traces):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "t", "value"])
-        for tr in traces:
-            for t, v in zip(tr.times, tr.values):
-                w.writerow([tr.sector, f"{t:.12g}",
-                            "" if not np.isfinite(v) else f"{v:.12g}"])
+    _write_csv(path, ["m", "t", "value"], (
+        [[str(tr.sector)] * len(tr.times), _g12(tr.times),
+         ["" if not np.isfinite(v) else f"{v:.12g}" for v in tr.values.tolist()]]
+        for tr in traces))
 
 
-def _quench_products(spec, grid, tgrid, em, label):
-    """Rate and winding traces, CSVs, and marked-up charts for one quench."""
-    field_ = loschmidt_field(spec, grid, tgrid)
-    trace = rate_function(field_)
+def _dtop_chart(path, traces, t_marks, title):
+    svgplot.line_chart(path, [(f"sector {tr.sector}", tr.times, tr.values) for tr in traces],
+                       vlines=t_marks, title=title, ylabel="nu_m(t)")
+
+
+def _quench_products(qa: QuenchAnalysis, em, label):
+    """Rate and winding traces, CSVs, and marked-up charts for one quench;
+    the winding traces only when the critical search succeeded."""
+    trace = qa.rate
     _write_rate_csv(em.path(f"{label}_rate.csv"), trace)
-
-    try:
-        crit = find_critical(spec, grid, t_max=float(tgrid.samples[-1]))
-        t_marks = [float(t) for t in crit.critical_times]
-        fps = crit.fixed_points
-        segs = fps.segments()
-    except (TrivialQuenchError, PhysicsError):
-        t_marks, fps, segs = [], None, []
-
+    t_marks = qa.critical_times
     svgplot.line_chart(em.path(f"{label}_rate.svg"),
                        [("g(t)", trace.times, trace.values)],
                        vlines=t_marks, title=f"{label}: return rate",
                        ylabel="g(t)")
-    traces = []
-    if segs:
-        for m in range(1, len(segs) + 1):
-            traces.append(dtop_trace(spec, m, tgrid.samples, fixed_points=fps))
+    traces = [] if isinstance(qa.critical, PhysicsError) else qa.dtop_traces
+    if traces:
         _write_dtop_csv(em.path(f"{label}_dtop.csv"), traces)
-        svgplot.line_chart(em.path(f"{label}_dtop.svg"),
-                           [(f"sector {tr.sector}", tr.times, tr.values)
-                            for tr in traces],
-                           vlines=t_marks, title=f"{label}: winding order parameter",
-                           ylabel="nu_m(t)")
-    return trace, traces, t_marks
+        _dtop_chart(em.path(f"{label}_dtop.svg"), traces, t_marks,
+                    f"{label}: winding order parameter")
 
 
 def cmd_phase_diagram(config: RunConfig) -> dict:
@@ -261,13 +231,13 @@ def cmd_quench(config: RunConfig) -> dict:
     cfg = config.options
     spec = build_spec(cfg)
     grid, tgrid = _grids(cfg, config)
+    qa = QuenchAnalysis(spec, grid, tgrid)
     em = _Emitter(config.out_dir)
-    field_ = loschmidt_field(spec, grid, tgrid)
-    field_.write_csv(em.path("loschmidt.csv"))
+    qa.field.write_csv(em.path("loschmidt.csv"))
     evo = evolve_position(spec, int(round(tgrid.t_max)))
     evo.write_csv(em.path("field.csv"))
-    _quench_products(spec, grid, tgrid, em, "quench")
-    report = analysis_report(spec, grid, tgrid)
+    _quench_products(qa, em, "quench")
+    report = analysis_report(qa)
     with open(em.path("report.json"), "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -280,25 +250,15 @@ def cmd_dtop(config: RunConfig) -> dict:
     cfg = config.options
     spec = build_spec(cfg)
     grid, tgrid = _grids(cfg, config)
+    qa = QuenchAnalysis(spec, grid, tgrid)
     em = _Emitter(config.out_dir)
-    fps = find_fixed_points(spec, grid)
-    segs = fps.segments()
-    if not segs:
+    if isinstance(qa.fixed_points, PhysicsError):
+        raise qa.fixed_points
+    if not qa.dtop_traces:
         raise PhysicsError("no winding sectors: fewer than two fixed points")
-    traces = [dtop_trace(spec, m, tgrid.samples, fixed_points=fps)
-              for m in range(1, len(segs) + 1)]
-    _write_dtop_csv(em.path("dtop.csv"), traces)
-    try:
-        crit = find_critical(spec, grid, t_max=float(tgrid.samples[-1]),
-                             fixed_points=fps)
-        t_marks = [float(t) for t in crit.critical_times]
-    except PhysicsError:
-        t_marks = []
-    svgplot.line_chart(em.path("dtop.svg"),
-                       [(f"sector {tr.sector}", tr.times, tr.values)
-                        for tr in traces],
-                       vlines=t_marks, title="winding order parameter",
-                       ylabel="nu_m(t)")
+    _write_dtop_csv(em.path("dtop.csv"), qa.dtop_traces)
+    _dtop_chart(em.path("dtop.svg"), qa.dtop_traces, qa.critical_times,
+                "winding order parameter")
     headline = _headline(spec)
     em.write_summary(config, headline)
     return headline
@@ -346,19 +306,26 @@ def cmd_reproduce(config: RunConfig) -> dict:
     em = _Emitter(config.out_dir)
     headline: dict = {}
     for label, spec in runs:
-        grid, tgrid = _grids(cfg, config)
-        _quench_products(spec, grid, tgrid, em, label)
+        _quench_products(QuenchAnalysis(spec, *_grids(cfg, config)), em, label)
         headline[label] = _headline(spec)
     em.write_summary(config, headline)
     return headline
 
 
+_SPEC_KEYS = ("initial_theta1", "initial_theta2", "final_theta1", "final_theta2",
+              "loss", "mix_p", "regime")
+_GRID_KEYS = ("kpoints", "t_max", "dt")
+
+# each command with the config keys it reads
 _COMMANDS = {
-    "phase-diagram": cmd_phase_diagram,
-    "quench": cmd_quench,
-    "dtop": cmd_dtop,
-    "error-mc": cmd_error_mc,
-    "reproduce-figure": cmd_reproduce,
+    "phase-diagram": (cmd_phase_diagram, ("resolution", "loss", "kpoints", "theta1_min",
+                                          "theta1_max", "theta2_min", "theta2_max")),
+    "quench": (cmd_quench, _SPEC_KEYS + _GRID_KEYS),
+    "dtop": (cmd_dtop, _SPEC_KEYS + _GRID_KEYS),
+    "error-mc": (cmd_error_mc, _SPEC_KEYS + (
+        "kpoints", "quantity", "n_steps", "sector", "positions", "wp_angle_tol",
+        "path_loss_tol", "total_coincidences", "dephasing_eta", "mc_samples")),
+    "reproduce-figure": (cmd_reproduce, _GRID_KEYS),
 }
 
 
@@ -369,12 +336,17 @@ _THREADED = ("phase-diagram",)
 def run(config: RunConfig) -> dict:
     if config.command not in _COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
+    command, keys = _COMMANDS[config.command]
+    unknown = sorted(set(config.options) - set(keys))
+    if unknown:
+        raise ConfigError(f"{config.command} does not read config key(s) "
+                          f"{', '.join(map(str, unknown))}")
     if config.threads < 1:
         raise ConfigError("threads must be at least 1")
     if config.threads != 1 and config.command not in _THREADED:
         raise ConfigError(f"{config.command} runs on one thread; --threads "
                           f"applies only to {', '.join(_THREADED)}")
-    return _COMMANDS[config.command](config)
+    return command(config)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -16,7 +16,6 @@ unit Bloch vector. alpha^2 - beta^2 = 1 keeps det = 1 for every l.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,8 @@ from .lattice import (
     STRUCT_TOL,
     CoinAngles,
     MomentumGrid,
+    _g12,
+    _write_csv,
     coin_matrix,
     loss_matrix,
     shift_matrix,
@@ -160,54 +161,49 @@ def _eigenvalues(d0):
     return lam_p, lam_m, 1j * np.log(lam_p)
 
 
-def diagonalize(b: BlochDecomposition) -> BiorthogonalEigensystem:
-    d0 = b.d0
+def _closed_form(be, d2, d3):
+    """Closed-form biorthogonal frame over arrays of real Bloch components
+    (d1 = i*be). Returns the mask of momenta where it holds, Omega, vartheta
+    and the (n, 2) arrays psi_p, psi_m, chi_p, chi_m; rows outside the mask
+    are meaningless."""
+    d = np.hypot(d2, d3)
+    # a vanishing d overflows sin2o; such rows fail the mask
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sin2o = np.where(d > 0, be / np.where(d > 0, d, 1.0), np.inf)
+        ok = (d > 0) & (sin2o < 1.0)
+        cos2o = np.sqrt(np.where(ok, 1 - sin2o**2, 1.0))
+    ok &= cos2o >= CLOSED_FORM_COS2OMEGA_MIN
+
+    omega = np.where(ok, np.arcsin(np.where(ok, sin2o, 0.0)) / 2, 0.0)
+    vth = np.arctan2(d2, -d3)
+    norm = 1 / np.sqrt(2 * cos2o)
+    ep, em = np.exp(1j * omega), np.exp(-1j * omega)
+    eth = np.exp(1j * vth)
+
+    # rotate the analysis frame back with V = exp(i pi/4 sigma_y)
+    def frame(u0, u1):
+        return np.stack(((u0 - u1) / _SQ2, (u0 + u1) / _SQ2), axis=-1)
+
+    vectors = (frame(norm * ep, norm * eth * em), frame(-norm * em, norm * eth * ep),
+               frame(norm * ep, norm * em / eth), frame(-norm * em, norm * ep / eth))
+    return ok, omega, vth, vectors
+
+
+def _require_gap(d0) -> None:
     if abs(d0 - 1) < GAP_TOL or abs(d0 + 1) < GAP_TOL:
         raise DegenerateSpectrumError(f"gap closed at d0 = {d0}")
-    lam_p, lam_m, energy = _eigenvalues(d0)
 
-    beta = complex(-1j * b.d1)
-    d = np.sqrt(b.d2**2 + b.d3**2 + 0j)
-    closed_ok = (
-        abs(beta.imag) < STRUCT_TOL
-        and abs(np.imag(d)) < STRUCT_TOL
-        and np.real(d) > 0
-        and beta.real / np.real(d) < 1.0
-    )
-    if closed_ok:
-        sin2o = beta.real / np.real(d)
-        cos2o = np.sqrt(1 - sin2o**2)
-        if cos2o < CLOSED_FORM_COS2OMEGA_MIN:
-            closed_ok = False
-    if closed_ok:
-        omega = np.arcsin(sin2o) / 2
-        vth = float(np.angle(-np.real(b.d3) + 1j * np.real(b.d2)))
-        norm = 1 / np.sqrt(2 * cos2o)
-        ep, em = np.exp(1j * omega), np.exp(-1j * omega)
-        eth = np.exp(1j * vth)
-        # rotate the analysis frame back with V = exp(i pi/4 sigma_y)
-        u0, u1 = norm * ep, norm * eth * em
-        psi_p = np.array([(u0 - u1) / _SQ2, (u0 + u1) / _SQ2])
-        u0, u1 = -norm * em, norm * eth * ep
-        psi_m = np.array([(u0 - u1) / _SQ2, (u0 + u1) / _SQ2])
-        u0, u1 = norm * ep, norm * em / eth
-        chi_p = np.array([(u0 - u1) / _SQ2, (u0 + u1) / _SQ2])
-        u0, u1 = -norm * em, norm * ep / eth
-        chi_m = np.array([(u0 - u1) / _SQ2, (u0 + u1) / _SQ2])
-        return BiorthogonalEigensystem(
-            complex(lam_p), complex(lam_m), complex(energy),
-            psi_p, psi_m, chi_p, chi_m,
-            complex(omega), vth, "closed_form",
-        )
 
-    mat = b.as_matrix()
-    lam, right = np.linalg.eig(mat)
+def _generic(b: BlochDecomposition) -> BiorthogonalEigensystem:
+    """Numerical eigen data, each right vector of unit norm with its largest
+    component real positive."""
+    lam_p, _, energy = _eigenvalues(b.d0)
+    lam, right = np.linalg.eig(b.as_matrix())
     if abs(lam[0] - lam_p) > abs(lam[1] - lam_p):
         lam = lam[::-1]
         right = right[:, ::-1]
     if abs(lam[0] - lam[1]) < GAP_TOL:
         raise DegenerateSpectrumError("eigenvalues coincide; biorthogonal frame undefined")
-    # fix scale and phase: unit norm, largest component real positive
     for j in range(2):
         col = right[:, j]
         col = col / np.linalg.norm(col)
@@ -221,46 +217,40 @@ def diagonalize(b: BlochDecomposition) -> BiorthogonalEigensystem:
     )
 
 
+def diagonalize(b: BlochDecomposition) -> BiorthogonalEigensystem:
+    """Eigen data of one sector: the closed form of eigensystem_arrays where
+    it holds, else the generic numerical route."""
+    _require_gap(b.d0)
+    parts = (-1j * b.d1, b.d2, b.d3)
+    if max(abs(np.imag(x)) for x in parts) < STRUCT_TOL:
+        ok, omega, vth, vectors = _closed_form(*(np.atleast_1d(np.real(x)) for x in parts))
+        if ok[0]:
+            lam_p, lam_m, energy = _eigenvalues(b.d0)
+            return BiorthogonalEigensystem(
+                complex(lam_p), complex(lam_m), complex(energy),
+                *(v[0] for v in vectors), complex(omega[0]), float(vth[0]), "closed_form",
+            )
+    return _generic(b)
+
+
 def eigensystem_arrays(angles: CoinAngles, l: float, ks: np.ndarray) -> dict:
     """Vectorized closed-form eigen data over a momentum array.
 
     Returns E, lambda_plus and (n, 2) eigenvector arrays psi_p/psi_m plus row
     covector arrays chi_p/chi_m. Points where the closed form is invalid
-    (PT-broken or near-degenerate sectors) fall back to the scalar generic
-    path one momentum at a time.
+    (PT-broken or near-degenerate sectors) fall back to the generic path one
+    momentum at a time.
     """
     ks = np.asarray(ks, dtype=float)
     d0, be, d2, d3 = bloch_coefficients(angles, l, ks)
     lam_p, lam_m, energy = _eigenvalues(d0)
-
-    d = np.hypot(d2, d3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sin2o = np.where(d > 0, be / np.where(d > 0, d, 1.0), np.inf)
-    ok = (d > 0) & (sin2o < 1.0)
-    cos2o = np.sqrt(np.where(ok, 1 - sin2o**2, 1.0))
-    ok &= cos2o >= CLOSED_FORM_COS2OMEGA_MIN
-
-    omega = np.where(ok, np.arcsin(np.where(ok, sin2o, 0.0)) / 2, 0.0)
-    vth = np.arctan2(d2, -d3)
-    norm = 1 / np.sqrt(2 * cos2o)
-    ep, em = np.exp(1j * omega), np.exp(-1j * omega)
-    eth = np.exp(1j * vth)
-
-    def frame(u0, u1):
-        return np.stack(((u0 - u1) / _SQ2, (u0 + u1) / _SQ2), axis=-1)
-
-    psi_p = frame(norm * ep, norm * eth * em)
-    psi_m = frame(-norm * em, norm * eth * ep)
-    chi_p = frame(norm * ep, norm * em / eth)
-    chi_m = frame(-norm * em, norm * ep / eth)
-
-    if not ok.all():
-        for i in np.nonzero(~ok)[0]:
-            es = diagonalize(
-                BlochDecomposition(d0[i], 1j * be[i], d2[i], d3[i], is_unitary=(l == 0))
-            )
-            psi_p[i], psi_m[i] = es.right_plus, es.right_minus
-            chi_p[i], chi_m[i] = es.left_plus, es.left_minus
+    ok, _, _, (psi_p, psi_m, chi_p, chi_m) = _closed_form(be, d2, d3)
+    for i in np.nonzero(~ok)[0]:
+        _require_gap(d0[i])
+        es = _generic(BlochDecomposition(d0[i], 1j * be[i], d2[i], d3[i],
+                                         is_unitary=(l == 0)))
+        psi_p[i], psi_m[i] = es.right_plus, es.right_minus
+        chi_p[i], chi_m[i] = es.left_plus, es.left_minus
     return {
         "k": ks, "d0": d0, "energy": energy,
         "lambda_plus": lam_p, "lambda_minus": lam_m,
@@ -365,16 +355,14 @@ class PhaseDiagram:
     resolution: int
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"])
-            for c in self.cells:
-                w.writerow([
-                    f"{c.angles.theta1:.12g}", f"{c.angles.theta2:.12g}",
-                    f"{c.loss:.12g}",
-                    "" if c.winding is None else c.winding,
-                    c.pt_status, f"{c.min_gap:.12g}",
-                ])
+        rows = (self.cells[i:i + self.resolution]
+                for i in range(0, len(self.cells), self.resolution))
+        _write_csv(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"], (
+            [_g12([c.angles.theta1 for c in row]), _g12([c.angles.theta2 for c in row]),
+             _g12([c.loss for c in row]),
+             ["" if c.winding is None else str(c.winding) for c in row],
+             [c.pt_status for c in row], _g12([c.min_gap for c in row])]
+            for row in rows))
 
 
 def _cell_gap_pt(t1, t2, l):

@@ -65,6 +65,21 @@ def loss_matrix(l: float) -> np.ndarray:
     return np.array([[(1 + r) / 2, (1 - r) / 2], [(1 - r) / 2, (1 + r) / 2]], dtype=complex)
 
 
+def _g12(values) -> list:
+    """Each value of a real array as %.12g text."""
+    return [f"{x:.12g}" for x in np.asarray(values).tolist()]
+
+
+def _write_csv(path, header, blocks) -> None:
+    """Write CSV rows with the CRLF line ends of csv.writer; no field needs
+    quoting. Each block is a list of equal-length text columns, written in
+    turn so that only one block of text is held at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns, strict=True))
+
+
 @dataclass(frozen=True)
 class CoinAngles:
     """Protocol parameters (theta1, theta2), stored canonical in (-pi, pi]."""

@@ -13,15 +13,14 @@ counting; error bars come from extreme deviations over many noisy replays.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import MomentumGrid, coin_matrix, validate_density_matrix
-from .quench import QuenchSpec, evolve_position, initial_state, _step_params
-from .analysis import _Evaluator, find_fixed_points
+from .lattice import MomentumGrid, _g12, _write_csv, coin_matrix, validate_density_matrix
+from .quench import QuenchSpec, evolve_position, initial_state, overlaps, _step_params
+from .analysis import find_fixed_points
 
 U_CIRC = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 U_DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -290,13 +289,11 @@ class ErrorBarResult:
         return [r for r in self.rows if r[0] == quantity]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["quantity", "t", "center", "err_plus", "err_minus",
-                        "n_samples", "seed"])
-            for q, t, c, ep, em in self.rows:
-                w.writerow([q, f"{t:.12g}", f"{c:.12g}", f"{ep:.12g}",
-                            f"{em:.12g}", self.n_samples, self.seed])
+        q, t, c, ep, em = zip(*self.rows) if self.rows else ((),) * 5
+        _write_csv(path, ["quantity", "t", "center", "err_plus", "err_minus",
+                          "n_samples", "seed"],
+                   [[q, _g12(t), _g12(c), _g12(ep), _g12(em),
+                     [str(self.n_samples)] * len(q), [str(self.seed)] * len(q)]])
 
 
 def _pbar_from_probs(probs) -> np.ndarray:
@@ -358,9 +355,7 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
             raise ConfigError(f"sector must be in 1..{len(segs)}, got {sector}")
         lo, hi = segs[sector - 1]
         ks = np.linspace(lo, hi, dtop_points + 1)
-        ev = _Evaluator(spec)
-        A, B, energy = ev.coeffs(ks)
-        dyn_rate = (A - B).real * energy.real
+        dyn_rate = overlaps(spec, ks, init).dynamic_rate
         fourier = [np.exp(-1j * np.outer(ks, x)) for x in sites]
         unwind = [np.exp(-1j * dyn_rate * t) for t in steps]
 

@@ -13,7 +13,6 @@ and B are no longer real or positive.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .floquet import (
     eigensystem_arrays,
     floquet_matrix,
 )
-from .lattice import CoinAngles, MomentumGrid, PositionState, TimeGrid
+from .lattice import CoinAngles, MomentumGrid, PositionState, TimeGrid, _g12, _write_csv
 
 FLAT_BAND_TOL = 1e-10
 
@@ -157,19 +156,27 @@ class SectorTable:
     def energy_is_real(self) -> bool:
         return bool(np.abs(self.energy.imag).max() < 1e-9)
 
+    @property
+    def dynamic_rate(self) -> np.ndarray:
+        """Rate Re[A - B] Re[E] of the dynamical phase, linear in t."""
+        return (self.A - self.B).real * self.energy.real
+
     def loschmidt(self, times) -> np.ndarray:
         """(n_k, n_t) table of G_k(t)."""
         return two_mode_table(self.A, self.B, self.energy,
                               np.asarray(times, dtype=float))
 
 
-def overlaps(spec: QuenchSpec, grid: MomentumGrid | None = None) -> SectorTable:
-    """Band-overlap data of the prepared state with the post-quench walk."""
-    grid = grid or MomentumGrid()
-    ks = grid.samples
+def overlaps(spec: QuenchSpec, grid: MomentumGrid | np.ndarray | None = None,
+             init: InitialState | None = None) -> SectorTable:
+    """Band-overlap data of the prepared state with the post-quench walk, on
+    a MomentumGrid or any momentum array; init reuses prepared kets."""
+    if grid is None:
+        grid = MomentumGrid()
+    ks = grid.samples if isinstance(grid, MomentumGrid) \
+        else np.atleast_1d(np.asarray(grid, dtype=float))
     es = eigensystem_arrays(spec.final_angles, spec.initial_loss, ks)
-    init = initial_state(spec)
-    psi0 = init.kets[0]
+    psi0 = (init or initial_state(spec)).kets[0]
 
     ct_p = es["chi_p"] @ psi0
     ct_m = es["chi_m"] @ psi0
@@ -219,25 +226,8 @@ def loschmidt_k(spec: QuenchSpec, k: float, t, method: str = "two_mode"):
         return complex(np.dot(init.weights, vals))
     if method != "two_mode":
         raise ConfigError(f"unknown loschmidt method {method!r}")
-    es = eigensystem_arrays(spec.final_angles, spec.initial_loss,
-                            np.array([float(k)]))
-    init = initial_state(spec)
-    psi0 = init.kets[0]
-    ct_p = complex(es["chi_p"][0] @ psi0)
-    ct_m = complex(es["chi_m"][0] @ psi0)
-    if spec.regime == "nonunitary":
-        A = complex(es["psi_m"][0] @ psi0.conj()) * ct_m
-        B = complex(es["psi_p"][0] @ psi0.conj()) * ct_p
-    else:
-        a, b = abs(ct_m) ** 2, abs(ct_p) ** 2
-        if spec.regime == "mixed":
-            p = spec.mix_p
-            A, B = p * a + (1 - p) * b, p * b + (1 - p) * a
-        else:
-            A, B = a, b
-    e = complex(es["energy"][0])
     t = np.asarray(t, dtype=float)
-    out = A * np.exp(1j * e * t) + B * np.exp(-1j * e * t)
+    out = overlaps(spec, [k]).loschmidt(t.ravel())[0].reshape(t.shape)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -257,14 +247,13 @@ class LoschmidtField:
         return i
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "t", "re_G", "im_G", "abs_G"])
-            for i, k in enumerate(self.k):
-                for j, t in enumerate(self.times):
-                    g = self.values[i, j]
-                    w.writerow([f"{k:.12g}", f"{t:.12g}", f"{g.real:.12g}",
-                                f"{g.imag:.12g}", f"{abs(g):.12g}"])
+        # |G| one element at a time: a vectorized abs rounds differently
+        times = _g12(self.times)
+        rows = (row.tolist() for row in self.values)
+        _write_csv(path, ["k", "t", "re_G", "im_G", "abs_G"], (
+            [[k] * len(times), times, [f"{z.real:.12g}" for z in g],
+             [f"{z.imag:.12g}" for z in g], [f"{abs(z):.12g}" for z in g]]
+            for k, g in zip(_g12(self.k), rows)))
 
 
 def loschmidt_field(spec: QuenchSpec, grid: MomentumGrid | None = None,
@@ -316,15 +305,11 @@ class PositionEvolution:
     def write_csv(self, path) -> None:
         # amplitudes of the primary (lower-branch) preparation; mixtures have
         # no single spinor field, their other branch only enters via pbar
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "re_H", "im_H", "re_V", "im_V"])
-            for t in range(self.n_steps + 1):
-                amp = self.histories[0][t].amplitudes
-                for j, x in enumerate(self.sites(t)):
-                    w.writerow([t, int(x),
-                                f"{amp[0, j].real:.12g}", f"{amp[0, j].imag:.12g}",
-                                f"{amp[1, j].real:.12g}", f"{amp[1, j].imag:.12g}"])
+        _write_csv(path, ["t", "x", "re_H", "im_H", "re_V", "im_V"], (
+            [[str(t)] * len(st.sites), [str(x) for x in st.sites.tolist()],
+             _g12(st.amplitudes[0].real), _g12(st.amplitudes[0].imag),
+             _g12(st.amplitudes[1].real), _g12(st.amplitudes[1].imag)]
+            for t, st in enumerate(self.histories[0])))
 
 
 def _step_params(angles: CoinAngles, l: float):

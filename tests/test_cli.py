@@ -163,7 +163,7 @@ def test_error_mc_products(tmp_path):
 def test_phase_diagram_products(tmp_path):
     out = tmp_path / "pd"
     rc = run_main(["phase-diagram", "--set", "resolution=32",
-                   "--set", "n_k=64", "--threads", 2, "--out", out])
+                   "--set", "kpoints=64", "--threads", 2, "--out", out])
     assert rc == 0
     lines = (out / "phase_diagram.csv").read_text().splitlines()
     assert len(lines) == 1 + 32 * 32
@@ -171,3 +171,27 @@ def test_phase_diagram_products(tmp_path):
     counts = summary["headline"]["winding_counts"]
     assert set(counts) <= {"-2", "0", "2", "none"} or \
         set(map(str, counts)) <= {"-2", "0", "2", "none"}
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    out = tmp_path / "q"
+    rc = run_main(["quench", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                   "--set", "t_mx=2", "--out", out])
+    assert rc == 2
+    assert "t_mx" in capsys.readouterr().err
+    assert not out.exists()
+    # a key another command reads is still foreign here
+    assert run_main(["reproduce-figure", "--figure", "fig2a", "--set", "mc_samples=100",
+                     "--out", out]) == 2
+
+
+def test_trivial_quench_headline_complete(tmp_path):
+    out = tmp_path / "t"
+    rc = run_main(["quench", "--set", "final_theta1=1/4", "--set", "final_theta2=-1/2",
+                   "--kpoints", 32, "--set", "t_max=2", "--set", "dt=0.5", "--out", out])
+    assert rc == 0
+    headline = json.loads((out / "summary.json").read_text())["headline"]
+    for key in ("fixed_points", "critical_momenta", "time_scales", "critical_times"):
+        assert headline[key] is None
+    report = json.loads((out / "report.json").read_text())
+    assert "trivial_quench" in report and report["critical_times"] == []

@@ -194,3 +194,27 @@ def test_tuple_angles_accepted():
     assert pt_classify((-np.pi / 3, np.pi / 5), 0.36)[0] == "unbroken"
     m = floquet_matrix((0.3, 0.4), 0.0, 0.1)
     assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
+
+
+@given(angle, angle, st.floats(0.0, 0.9, exclude_max=True),
+       st.lists(momentum, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_diagonalize_equals_eigensystem_rows(t1, t2, l, ks):
+    a = CoinAngles(t1, t2)
+    try:
+        arr = eigensystem_arrays(a, l, np.array(ks))
+        systems = [diagonalize(bloch_nonunitary(a, l, k)) for k in ks]
+    except DegenerateSpectrumError:
+        return
+    names = ("psi_p", "psi_m", "chi_p", "chi_m")
+    for i, es in enumerate(systems):
+        got = (es.right_plus, es.right_minus, es.left_plus, es.left_minus)
+        if arr["closed_form"][i]:
+            # one closed form: the same bits
+            assert es.method == "closed_form"
+            for name, v in zip(names, got):
+                assert np.array_equal(v, arr[name][i]), name
+        else:
+            assert es.method == "generic"
+            for name, v in zip(names, got):
+                assert np.abs(v - arr[name][i]).max() <= 1e-12, name

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dqptwalk.analysis import _Evaluator, find_fixed_points
+from dqptwalk.analysis import find_fixed_points
 from dqptwalk.backend import walk_step
 from dqptwalk.errors import ConfigError, PhysicsError
 from dqptwalk.lattice import MomentumGrid, coin_matrix
@@ -18,7 +18,7 @@ from dqptwalk.measurement import (
     reconstruct_pbar,
     simulate_measurement_probs,
 )
-from dqptwalk.quench import QuenchSpec, _step_params, initial_state, pbar_table
+from dqptwalk.quench import QuenchSpec, _step_params, initial_state, overlaps, pbar_table
 
 FLAT = (np.pi / 4, -np.pi / 2)
 SPEC = QuenchSpec(FLAT, (-np.pi / 2, 3 * np.pi / 8))
@@ -220,8 +220,7 @@ def _reference_errorbars(spec, quantity, model, n_steps, grid, positions):
         if not segs:
             raise ConfigError("no winding sectors exist for this quench")
         ks = np.linspace(*segs[0], 513)
-        A, B, energy = _Evaluator(spec).coeffs(ks)
-        dyn_rate = (A - B).real * energy.real
+        dyn_rate = overlaps(spec, ks).dynamic_rate
     else:
         ks = grid.samples
 

@@ -7,8 +7,8 @@ from dqptwalk.errors import (
     DegenerateSpectrumError,
     InvalidInitialProtocolError,
 )
-from dqptwalk.floquet import floquet_matrix
-from dqptwalk.lattice import MomentumGrid
+from dqptwalk.floquet import bloch_coefficients, floquet_matrix, pt_classify
+from dqptwalk.lattice import GAP_TOL, MomentumGrid
 from dqptwalk.quench import (
     QuenchSpec,
     evolve_k,
@@ -175,3 +175,25 @@ def test_random_unitary_quench_amplitude_bound(t1, t2):
     except (ConfigError, DegenerateSpectrumError):
         return
     assert np.abs(g).max() <= 1 + 1e-9
+
+
+@given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+       st.sampled_from(["pure", "mixed", "nonunitary"]), st.floats(0.01, 0.89),
+       st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_coefficient_path_equals_matrix_powers(t1, t2, regime, x, ks):
+    """The two-mode coefficients of overlaps reproduce <psi|U^t|psi> at
+    integer t for pure, mixed and lossy PT-unbroken quenches."""
+    extra = {"pure": {}, "mixed": {"mix_p": x}, "nonunitary": {"loss": x}}[regime]
+    s = QuenchSpec(FLAT, (t1, t2), regime=regime, **extra)
+    if regime == "nonunitary" and pt_classify(s.final_angles, s.loss)[1] > 1 - 1e-3:
+        return  # broken or near the exceptional line: no real two-mode spectrum
+    d0 = bloch_coefficients(s.final_angles, s.initial_loss, np.array(ks))[0]
+    if np.any(np.abs(np.abs(d0) - 1) < GAP_TOL):
+        return  # closed gap, the sector diagonalize refuses
+    steps = np.arange(8)
+    g = overlaps(s, np.array(ks)).loschmidt(steps)
+    for j, k in enumerate(ks):
+        assert loschmidt_k(s, k, steps) == pytest.approx(g[j], abs=1e-12)
+        direct = [loschmidt_k(s, k, t, method="direct") for t in steps]
+        assert g[j] == pytest.approx(direct, abs=1e-9)

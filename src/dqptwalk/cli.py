@@ -78,7 +78,6 @@ class RunConfig:
     options: dict = field(default_factory=dict)
     out_dir: str = "out"
     seed: int = 0
-    threads: int = 1
     kpoints: int | None = None
     figure: str | None = None
 
@@ -154,7 +153,9 @@ class _Emitter:
         data = {
             "command": config.command,
             "seed": config.seed,
-            "threads": config.threads,
+            # every command runs on one thread; the key stays so that
+            # summary.json keeps its bytes
+            "threads": 1,
             "inputs": {k: str(v) for k, v in sorted(config.options.items())},
             "files": list(self.files),
             "headline": headline,
@@ -209,20 +210,16 @@ def cmd_phase_diagram(config: RunConfig) -> dict:
     t2r = (parse_pi_value(cfg.get("theta2_min", "-1")),
            parse_pi_value(cfg.get("theta2_max", "1")))
     n_k = config.kpoints or _get(cfg, "kpoints", 256, int)
-    pd = phase_diagram_scan(t1r, t2r, res, loss, n_k, config.threads)
+    pd = phase_diagram_scan(t1r, t2r, res, loss, n_k)
     em = _Emitter(config.out_dir)
     pd.write_csv(em.path("phase_diagram.csv"))
     svgplot.phase_map(em.path("phase_diagram.svg"), pd,
                       title=f"winding map, loss={loss}")
-    counts: dict = {}
-    boundary = 0
-    for c in pd.cells:
-        if c.winding is None:
-            boundary += 1
-        else:
-            counts[str(c.winding)] = counts.get(str(c.winding), 0) + 1
-    headline = {"cells": len(pd.cells), "winding_counts": counts,
-                "unlabeled_cells": boundary}
+    labeled = pd.winding[~np.isnan(pd.winding)]
+    values, counts = np.unique(labeled, return_counts=True)
+    headline = {"cells": pd.winding.size,
+                "winding_counts": {str(int(v)): int(n) for v, n in zip(values, counts)},
+                "unlabeled_cells": pd.winding.size - labeled.size}
     em.write_summary(config, headline)
     return headline
 
@@ -329,10 +326,6 @@ _COMMANDS = {
 }
 
 
-# the only command that splits its work over threads
-_THREADED = ("phase-diagram",)
-
-
 def run(config: RunConfig) -> dict:
     if config.command not in _COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
@@ -341,11 +334,6 @@ def run(config: RunConfig) -> dict:
     if unknown:
         raise ConfigError(f"{config.command} does not read config key(s) "
                           f"{', '.join(map(str, unknown))}")
-    if config.threads < 1:
-        raise ConfigError("threads must be at least 1")
-    if config.threads != 1 and config.command not in _THREADED:
-        raise ConfigError(f"{config.command} runs on one thread; --threads "
-                          f"applies only to {', '.join(_THREADED)}")
     return command(config)
 
 
@@ -359,8 +347,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value or JSON config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (phase-diagram only)")
         p.add_argument("--kpoints", type=int, default=None,
                        help="momentum grid size override")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -388,7 +374,6 @@ def main(argv=None) -> int:
             options=cfg,
             out_dir=args.out,
             seed=args.seed,
-            threads=args.threads,
             kpoints=args.kpoints,
             figure=getattr(args, "figure", None),
         )

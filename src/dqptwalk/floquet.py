@@ -15,7 +15,6 @@ unit Bloch vector. alpha^2 - beta^2 = 1 keeps det = 1 for every l.
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from .lattice import (
     CoinAngles,
     MomentumGrid,
     _g12,
+    _wrap_angle,
     _write_csv,
     coin_matrix,
     loss_matrix,
@@ -331,58 +331,39 @@ def pt_classify(angles: CoinAngles, l: float, grid: MomentumGrid | None = None):
     res = minimize_scalar(neg_sq, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     max_sq = max(float(sq[i]), float(-res.fun))
-    if max_sq < 1 - PT_TOL:
-        status = "unbroken"
-    elif max_sq > 1 + PT_TOL:
-        status = "broken"
-    else:
-        status = "boundary"
-    return status, max_sq
+    return str(_pt_status(max_sq)), max_sq
 
 
-@dataclass(frozen=True)
-class PhaseDiagramCell:
-    angles: CoinAngles
-    loss: float
-    winding: int | None
-    pt_status: str
-    min_gap: float
+def _pt_status(max_sq):
+    """PT status from max_k d0^2, elementwise: "unbroken" below 1,
+    "broken" above, "boundary" within PT_TOL."""
+    return np.where(max_sq < 1 - PT_TOL, "unbroken",
+                    np.where(max_sq > 1 + PT_TOL, "broken", "boundary"))
 
 
 @dataclass(frozen=True)
 class PhaseDiagram:
-    cells: tuple[PhaseDiagramCell, ...]
-    resolution: int
+    """Winding/PT map as (resolution, resolution) arrays, row i at the i-th
+    theta1 and column j at the j-th theta2 of the window; angles in (-pi, pi],
+    winding NaN where unlabeled."""
+
+    theta1: np.ndarray
+    theta2: np.ndarray
+    winding: np.ndarray
+    pt_status: np.ndarray
+    min_gap: np.ndarray
+    loss: float
+
+    @property
+    def resolution(self) -> int:
+        return len(self.theta1)
 
     def write_csv(self, path) -> None:
-        rows = (self.cells[i:i + self.resolution]
-                for i in range(0, len(self.cells), self.resolution))
         _write_csv(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"], (
-            [_g12([c.angles.theta1 for c in row]), _g12([c.angles.theta2 for c in row]),
-             _g12([c.loss for c in row]),
-             ["" if c.winding is None else str(c.winding) for c in row],
-             [c.pt_status for c in row], _g12([c.min_gap for c in row])]
-            for row in rows))
-
-
-def _cell_gap_pt(t1, t2, l):
-    """Exact per-cell extremes: d0 is affine in cos2k, so the relevant
-    extremes sit at cos2k = +-1."""
-    al, _ = alpha_beta(l)
-    a = np.cos(t1) * np.cos(t2)
-    b = -np.sin(t1) * np.sin(t2)
-    ends = np.array([al * (b - a), al * (b + a)])
-    lo, hi = ends.min(), ends.max()
-    crosses = (lo <= 1 <= hi) or (lo <= -1 <= hi)
-    min_gap = 0.0 if crosses else float(np.abs(1 - ends**2).min())
-    max_sq = float((ends**2).max())
-    if max_sq < 1 - PT_TOL:
-        status = "unbroken"
-    elif max_sq > 1 + PT_TOL:
-        status = "broken"
-    else:
-        status = "boundary"
-    return min_gap, status
+            [_g12(self.theta1[i]), _g12(self.theta2[i]), _g12([self.loss] * self.resolution),
+             ["" if np.isnan(w) else str(int(w)) for w in self.winding[i].tolist()],
+             self.pt_status[i].tolist(), _g12(self.min_gap[i])]
+            for i in range(self.resolution)))
 
 
 def phase_diagram_scan(
@@ -391,46 +372,51 @@ def phase_diagram_scan(
     resolution: int = 64,
     l: float = 0.0,
     n_k: int = 256,
-    n_workers: int = 1,
 ) -> PhaseDiagram:
-    """Winding/PT map over a coin-angle window; rows ordered row-major.
+    """Winding/PT map over a coin-angle window of width at most 2pi per axis,
+    sampled at resolution points from each lower edge.
 
-    Cells whose gap closes get a boundary marker and no winding.
+    Cells whose gap closes get no winding.
     """
     if resolution < 32:
         raise ConfigError(f"resolution must be >= 32 per axis, got {resolution}")
+    for name, (start, stop) in (("theta1", theta1_range), ("theta2", theta2_range)):
+        # a wider window would scan some angles twice
+        if not 0 < stop - start <= 2 * np.pi + STRUCT_TOL:
+            raise ConfigError(f"{name} window must satisfy min < max <= min + 2pi, got "
+                              f"[{start / np.pi:.6g}pi, {stop / np.pi:.6g}pi]")
     t1s = theta1_range[0] + (theta1_range[1] - theta1_range[0]) * np.arange(resolution) / resolution
     t2s = theta2_range[0] + (theta2_range[1] - theta2_range[0]) * np.arange(resolution) / resolution
     ks = MomentumGrid(max(n_k, 16)).samples
     c2k = np.cos(2 * ks)
     s2k = np.sin(2 * ks)
     al, _ = alpha_beta(l)
+    c1, s1 = np.cos(t1s)[:, None], np.sin(t1s)[:, None]
+    c2, s2 = np.cos(t2s), np.sin(t2s)
 
-    def scan_row(i):
-        t1 = t1s[i]
-        row = []
-        # winding of (d2, d3) for the whole theta2 row at once
-        d2 = al * (np.outer(np.cos(t2s) * np.sin(t1), c2k) + (np.cos(t1) * np.sin(t2s))[:, None])
-        d3 = -al * np.outer(np.cos(t2s), s2k)
+    # winding of (d2, d3), one theta1 row at a time to bound memory
+    raw = np.empty((resolution, resolution))
+    d3 = -al * np.outer(c2, s2k)
+    for i in range(resolution):
+        d2 = al * (np.outer(c2 * s1[i], c2k) + (c1[i] * s2)[:, None])
         z = -d3 + 1j * d2
         z = np.concatenate([z, z[:, :1]], axis=1)
         inc = np.angle(z[:, 1:] * np.conj(z[:, :-1]))
-        raw = inc.sum(axis=1) / (2 * np.pi)
-        for j, t2 in enumerate(t2s):
-            min_gap, status = _cell_gap_pt(t1, t2, l)
-            if min_gap <= GAP_TOL:
-                winding = None
-                status = "boundary" if status == "unbroken" else status
-            else:
-                nu = round(float(raw[j]))
-                winding = -nu if abs(raw[j] - nu) < WINDING_RESIDUAL_MAX else None
-            row.append(PhaseDiagramCell(CoinAngles(t1, t2), l, winding, status, min_gap))
-        return row
+        raw[i] = inc.sum(axis=1) / (2 * np.pi)
 
-    if n_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(scan_row, range(resolution)))
-    else:
-        rows = [scan_row(i) for i in range(resolution)]
-    cells = tuple(c for row in rows for c in row)
-    return PhaseDiagram(cells, resolution)
+    # d0 is affine in cos2k, so its extremes sit at cos2k = +-1
+    a = c1 * c2
+    b = -s1 * s2
+    ends = al * (b - a), al * (b + a)
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    crosses = ((lo <= 1) & (1 <= hi)) | ((lo <= -1) & (-1 <= hi))
+    min_gap = np.where(crosses, 0.0, np.minimum(np.abs(1 - lo**2), np.abs(1 - hi**2)))
+    # a closed gap puts max d0^2 at or above 1 - GAP_TOL >= 1 - PT_TOL, so no
+    # such cell is "unbroken"
+    status = _pt_status(np.maximum(lo**2, hi**2))
+
+    nu = np.rint(raw)
+    winding = np.where((min_gap <= GAP_TOL) | (np.abs(raw - nu) >= WINDING_RESIDUAL_MAX),
+                       np.nan, -nu)
+    theta1, theta2 = np.meshgrid(_wrap_angle(t1s), _wrap_angle(t2s), indexing="ij")
+    return PhaseDiagram(theta1, theta2, winding, status, min_gap, l)

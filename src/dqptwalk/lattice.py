@@ -41,8 +41,13 @@ def normalize_angle(a: float) -> float:
     """Reduce an angle mod 2pi into (-pi, pi]."""
     if not np.isfinite(a):
         raise ConfigError(f"angle must be finite, got {a}")
+    return float(_wrap_angle(a))
+
+
+def _wrap_angle(a):
+    """normalize_angle elementwise over an array, without the finite check."""
     y = (a + np.pi) % (2 * np.pi) - np.pi
-    return np.pi if y == -np.pi else float(y)
+    return np.where(y == -np.pi, np.pi, y)
 
 
 def coin_matrix(theta: float) -> np.ndarray:

@@ -51,7 +51,7 @@ def _build(pid: str):
     if pid == "mixed-p09":
         return [("mixed-p09", _mixed(two_a, 0.9))]
     if pid == "s1":
-        # fine-time-grid replay of the quantized-jump scenario
+        # the fig2a quench on the same grids, under its own label
         return [("s1", _pure(two_a))]
     if pid == "s2":
         return [("s2-p07", _mixed(two_a, 0.7)), ("s2-p09", _mixed(two_a, 0.9))]

@@ -149,7 +149,7 @@ def errorbar_chart(path, rows, title="", xlabel="t", ylabel=""):
 
 
 def _winding_color(w, status):
-    if w is None:
+    if np.isnan(w):
         return "#b0b0b0" if status == "boundary" else "#707070"
     table = {0: "#f2f2e8", -2: "#3a6fb0", 2: "#c04a3a", -1: "#7fa8d0",
              1: "#d08a7f", -4: "#1d3a60", 4: "#6e2218"}
@@ -162,16 +162,16 @@ def phase_map(path, diagram, title=""):
     cw = (W - ML - MR) / res
     ch = (H - MT - MB) / res
     cv = _Canvas(title, "theta1", "theta2")
-    t1s = sorted({c.angles.theta1 for c in diagram.cells})
-    t2s = sorted({c.angles.theta2 for c in diagram.cells})
-    i1 = {v: i for i, v in enumerate(t1s)}
-    i2 = {v: i for i, v in enumerate(t2s)}
-    for c in diagram.cells:
-        x = ML + i1[c.angles.theta1] * cw
-        y = H - MB - (i2[c.angles.theta2] + 1) * ch
+    # column and row of each cell: rank of its angle among the distinct ones
+    i1 = np.unique(diagram.theta1.ravel(), return_inverse=True)[1]
+    i2 = np.unique(diagram.theta2.ravel(), return_inverse=True)[1]
+    for c1, c2, w, status in zip(i1.tolist(), i2.tolist(), diagram.winding.ravel().tolist(),
+                                 diagram.pt_status.ravel().tolist()):
+        x = ML + c1 * cw
+        y = H - MB - (c2 + 1) * ch
         cv.parts.append(f'<rect x="{x:.1f}" y="{y:.1f}" width="{cw + 0.5:.1f}" '
                         f'height="{ch + 0.5:.1f}" '
-                        f'fill="{_winding_color(c.winding, c.pt_status)}"/>')
+                        f'fill="{_winding_color(w, status)}"/>')
     cv.parts.append(f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
                     f'height="{H - MT - MB}" fill="none" stroke="#333"/>')
     cv.finish(path)

@@ -101,11 +101,11 @@ def test_odd_kpoints_rejected(tmp_path):
     ["dtop", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8"],
     ["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8"],
     ["reproduce-figure", "--figure", "fig2a"],
+    ["phase-diagram", "--set", "resolution=32"],
 ])
-def test_threads_rejected_where_unused(tmp_path, capsys, argv):
+def test_threads_rejected_where_unused(tmp_path, argv):
     out = tmp_path / "x"
     assert run_main(argv + ["--threads", 2, "--out", out]) == 2
-    assert "phase-diagram" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -163,14 +163,26 @@ def test_error_mc_products(tmp_path):
 def test_phase_diagram_products(tmp_path):
     out = tmp_path / "pd"
     rc = run_main(["phase-diagram", "--set", "resolution=32",
-                   "--set", "kpoints=64", "--threads", 2, "--out", out])
+                   "--set", "kpoints=64", "--out", out])
     assert rc == 0
     lines = (out / "phase_diagram.csv").read_text().splitlines()
     assert len(lines) == 1 + 32 * 32
-    summary = json.loads((out / "summary.json").read_text())
-    counts = summary["headline"]["winding_counts"]
-    assert set(counts) <= {"-2", "0", "2", "none"} or \
-        set(map(str, counts)) <= {"-2", "0", "2", "none"}
+    headline = json.loads((out / "summary.json").read_text())["headline"]
+    counts = headline["winding_counts"]
+    assert set(counts) <= {"-2", "0", "2"}
+    assert sum(counts.values()) + headline["unlabeled_cells"] == headline["cells"] == 32 * 32
+
+
+@pytest.mark.parametrize("window", [
+    ["theta1_min=-2", "theta1_max=2"],  # each angle twice
+    ["theta1_min=1/2", "theta1_max=1/2"],  # every cell in one column
+])
+def test_malformed_theta_window_rejected(tmp_path, capsys, window):
+    out = tmp_path / "pd"
+    sets = [a for item in window for a in ("--set", item)]
+    assert run_main(["phase-diagram", "--set", "resolution=32", *sets, "--out", out]) == 2
+    assert "theta1 window" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dqptwalk import floquet
 from dqptwalk.errors import (
@@ -23,7 +23,7 @@ from dqptwalk.floquet import (
     winding_global_berry,
     winding_unitary,
 )
-from dqptwalk.lattice import CoinAngles, MomentumGrid
+from dqptwalk.lattice import GAP_TOL, CoinAngles, MomentumGrid
 
 angle = st.floats(-np.pi, np.pi, allow_nan=False)
 momentum = st.floats(-np.pi, np.pi, allow_nan=False)
@@ -170,18 +170,89 @@ def test_nonunitary_winding_value():
 
 def test_phase_diagram_scan_cells(tmp_path):
     pd = phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), resolution=32, n_k=64)
-    assert len(pd.cells) == 32 * 32
-    by_angle = {(round(c.angles.theta1, 9), round(c.angles.theta2, 9)): c
-                for c in pd.cells}
-    c1 = by_angle[(round(np.pi / 4, 9), round(-np.pi / 2, 9))]
-    assert c1.winding == 0
-    c2 = by_angle[(round(-np.pi / 2, 9), round(3 * np.pi / 8, 9))]
-    assert c2.winding == -2
+    for values in (pd.theta1, pd.theta2, pd.winding, pd.pt_status, pd.min_gap):
+        assert values.shape == (32, 32)
+
+    def winding_at(t1, t2):
+        hit = (np.abs(pd.theta1 - t1) < 1e-9) & (np.abs(pd.theta2 - t2) < 1e-9)
+        assert hit.sum() == 1
+        return pd.winding[hit][0]
+
+    assert winding_at(np.pi / 4, -np.pi / 2) == 0
+    assert winding_at(-np.pi / 2, 3 * np.pi / 8) == -2
     out = tmp_path / "pd.csv"
     pd.write_csv(out)
     header = out.read_text().splitlines()[0]
     assert header == "theta1,theta2,loss,winding,pt_status,min_gap"
     assert len(out.read_text().splitlines()) == 1 + 1024
+
+
+def _cell_gap_pt(t1, t2, l):
+    """Gap and PT status of one cell: d0 is affine in cos2k, so its extremes
+    sit at cos2k = +-1."""
+    al, _ = alpha_beta(l)
+    a = np.cos(t1) * np.cos(t2)
+    b = -np.sin(t1) * np.sin(t2)
+    ends = np.array([al * (b - a), al * (b + a)])
+    lo, hi = ends.min(), ends.max()
+    crosses = (lo <= 1 <= hi) or (lo <= -1 <= hi)
+    min_gap = 0.0 if crosses else float(np.abs(1 - ends**2).min())
+    max_sq = float((ends**2).max())
+    if max_sq < 1 - floquet.PT_TOL:
+        status = "unbroken"
+    elif max_sq > 1 + floquet.PT_TOL:
+        status = "broken"
+    else:
+        status = "boundary"
+    return min_gap, status
+
+
+def _reference_scan(theta1_range, theta2_range, resolution, l, n_k):
+    """The phase-diagram scan one cell at a time: winding of (d2, d3) per
+    theta1 row, scalar gap/PT test, CoinAngles normalization. Returns the
+    theta1, theta2, winding, pt_status and min_gap arrays."""
+    t1s = theta1_range[0] + (theta1_range[1] - theta1_range[0]) * np.arange(resolution) / resolution
+    t2s = theta2_range[0] + (theta2_range[1] - theta2_range[0]) * np.arange(resolution) / resolution
+    ks = MomentumGrid(max(n_k, 16)).samples
+    c2k, s2k = np.cos(2 * ks), np.sin(2 * ks)
+    al, _ = alpha_beta(l)
+    cells = []
+    for t1 in t1s:
+        d2 = al * (np.outer(np.cos(t2s) * np.sin(t1), c2k) + (np.cos(t1) * np.sin(t2s))[:, None])
+        d3 = -al * np.outer(np.cos(t2s), s2k)
+        z = -d3 + 1j * d2
+        z = np.concatenate([z, z[:, :1]], axis=1)
+        raw = np.angle(z[:, 1:] * np.conj(z[:, :-1])).sum(axis=1) / (2 * np.pi)
+        for t2, r in zip(t2s, raw):
+            min_gap, status = _cell_gap_pt(t1, t2, l)
+            if min_gap <= GAP_TOL:
+                winding = np.nan
+                status = "boundary" if status == "unbroken" else status
+            else:
+                nu = round(float(r))
+                winding = -nu if abs(r - nu) < floquet.WINDING_RESIDUAL_MAX else np.nan
+            angles = CoinAngles(t1, t2)
+            cells.append((angles.theta1, angles.theta2, winding, status, min_gap))
+    return [np.array(col).reshape(resolution, resolution) for col in zip(*cells)]
+
+
+@given(st.floats(-2, 2), st.floats(0.01, 2), st.floats(-2, 2), st.floats(0.01, 2),
+       st.integers(32, 40), st.integers(8, 64), st.floats(0.0, 0.9, exclude_max=True))
+@settings(max_examples=40, deadline=None)
+@example(-1.0, 2.0, -1.0, 2.0, 32, 32, 0.0)
+@example(-1.0, 2.0, -1.0, 2.0, 40, 64, 0.2)
+def test_phase_diagram_scan_equals_cell_reference(lo1, w1, lo2, w2, res, half_k, l):
+    """The array scan reproduces the cell-by-cell scan bit for bit (windows
+    and widths in units of pi)."""
+    t1r = (lo1 * np.pi, (lo1 + w1) * np.pi)
+    t2r = (lo2 * np.pi, (lo2 + w2) * np.pi)
+    pd = phase_diagram_scan(t1r, t2r, res, l, 2 * half_k)
+    ref = _reference_scan(t1r, t2r, res, l, 2 * half_k)
+    assert pd.loss == l and pd.resolution == res
+    for name, expected in zip(("theta1", "theta2", "winding", "pt_status", "min_gap"), ref):
+        got = getattr(pd, name)
+        assert got.shape == expected.shape, name
+        assert np.array_equal(got, expected, equal_nan=name == "winding"), name
 
 
 def test_phase_diagram_resolution_floor():

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from . import roots
 from .backend import phase_increments, two_mode_table
 from .errors import (
     ConfigError,
@@ -210,16 +210,15 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> Fix
             signed = lambda k: (ev.ct_value(k, kind) * drn.conjugate()).real
             lo, hi = signed(ks[i]), signed(ks[i] + h)
             if lo * hi < 0:
-                k0 = brentq(signed, ks[i], ks[i] + h, xtol=1e-13)
+                k0 = roots.brentq(signed, ks[i], ks[i] + h, xtol=1e-13)
                 fun = ev.ct_abs(k0, kind)
                 if fun < FIXED_POINT_ACCEPT:
                     found.append(FixedPoint(float(normalize_angle(k0)), kind,
                                             float(fun)))
         for i in np.nonzero(local)[0]:
-            res = minimize_scalar(lambda k: ev.ct_abs(k, kind),
-                                  bounds=(ks[i] - h, ks[i] + h), method="bounded",
-                                  options={"xatol": 1e-12})
-            k0, fun = float(res.x), float(res.fun)
+            k0, fun = roots.minimize_bounded(lambda k: ev.ct_abs(k, kind),
+                                             ks[i] - h, ks[i] + h, xatol=1e-12)
+            k0, fun = float(k0), float(fun)
             # bounded search bottoms out near sqrt(eps)*|k| on shallow zeros;
             # project onto the local gradient direction, which is linear
             # through a simple zero, and bisect that instead
@@ -229,7 +228,7 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> Fix
                                     * drn.conjugate()).real
                 lo, hi = signed(k0 - h), signed(k0 + h)
                 if lo * hi < 0:
-                    k1 = brentq(signed, k0 - h, k0 + h, xtol=1e-13)
+                    k1 = roots.brentq(signed, k0 - h, k0 + h, xtol=1e-13)
                     f1 = ev.ct_abs(k1, kind)
                     if f1 < fun:
                         k0, fun = k1, f1
@@ -321,7 +320,7 @@ def find_critical(spec: QuenchSpec, grid: MomentumGrid | None = None,
         f_lo, f_hi = ev.weight_h(k_lo), ev.weight_h(k_hi)
         if f_lo * f_hi > 0:
             continue
-        kc = brentq(ev.weight_h, k_lo, k_hi, xtol=1e-12)
+        kc = roots.brentq(ev.weight_h, k_lo, k_hi, xtol=1e-12)
         e = ev.table(kc).energy[0].real
         if e <= 1e-12:
             raise PhysicsError(f"vanishing quasienergy at critical momentum {kc}")

@@ -275,7 +275,8 @@ def cmd_error_mc(config: RunConfig) -> dict:
     )
     n_steps = _get(cfg, "n_steps", 7, int)
     sector = _get(cfg, "sector", 1, int)
-    positions = tuple(int(p) for p in str(cfg.get("positions", "0")).split(","))
+    positions = _get(cfg, "positions", (0,),
+                     lambda v: tuple(int(p) for p in str(v).split(",")))
     grid = MomentumGrid(config.kpoints or _get(cfg, "kpoints", 256, int))
     result = monte_carlo_errorbars(spec, quantity, model, n_steps=n_steps,
                                    sector=sector, positions=positions, grid=grid)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from . import roots
 from .backend import phase_increments
 from .errors import (
     ConfigError,
@@ -76,16 +76,17 @@ class BlochDecomposition:
     is_unitary: bool
 
     def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.d0 - 1j * self.d3, -1j * self.d1 - self.d2],
-                [-1j * self.d1 + self.d2, self.d0 + 1j * self.d3],
-            ]
-        )
+        return _bloch_matrices(self.d0, self.d1, self.d2, self.d3)
 
     @property
     def norm_residual(self) -> float:
         return abs(self.d0**2 + self.d1**2 + self.d2**2 + self.d3**2 - 1)
+
+
+def _bloch_matrices(d0, d1, d2, d3) -> np.ndarray:
+    """The (..., 2, 2) operators d0*s0 - i(d1*s1 + d2*s2 + d3*s3)."""
+    return np.stack((np.stack((d0 - 1j * d3, -1j * d1 - d2), axis=-1),
+                     np.stack((-1j * d1 + d2, d0 + 1j * d3), axis=-1)), axis=-2)
 
 
 def bloch_coefficients(angles: CoinAngles, l: float, k):
@@ -189,32 +190,44 @@ def _closed_form(be, d2, d3):
     return ok, omega, vth, vectors
 
 
+def _cabs(z):
+    """|z| elementwise as hypot(re, im), the modulus a scalar abs() gives."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
 def _require_gap(d0) -> None:
-    if abs(d0 - 1) < GAP_TOL or abs(d0 + 1) < GAP_TOL:
-        raise DegenerateSpectrumError(f"gap closed at d0 = {d0}")
+    """Raise for the first of the d0 values whose gap is closed."""
+    d0 = np.atleast_1d(d0)
+    closed = (_cabs(d0 - 1) < GAP_TOL) | (_cabs(d0 + 1) < GAP_TOL)
+    if closed.any():
+        raise DegenerateSpectrumError(f"gap closed at d0 = {d0[closed.argmax()]}")
 
 
-def _generic(b: BlochDecomposition) -> BiorthogonalEigensystem:
-    """Numerical eigen data, each right vector of unit norm with its largest
-    component real positive."""
-    lam_p, _, energy = _eigenvalues(b.d0)
-    lam, right = np.linalg.eig(b.as_matrix())
-    if abs(lam[0] - lam_p) > abs(lam[1] - lam_p):
-        lam = lam[::-1]
-        right = right[:, ::-1]
-    if abs(lam[0] - lam[1]) < GAP_TOL:
+def _generic(d0, d1, d2, d3):
+    """Numerical eigen data over arrays of Bloch components, one stacked
+    solve: eigenvalues (n, 2) as (lambda_plus, lambda_minus), right
+    eigenvectors as the columns of (n, 2, 2) arrays and left covectors as
+    the rows of their inverses. Each right vector has unit norm and its
+    largest component real positive."""
+    lam_p = _eigenvalues(d0)[0]
+    lam, right = np.linalg.eig(_bloch_matrices(d0, d1, d2, d3))
+    swap = _cabs(lam[:, 0] - lam_p) > _cabs(lam[:, 1] - lam_p)
+    lam[swap] = lam[swap, ::-1]
+    right[swap] = right[swap, :, ::-1]
+    if (_cabs(lam[:, 0] - lam[:, 1]) < GAP_TOL).any():
         raise DegenerateSpectrumError("eigenvalues coincide; biorthogonal frame undefined")
-    for j in range(2):
-        col = right[:, j]
-        col = col / np.linalg.norm(col)
-        piv = col[np.argmax(np.abs(col))]
-        right[:, j] = col * (abs(piv) / piv)
-    left = np.linalg.inv(right)
-    return BiorthogonalEigensystem(
-        complex(lam[0]), complex(lam[1]), complex(energy),
-        right[:, 0].copy(), right[:, 1].copy(), left[0].copy(), left[1].copy(),
-        None, None, "generic",
-    )
+    # one contiguous row per eigenvector; np.vecdot takes the squared norm
+    # through the same dot product as np.linalg.norm on one vector. The
+    # pivot is picked by the vectorized np.abs, as on one vector, but its
+    # modulus in the phase factor is hypot, as abs() of one number gives:
+    # the two can differ in the last bit and so break near-ties differently.
+    cols = np.swapaxes(right, -1, -2).copy()
+    norm = np.sqrt(np.vecdot(cols.real, cols.real) + np.vecdot(cols.imag, cols.imag))
+    cols = cols / norm[..., None]
+    piv = np.take_along_axis(cols, np.abs(cols).argmax(axis=-1)[..., None], axis=-1)
+    right = np.swapaxes(cols * (_cabs(piv) / piv), -1, -2)
+    return lam, right, np.linalg.inv(right)
 
 
 def diagonalize(b: BlochDecomposition) -> BiorthogonalEigensystem:
@@ -230,7 +243,12 @@ def diagonalize(b: BlochDecomposition) -> BiorthogonalEigensystem:
                 complex(lam_p), complex(lam_m), complex(energy),
                 *(v[0] for v in vectors), complex(omega[0]), float(vth[0]), "closed_form",
             )
-    return _generic(b)
+    lam, right, left = _generic(*map(np.atleast_1d, (b.d0, b.d1, b.d2, b.d3)))
+    return BiorthogonalEigensystem(
+        complex(lam[0, 0]), complex(lam[0, 1]), complex(_eigenvalues(b.d0)[2]),
+        right[0, :, 0].copy(), right[0, :, 1].copy(), left[0, 0].copy(), left[0, 1].copy(),
+        None, None, "generic",
+    )
 
 
 def eigensystem_arrays(angles: CoinAngles, l: float, ks: np.ndarray) -> dict:
@@ -238,19 +256,19 @@ def eigensystem_arrays(angles: CoinAngles, l: float, ks: np.ndarray) -> dict:
 
     Returns E, lambda_plus and (n, 2) eigenvector arrays psi_p/psi_m plus row
     covector arrays chi_p/chi_m. Points where the closed form is invalid
-    (PT-broken or near-degenerate sectors) fall back to the generic path one
-    momentum at a time.
+    (PT-broken or near-degenerate sectors) go to the generic path in one
+    stacked solve.
     """
     ks = np.asarray(ks, dtype=float)
     d0, be, d2, d3 = bloch_coefficients(angles, l, ks)
     lam_p, lam_m, energy = _eigenvalues(d0)
     ok, _, _, (psi_p, psi_m, chi_p, chi_m) = _closed_form(be, d2, d3)
-    for i in np.nonzero(~ok)[0]:
-        _require_gap(d0[i])
-        es = _generic(BlochDecomposition(d0[i], 1j * be[i], d2[i], d3[i],
-                                         is_unitary=(l == 0)))
-        psi_p[i], psi_m[i] = es.right_plus, es.right_minus
-        chi_p[i], chi_m[i] = es.left_plus, es.left_minus
+    bad = ~ok
+    if bad.any():
+        _require_gap(d0[bad])
+        _, right, left = _generic(d0[bad], 1j * be[bad], d2[bad], d3[bad])
+        psi_p[bad], psi_m[bad] = right[..., 0], right[..., 1]
+        chi_p[bad], chi_m[bad] = left[:, 0], left[:, 1]
     return {
         "k": ks, "d0": d0, "energy": energy,
         "lambda_plus": lam_p, "lambda_minus": lam_m,
@@ -328,9 +346,8 @@ def pt_classify(angles: CoinAngles, l: float, grid: MomentumGrid | None = None):
     def neg_sq(k):
         return -bloch_coefficients(angles, l, k)[0] ** 2
 
-    res = minimize_scalar(neg_sq, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    max_sq = max(float(sq[i]), float(-res.fun))
+    _, fun = roots.minimize_bounded(neg_sq, lo, hi, xatol=1e-12)
+    max_sq = max(float(sq[i]), float(-fun))
     return str(_pt_status(max_sq)), max_sq
 
 

@@ -154,6 +154,8 @@ class TimeGrid:
     dt: float = 0.01
 
     def __post_init__(self):
+        if not (np.isfinite(self.t_max) and np.isfinite(self.dt)):
+            raise ConfigError(f"t_max and dt must be finite, got {self.t_max} and {self.dt}")
         if self.t_max < 1 or self.dt <= 0:
             raise ConfigError("need t_max >= 1 and dt > 0")
 

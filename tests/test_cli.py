@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,29 @@ def test_unreadable_angle_is_usage_error(capsys):
                    "--set", "final_theta2=1/4"])
     assert rc == 2
     assert "error: config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["quench", "--set", "t_max=nan"],
+    ["quench", "--set", "t_max=inf"],
+    ["dtop", "--set", "dt=nan"],
+    ["error-mc", "--set", "positions=a"],
+])
+def test_unreadable_value_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    rc = run_main(argv + ["--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                          "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, dqptwalk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 def test_odd_kpoints_rejected(tmp_path):

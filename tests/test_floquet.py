@@ -289,3 +289,51 @@ def test_diagonalize_equals_eigensystem_rows(t1, t2, l, ks):
             assert es.method == "generic"
             for name, v in zip(names, got):
                 assert np.abs(v - arr[name][i]).max() <= 1e-12, name
+
+
+def _generic_row(b):
+    """The generic solve of one sector as written before it was batched: one
+    np.linalg.eig and one np.linalg.inv per matrix, (lambda_plus,
+    lambda_minus) order, each right vector normalized and rotated so its
+    largest component is real positive."""
+    lam_p = b.d0 - 1j * np.sqrt((1 - b.d0) * (1 + b.d0) + 0j)
+    lam, right = np.linalg.eig(b.as_matrix())
+    if abs(lam[0] - lam_p) > abs(lam[1] - lam_p):
+        lam = lam[::-1]
+        right = right[:, ::-1]
+    for j in range(2):
+        col = right[:, j]
+        col = col / np.linalg.norm(col)
+        piv = col[np.argmax(np.abs(col))]
+        right[:, j] = col * (abs(piv) / piv)
+    return lam, right, np.linalg.inv(right)
+
+
+@given(angle, angle, st.floats(0.0, 0.95, exclude_max=True),
+       st.lists(momentum, min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+@example(0.3 * np.pi, -0.6 * np.pi, 0.6, list(np.linspace(-np.pi, np.pi, 40)))
+@example(0.0, 0.0, 0.34375, [0.03125])  # pivot moduli tie up to the last bit
+def test_batched_generic_equals_row_reference(t1, t2, l, ks):
+    """One stacked generic solve gives each row the bits of its own solve,
+    directly and inside eigensystem_arrays."""
+    a = CoinAngles(t1, t2)
+    d0, be, d2, d3 = bloch_coefficients(a, l, np.array(ks))
+    gapped = (np.abs(d0 - 1) >= GAP_TOL) & (np.abs(d0 + 1) >= GAP_TOL)
+    rows = [floquet.BlochDecomposition(d0[i], 1j * be[i], d2[i], d3[i], l == 0)
+            for i in np.nonzero(gapped)[0]]
+    try:
+        want = [_generic_row(b) for b in rows]
+        lam, right, left = floquet._generic(d0[gapped], 1j * be[gapped], d2[gapped],
+                                            d3[gapped])
+        arr = eigensystem_arrays(a, l, np.array(ks)[gapped])
+    except DegenerateSpectrumError:
+        return
+    for i, (lam_i, right_i, left_i) in enumerate(want):
+        assert lam[i].tobytes() == lam_i.tobytes()
+        assert right[i].tobytes() == right_i.tobytes()
+        assert left[i].tobytes() == left_i.tobytes()
+        if not arr["closed_form"][i]:
+            for name, v in (("psi_p", right_i[:, 0]), ("psi_m", right_i[:, 1]),
+                            ("chi_p", left_i[0]), ("chi_m", left_i[1])):
+                assert arr[name][i].tobytes() == v.tobytes(), name

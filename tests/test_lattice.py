@@ -97,6 +97,9 @@ def test_time_grid():
     assert list(tg.integer_steps) == [0, 1, 2, 3, 4, 5, 6, 7]
     with pytest.raises(ConfigError):
         TimeGrid(0.5, 0.1)
+    for t_max, dt in ((np.nan, 0.1), (np.inf, 0.1), (7.0, np.nan), (7.0, np.inf)):
+        with pytest.raises(ConfigError):
+            TimeGrid(t_max, dt)
 
 
 @given(st.floats(0.0, 1.0))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dqptwalk.errors import (
     ConfigError,
@@ -137,13 +137,26 @@ def test_position_walk_rescaled_loss_near_unity():
     assert np.all((probs > 0.8) & (probs < 1.3))
 
 
-def test_position_fourier_equals_momentum_product(kgrid):
-    s = spec_pure()
-    table = overlaps(s, kgrid)
+@given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+       st.sampled_from(["pure", "mixed", "nonunitary"]), st.floats(0.01, 0.89),
+       st.sampled_from([16, 32, 64]))
+@settings(max_examples=100, deadline=None)
+@example(-np.pi / 2, 3 * np.pi / 8, "pure", 0.5, 64)
+def test_position_fourier_equals_momentum_product(t1, t2, regime, x, n_k):
+    """The momentum transform of the position-space walk equals the two-mode
+    G at integer t for pure, mixed and lossy PT-unbroken quenches."""
+    extra = {"pure": {}, "mixed": {"mix_p": x}, "nonunitary": {"loss": x}}[regime]
+    s = QuenchSpec(FLAT, (t1, t2), regime=regime, **extra)
+    if regime == "nonunitary" and pt_classify(s.final_angles, s.loss)[1] > 1 - 1e-3:
+        return  # broken or near the exceptional line: no real two-mode spectrum
+    grid = MomentumGrid(n_k)
+    d0 = bloch_coefficients(s.final_angles, s.initial_loss, grid.samples)[0]
+    gapped = np.abs(np.abs(d0) - 1) >= GAP_TOL  # the sectors diagonalize accepts
+    table = overlaps(s, grid.samples[gapped])
     pe = evolve_position(s, 7)
-    for t in (0, 3, 7):
+    for t in range(8):
         g_cf = table.loschmidt(np.array([float(t)]))[:, 0]
-        assert np.abs(g_cf - pe.loschmidt(kgrid, t)).max() < 1e-10
+        assert np.abs(g_cf - pe.loschmidt(grid, t)[gapped]).max() < 1e-10
 
 
 def test_pbar_table_shapes():

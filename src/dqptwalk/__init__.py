@@ -29,7 +29,6 @@ from .lattice import (
     coin_matrix,
     loss_matrix,
     normalize_angle,
-    pauli_apply,
     shift_matrix,
 )
 from .floquet import (

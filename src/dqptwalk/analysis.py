@@ -25,14 +25,7 @@ from .errors import (
     UnresolvedPhaseJumpError,
 )
 from .lattice import MomentumGrid, TimeGrid, normalize_angle
-from .quench import (
-    LoschmidtField,
-    QuenchSpec,
-    SectorTable,
-    initial_state,
-    loschmidt_field,
-    overlaps,
-)
+from .quench import LoschmidtField, QuenchSpec, SectorTable, loschmidt_field, overlaps
 
 FIXED_POINT_CUT = 0.05       # grid minima below this are candidate zeros
 FIXED_POINT_ACCEPT = 1e-8
@@ -41,6 +34,10 @@ TRIVIAL_WEIGHT_MAX = 1e-10   # an overlap channel this flat is a non-quench
 PHASE_JUMP_GUARD = np.pi - 0.1
 DTOP_REFINE_POINTS = 16
 DTOP_REFINE_DEPTH = 3
+DTOP_RESOLUTION = 256        # sector momenta of an order-parameter evaluation
+KINK_FACTOR = 10.0           # second differences this many medians out are kinks
+DIP_CUT = 0.05               # min_k |G| below this is a rate dip
+AGREEMENT_WINDOW = 0.05      # signals this close in time are one event
 
 
 def _wrap(x):
@@ -56,14 +53,14 @@ class RateTrace:
     times: np.ndarray
     values: np.ndarray
 
-    def kinks(self, factor: float = 10.0) -> np.ndarray:
+    def kinks(self) -> np.ndarray:
         """Times where the discrete second difference is an outlier against
         the median, the nonanalyticity signature on a uniform grid."""
         d2 = np.abs(np.diff(self.values, 2))
         med = np.median(d2)
         if not np.isfinite(med) or med == 0:
             med = np.mean(d2[np.isfinite(d2)]) or 1.0
-        hits = np.nonzero(d2 > factor * med)[0] + 1
+        hits = np.nonzero(d2 > KINK_FACTOR * med)[0] + 1
         # collapse runs of adjacent flagged samples to the local maximum
         out = []
         i = 0
@@ -77,15 +74,8 @@ class RateTrace:
         return self.times[np.array(out, dtype=int)] if out else np.array([])
 
 
-def rate_function(source, grid: MomentumGrid | None = None,
-                  tgrid: TimeGrid | None = None) -> RateTrace:
-    """Intensive return rate from a quench spec or a precomputed field."""
-    if isinstance(source, LoschmidtField):
-        field = source
-    elif isinstance(source, QuenchSpec):
-        field = loschmidt_field(source, grid, tgrid)
-    else:
-        raise ConfigError(f"cannot take a rate from {type(source).__name__}")
+def rate_function(field: LoschmidtField) -> RateTrace:
+    """Intensive return rate of a Loschmidt field."""
     mags = np.abs(field.values)
     n = mags.shape[0]
     with np.errstate(divide="ignore"):
@@ -119,29 +109,6 @@ def _unwound(table: SectorTable, times) -> np.ndarray:
     phi = dynamic_phase(table, times)
     g = two_mode_table(table.A, table.B, table.energy.real + 0j, times)
     return g * np.exp(-1j * phi)
-
-
-class _Evaluator:
-    """Overlap data of one quench at arbitrary momenta, kets prepared once."""
-
-    def __init__(self, spec: QuenchSpec):
-        self.spec = spec
-        self.init = initial_state(spec)
-
-    def table(self, ks) -> SectorTable:
-        return overlaps(self.spec, ks, self.init)
-
-    def ct_value(self, k: float, kind: str) -> complex:
-        tab = self.table(k)
-        return complex((tab.ct_minus if kind == "minus" else tab.ct_plus)[0])
-
-    def ct_abs(self, k: float, kind: str) -> float:
-        return abs(self.ct_value(k, kind))
-
-    def weight_h(self, k: float) -> float:
-        """weight_minus - weight_plus; its zeros are the critical momenta."""
-        tab = self.table(k)
-        return float(tab.weight_minus[0] - tab.weight_plus[0])
 
 
 @dataclass(frozen=True)
@@ -184,8 +151,13 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> Fix
     vanishes identically means the quench does not change the state at all.
     """
     grid = grid or MomentumGrid()
-    ev = _Evaluator(spec)
-    table = ev.table(grid)
+
+    def ct(k: float, kind: str) -> complex:
+        """The kind's overlap channel at one momentum."""
+        tab = overlaps(spec, k)
+        return complex((tab.ct_minus if kind == "minus" else tab.ct_plus)[0])
+
+    table = overlaps(spec, grid)
     ct_p, ct_m = table.ct_plus, table.ct_minus
     ks = grid.samples
     h = grid.spacing
@@ -207,29 +179,28 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> Fix
             drn = complex(raw_vals[(i + 1) % len(ks)] - raw_vals[i])
             if abs(drn) == 0.0:
                 continue
-            signed = lambda k: (ev.ct_value(k, kind) * drn.conjugate()).real
+            signed = lambda k: (ct(k, kind) * drn.conjugate()).real
             lo, hi = signed(ks[i]), signed(ks[i] + h)
             if lo * hi < 0:
                 k0 = roots.brentq(signed, ks[i], ks[i] + h, xtol=1e-13)
-                fun = ev.ct_abs(k0, kind)
+                fun = abs(ct(k0, kind))
                 if fun < FIXED_POINT_ACCEPT:
                     found.append(FixedPoint(float(normalize_angle(k0)), kind,
                                             float(fun)))
         for i in np.nonzero(local)[0]:
-            k0, fun = roots.minimize_bounded(lambda k: ev.ct_abs(k, kind),
+            k0, fun = roots.minimize_bounded(lambda k: abs(ct(k, kind)),
                                              ks[i] - h, ks[i] + h, xatol=1e-12)
             k0, fun = float(k0), float(fun)
             # bounded search bottoms out near sqrt(eps)*|k| on shallow zeros;
             # project onto the local gradient direction, which is linear
             # through a simple zero, and bisect that instead
-            drn = ev.ct_value(k0 + h, kind) - ev.ct_value(k0 - h, kind)
+            drn = ct(k0 + h, kind) - ct(k0 - h, kind)
             if abs(drn) > 0.0:
-                signed = lambda k: (ev.ct_value(k, kind)
-                                    * drn.conjugate()).real
+                signed = lambda k: (ct(k, kind) * drn.conjugate()).real
                 lo, hi = signed(k0 - h), signed(k0 + h)
                 if lo * hi < 0:
                     k1 = roots.brentq(signed, k0 - h, k0 + h, xtol=1e-13)
-                    f1 = ev.ct_abs(k1, kind)
+                    f1 = abs(ct(k1, kind))
                     if f1 < fun:
                         k0, fun = k1, f1
             if fun < FIXED_POINT_ACCEPT:
@@ -305,7 +276,12 @@ def find_critical(spec: QuenchSpec, grid: MomentumGrid | None = None,
     """Critical momenta: weight-balance zeros between fixed points of
     opposite kind, each carrying its periodic ladder of critical times."""
     fps = fixed_points if fixed_points is not None else find_fixed_points(spec, grid)
-    ev = _Evaluator(spec)
+
+    def weight_h(k: float) -> float:
+        """weight_minus - weight_plus; its zeros are the critical momenta."""
+        tab = overlaps(spec, k)
+        return float(tab.weight_minus[0] - tab.weight_plus[0])
+
     criticals = []
     pts = fps.points
     for i in range(len(pts)):
@@ -317,11 +293,11 @@ def find_critical(spec: QuenchSpec, grid: MomentumGrid | None = None,
         k_hi = (hi.k if i + 1 < len(pts) else hi.k + 2 * np.pi) - 1e-9
         if k_hi <= k_lo:
             continue
-        f_lo, f_hi = ev.weight_h(k_lo), ev.weight_h(k_hi)
+        f_lo, f_hi = weight_h(k_lo), weight_h(k_hi)
         if f_lo * f_hi > 0:
             continue
-        kc = roots.brentq(ev.weight_h, k_lo, k_hi, xtol=1e-12)
-        e = ev.table(kc).energy[0].real
+        kc = roots.brentq(weight_h, k_lo, k_hi, xtol=1e-12)
+        e = overlaps(spec, kc).energy[0].real
         if e <= 1e-12:
             raise PhysicsError(f"vanishing quasienergy at critical momentum {kc}")
         criticals.append(CriticalMomentum(float(normalize_angle(kc)), float(e),
@@ -334,10 +310,10 @@ def find_critical(spec: QuenchSpec, grid: MomentumGrid | None = None,
     return CriticalSet(spec, fps, tuple(kept), t_max)
 
 
-def _sector_winding(ev: _Evaluator, k_lo: float, k_hi: float, t: float,
+def _sector_winding(spec: QuenchSpec, k_lo: float, k_hi: float, t: float,
                     n: int, depth: int) -> float:
     ks = np.linspace(k_lo, k_hi, n + 1)
-    z = _unwound(ev.table(ks), [t])[:, 0]
+    z = _unwound(overlaps(spec, ks), [t])[:, 0]
     if np.abs(z).min() < 1e-12:
         raise IllDefinedPhaseError(
             f"G vanishes on the sector at t = {t}; phase winding undefined")
@@ -348,7 +324,7 @@ def _sector_winding(ev: _Evaluator, k_lo: float, k_hi: float, t: float,
             if depth >= DTOP_REFINE_DEPTH:
                 raise UnresolvedPhaseJumpError(
                     f"phase step {inc[j]:.3f} rad persists after refinement at t = {t}")
-            total += _sector_winding(ev, ks[j], ks[j + 1], t,
+            total += _sector_winding(spec, ks[j], ks[j + 1], t,
                                      DTOP_REFINE_POINTS, depth + 1)
         else:
             total += inc[j]
@@ -367,7 +343,7 @@ def _sector_bounds(spec: QuenchSpec, sector: int,
     return segs[sector - 1]
 
 
-def dtop(spec: QuenchSpec, t: float, sector: int = 1, resolution: int = 256,
+def dtop(spec: QuenchSpec, t: float, sector: int = 1, resolution: int = DTOP_RESOLUTION,
          fixed_points: FixedPointSet | None = None) -> float:
     """Geometric-phase winding across one fixed-point sector at time t.
 
@@ -376,8 +352,7 @@ def dtop(spec: QuenchSpec, t: float, sector: int = 1, resolution: int = 256,
     preparations the value is an integer away from critical times.
     """
     lo, hi = _sector_bounds(spec, sector, fixed_points)
-    ev = _Evaluator(spec)
-    return _sector_winding(ev, lo, hi, t, resolution, 0) / (2 * np.pi)
+    return _sector_winding(spec, lo, hi, t, resolution, 0) / (2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -394,7 +369,7 @@ class DtopTrace:
 
 
 def dtop_trace(spec: QuenchSpec, sector: int, times,
-               resolution: int = 256,
+               resolution: int = DTOP_RESOLUTION,
                fixed_points: FixedPointSet | None = None) -> DtopTrace:
     """Order-parameter trace over a time grid.
 
@@ -403,8 +378,7 @@ def dtop_trace(spec: QuenchSpec, sector: int, times,
     """
     lo, hi = _sector_bounds(spec, sector, fixed_points)
     times = np.asarray(times, dtype=float)
-    ev = _Evaluator(spec)
-    z = _unwound(ev.table(np.linspace(lo, hi, resolution + 1)), times)
+    z = _unwound(overlaps(spec, np.linspace(lo, hi, resolution + 1)), times)
     inc = np.angle(z[1:, :] * np.conj(z[:-1, :]))
     vals = inc.sum(axis=0) / (2 * np.pi)
     bad = np.abs(z).min(axis=0) < 1e-12
@@ -413,7 +387,7 @@ def dtop_trace(spec: QuenchSpec, sector: int, times,
         vals[j] = np.nan
     for j in np.nonzero(rough)[0]:
         try:
-            vals[j] = _sector_winding(ev, lo, hi, times[j], resolution, 0) / (2 * np.pi)
+            vals[j] = _sector_winding(spec, lo, hi, times[j], resolution, 0) / (2 * np.pi)
         except IllDefinedPhaseError:
             vals[j] = np.nan
     return DtopTrace(spec, sector, times, vals)
@@ -450,11 +424,10 @@ class QuenchAnalysis:
     """
 
     def __init__(self, spec: QuenchSpec, grid: MomentumGrid | None = None,
-                 tgrid: TimeGrid | None = None, dtop_resolution: int = 256):
+                 tgrid: TimeGrid | None = None):
         self.spec = spec
         self.grid = grid or MomentumGrid()
         self.tgrid = tgrid or TimeGrid()
-        self.dtop_resolution = dtop_resolution
 
     @cached_property
     def field(self) -> LoschmidtField:
@@ -495,8 +468,7 @@ class QuenchAnalysis:
         fps = self.fixed_points
         if isinstance(fps, PhysicsError):
             return []
-        return [dtop_trace(self.spec, m, self.tgrid.samples, self.dtop_resolution,
-                           fixed_points=fps)
+        return [dtop_trace(self.spec, m, self.tgrid.samples, fixed_points=fps)
                 for m in range(1, len(fps.segments()) + 1)]
 
     @cached_property
@@ -504,21 +476,19 @@ class QuenchAnalysis:
         return detect_dqpt(self)
 
 
-def detect_dqpt(spec: QuenchSpec | QuenchAnalysis, grid: MomentumGrid | None = None,
-                tgrid: TimeGrid | None = None, dip_cut: float = 0.05,
-                window: float = 0.05) -> DqptReport:
+def detect_dqpt(qa: QuenchAnalysis) -> DqptReport:
     """Reconcile three independent transition signatures.
 
     (1) times where min_k |G| dips toward zero, (2) the predicted ladder of
     critical times, (3) jumps of the sector order parameter across those
-    times. Candidates within the agreement window merge into one event.
-    A QuenchAnalysis in place of the spec brings its own grids and products.
+    times, read 0.1 before and after each. A sector whose dynamical phase is
+    undefined is skipped, and an undefined order parameter is no jump.
+    Candidates within the agreement window merge into one event.
     """
-    qa = spec if isinstance(spec, QuenchAnalysis) else QuenchAnalysis(spec, grid, tgrid)
     spec = qa.spec
     field = qa.field
     minabs = np.abs(field.values).min(axis=0)
-    below = minabs < dip_cut
+    below = minabs < DIP_CUT
     dips = []
     i = 0
     while i < below.size:
@@ -533,26 +503,19 @@ def detect_dqpt(spec: QuenchSpec | QuenchAnalysis, grid: MomentumGrid | None = N
             i += 1
 
     predicted = qa.critical_times
-    fps = None if isinstance(qa.critical, PhysicsError) else qa.critical.fixed_points
-    n_sectors = len(fps.segments()) if fps is not None else 0
-
-    jumps = []
-    if n_sectors and predicted:
-        for t_c in predicted:
-            if t_c - 0.1 <= 0:
+    probed = [t_c for t_c in predicted if t_c - 0.1 > 0]
+    jumped = np.zeros(len(probed), dtype=bool)
+    if probed:
+        fps = qa.critical.fixed_points
+        # before and after each probed time, interleaved
+        times = np.array(probed)[:, None] + np.array([-0.1, 0.1])
+        for m in range(1, len(fps.segments()) + 1):
+            try:
+                vals = dtop_trace(spec, m, times.ravel(), fixed_points=fps).values
+            except UndefinedDynamicPhaseError:
                 continue
-            jumped = False
-            for m in range(1, n_sectors + 1):
-                try:
-                    before = dtop(spec, t_c - 0.1, m, fixed_points=fps)
-                    after = dtop(spec, t_c + 0.1, m, fixed_points=fps)
-                except (IllDefinedPhaseError, UndefinedDynamicPhaseError):
-                    continue
-                if abs(after - before) > 0.25:
-                    jumped = True
-                    break
-            if jumped:
-                jumps.append(t_c)
+            jumped |= np.abs(vals[1::2] - vals[::2]) > 0.25
+    jumps = [t_c for t_c, hit in zip(probed, jumped) if hit]
 
     tagged = sorted([(t, "rate_dip") for t in dips]
                     + [(t, "predicted") for t in predicted]
@@ -561,7 +524,7 @@ def detect_dqpt(spec: QuenchSpec | QuenchAnalysis, grid: MomentumGrid | None = N
     i = 0
     while i < len(tagged):
         j = i
-        while j + 1 < len(tagged) and tagged[j + 1][0] - tagged[j][0] <= window:
+        while j + 1 < len(tagged) and tagged[j + 1][0] - tagged[j][0] <= AGREEMENT_WINDOW:
             j += 1
         group = tagged[i:j + 1]
         srcs = tuple(sorted({s for _, s in group}))
@@ -573,13 +536,8 @@ def detect_dqpt(spec: QuenchSpec | QuenchAnalysis, grid: MomentumGrid | None = N
                       np.array(jumps))
 
 
-def analysis_report(spec: QuenchSpec | QuenchAnalysis, grid: MomentumGrid | None = None,
-                    tgrid: TimeGrid | None = None,
-                    dtop_resolution: int = 256) -> dict:
-    """Everything the command line serializes for one quench, as plain types.
-    A QuenchAnalysis in place of the spec brings its own grids and products."""
-    qa = spec if isinstance(spec, QuenchAnalysis) \
-        else QuenchAnalysis(spec, grid, tgrid, dtop_resolution)
+def analysis_report(qa: QuenchAnalysis) -> dict:
+    """Everything the command line serializes for one quench, as plain types."""
     spec = qa.spec
     out = {
         "regime": spec.regime,

@@ -14,27 +14,10 @@ from .errors import ConfigError
 
 # structural identities (hermiticity, norms, algebra)
 STRUCT_TOL = 1e-12
-# quadrature, root refinement, eigen-residuals
-ROOT_TOL = 1e-10
 # |d0 -+ 1| below this counts as a closed gap
 GAP_TOL = 1e-9
-
-PAULI = np.array(
-    [
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
-
-
-def pauli_apply(which: int, s: np.ndarray) -> np.ndarray:
-    """Apply sigma_which (0..3) to a spinor."""
-    if which not in (0, 1, 2, 3):
-        raise ConfigError(f"pauli index must be 0..3, got {which}")
-    return PAULI[which] @ np.asarray(s, dtype=complex)
+# most dt steps a time grid may take
+MAX_TIME_STEPS = 10**6
 
 
 def normalize_angle(a: float) -> float:
@@ -158,6 +141,9 @@ class TimeGrid:
             raise ConfigError(f"t_max and dt must be finite, got {self.t_max} and {self.dt}")
         if self.t_max < 1 or self.dt <= 0:
             raise ConfigError("need t_max >= 1 and dt > 0")
+        if self.t_max / self.dt > MAX_TIME_STEPS:
+            raise ConfigError(f"t_max / dt must be at most {MAX_TIME_STEPS}, "
+                              f"got {self.t_max} / {self.dt}")
 
     @property
     def integer_steps(self) -> np.ndarray:

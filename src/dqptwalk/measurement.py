@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattice import MomentumGrid, _g12, _write_csv, coin_matrix, validate_density_matrix
-from .quench import QuenchSpec, evolve_position, initial_state, overlaps, _step_params
-from .analysis import find_fixed_points
+from .quench import QuenchSpec, evolve_position, overlaps, _step_params
+from .analysis import _sector_bounds
 
 U_CIRC = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 U_DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -29,6 +29,8 @@ U_DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
 # per sample in flight: 32 stays within 2 MB of a one-sample replay, while
 # 64 would run about 15 % faster for 3 MB more.
 MC_BLOCK = 32
+# sector momenta of a replayed order parameter
+MC_DTOP_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -285,9 +287,6 @@ class ErrorBarResult:
     n_samples: int
     seed: int
 
-    def for_quantity(self, quantity: str):
-        return [r for r in self.rows if r[0] == quantity]
-
     def write_csv(self, path) -> None:
         q, t, c, ep, em = zip(*self.rows) if self.rows else ((),) * 5
         _write_csv(path, ["quantity", "t", "center", "err_plus", "err_minus",
@@ -317,8 +316,7 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
                           error_model: ErrorModel | None = None,
                           n_steps: int = 7, sector: int = 1,
                           positions=(0,),
-                          grid: MomentumGrid | None = None,
-                          dtop_points: int = 512) -> ErrorBarResult:
+                          grid: MomentumGrid | None = None) -> ErrorBarResult:
     """Error bars for a measured quantity over integer steps.
 
     quantity is one of "rate_function", "dtop" (one sector, labeled
@@ -337,25 +335,18 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
     grid = grid or MomentumGrid(256)
     poisson_only = spec.regime == "nonunitary"
     eta = model.dephasing_eta
-    init = initial_state(spec)
 
     # momentum transforms, one matrix per step (and per winding sector)
     steps = range(n_steps + 1)
-    ref_evo = evolve_position(spec, n_steps, init=init)
+    ref_evo = evolve_position(spec, n_steps)
     ref_probs = _setting_probs(ref_evo, 1.0)
     sites = [ref_evo.sites(t) for t in steps]
     if quantity == "rate_function":
         fourier = [np.exp(-1j * np.outer(grid.samples, x)) for x in sites]
     elif quantity == "dtop":
-        fps = find_fixed_points(spec)
-        segs = fps.segments()
-        if not segs:
-            raise ConfigError("no winding sectors exist for this quench")
-        if not 1 <= sector <= len(segs):
-            raise ConfigError(f"sector must be in 1..{len(segs)}, got {sector}")
-        lo, hi = segs[sector - 1]
-        ks = np.linspace(lo, hi, dtop_points + 1)
-        dyn_rate = overlaps(spec, ks, init).dynamic_rate
+        lo, hi = _sector_bounds(spec, sector, None)
+        ks = np.linspace(lo, hi, MC_DTOP_POINTS + 1)
+        dyn_rate = overlaps(spec, ks).dynamic_rate
         fourier = [np.exp(-1j * np.outer(ks, x)) for x in sites]
         unwind = [np.exp(-1j * dyn_rate * t) for t in steps]
 
@@ -399,8 +390,7 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
                      for p in ref_probs]
         else:
             runs = [perturb_protocol(spec, model, rng, n_steps) for rng in rngs]
-            evo = evolve_position(spec, n_steps,
-                                  np.stack([r.plate_angles for r in runs]), init)
+            evo = evolve_position(spec, n_steps, np.stack([r.plate_angles for r in runs]))
             probs = _setting_probs(evo, eta, runs)
         if model.total_coincidences > 0:
             probs = _counted(probs, model.total_coincidences, rngs)

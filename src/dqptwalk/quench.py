@@ -14,6 +14,7 @@ and B are no longer real or positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,12 @@ class QuenchSpec:
     @property
     def is_unitary(self) -> bool:
         return self.regime != "nonunitary"
+
+    @cached_property
+    def prepared(self) -> InitialState:
+        """The prepared coin state(s), built on first use and then kept.
+        Equality and hashing see only the fields."""
+        return initial_state(self)
 
 
 def _require_flat_band(angles: CoinAngles, l: float) -> None:
@@ -167,16 +174,15 @@ class SectorTable:
                               np.asarray(times, dtype=float))
 
 
-def overlaps(spec: QuenchSpec, grid: MomentumGrid | np.ndarray | None = None,
-             init: InitialState | None = None) -> SectorTable:
+def overlaps(spec: QuenchSpec, grid: MomentumGrid | np.ndarray | None = None) -> SectorTable:
     """Band-overlap data of the prepared state with the post-quench walk, on
-    a MomentumGrid or any momentum array; init reuses prepared kets."""
+    a MomentumGrid or any momentum array."""
     if grid is None:
         grid = MomentumGrid()
     ks = grid.samples if isinstance(grid, MomentumGrid) \
         else np.atleast_1d(np.asarray(grid, dtype=float))
     es = eigensystem_arrays(spec.final_angles, spec.initial_loss, ks)
-    psi0 = (init or initial_state(spec)).kets[0]
+    psi0 = spec.prepared.kets[0]
 
     ct_p = es["chi_p"] @ psi0
     ct_m = es["chi_m"] @ psi0
@@ -207,7 +213,7 @@ def evolve_k(spec: QuenchSpec, k: float, n_steps: int) -> np.ndarray:
         raise ConfigError("step count must be nonnegative")
     u = floquet_matrix(spec.final_angles, spec.initial_loss, k)
     ut = np.linalg.matrix_power(u, n_steps)
-    return initial_state(spec).kets @ ut.T
+    return spec.prepared.kets @ ut.T
 
 
 def loschmidt_k(spec: QuenchSpec, k: float, t, method: str = "two_mode"):
@@ -220,7 +226,7 @@ def loschmidt_k(spec: QuenchSpec, k: float, t, method: str = "two_mode"):
         steps = int(round(float(t)))
         if abs(steps - float(t)) > 1e-9:
             raise ConfigError("direct evolution needs integer step counts")
-        init = initial_state(spec)
+        init = spec.prepared
         evolved = evolve_k(spec, k, steps)
         vals = np.einsum("ij,ij->i", init.kets.conj(), evolved)
         return complex(np.dot(init.weights, vals))
@@ -239,12 +245,6 @@ class LoschmidtField:
     k: np.ndarray
     times: np.ndarray
     values: np.ndarray  # (n_k, n_t)
-
-    def time_index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9:
-            raise ConfigError(f"t = {t} is not on the time grid")
-        return i
 
     def write_csv(self, path) -> None:
         # |G| one element at a time: a vectorized abs rounds differently
@@ -321,21 +321,19 @@ def _step_params(angles: CoinAngles, l: float):
 
 
 def evolve_position(spec: QuenchSpec, n_steps: int,
-                    plate_angles: np.ndarray | None = None,
-                    init: InitialState | None = None) -> PositionEvolution:
+                    plate_angles: np.ndarray | None = None) -> PositionEvolution:
     """Run the post-quench walk in real space from a localized origin state.
 
     plate_angles, when given, is a (..., n_steps, 4) per-step override of the
     four coin plate angles (entry, mid, mid, exit); used to model
     miscalibrated plates. Leading axes batch independent replays, and every
     amplitude array then carries them in front of its (2, n) site block.
-    Lossless walks ignore the second mid angle. init reuses prepared kets.
+    Lossless walks ignore the second mid angle.
     """
     if n_steps < 0:
         raise ConfigError("step count must be nonnegative")
     base = _step_params(spec.final_angles, spec.initial_loss)
-    if init is None:
-        init = initial_state(spec)
+    init = spec.prepared
     lead = () if plate_angles is None else np.shape(plate_angles)[:-2]
     # the prepared kets walk side by side on axis -3
     psi = np.broadcast_to(init.kets[:, :, None],

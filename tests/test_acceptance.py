@@ -12,7 +12,7 @@ import pytest
 from conftest import circular_match, record
 
 from dqptwalk import analysis, floquet, measurement, quench
-from dqptwalk.analysis import dtop_trace, find_critical, find_fixed_points, rate_function
+from dqptwalk.analysis import QuenchAnalysis, dtop_trace, find_critical, find_fixed_points
 from dqptwalk.errors import (
     DegenerateSpectrumError,
     InsufficientResolutionError,
@@ -162,7 +162,7 @@ def test_07_broken_symmetry_smooth():
         gmin = float(np.abs(g).min())
         assert gmin > 0.05, f"min |G| = {gmin}"
         assert find_fixed_points(FIG4B).points == ()
-        tr = rate_function(FIG4B, MomentumGrid(256), TimeGrid(7.0, 0.01))
+        tr = QuenchAnalysis(FIG4B, MomentumGrid(256), TimeGrid(7.0, 0.01)).rate
         assert np.isfinite(tr.values).all()
         assert len(tr.kinks()) == 0
         return f"min|G| {gmin:.3f}, no kinks"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dqptwalk import analysis
 from dqptwalk.analysis import (
+    QuenchAnalysis,
     detect_dqpt,
     dtop,
     dtop_trace,
@@ -14,10 +16,12 @@ from dqptwalk.analysis import (
 )
 from dqptwalk.errors import (
     ConfigError,
+    IllDefinedPhaseError,
     PhysicsError,
     TrivialQuenchError,
     UndefinedDynamicPhaseError,
 )
+from dqptwalk.floquet import bloch_coefficients
 from dqptwalk.lattice import MomentumGrid, TimeGrid
 from dqptwalk.presets import preset
 from dqptwalk.quench import QuenchSpec, loschmidt_field, overlaps
@@ -30,7 +34,7 @@ FIG4B = preset("fig4b")[0][1]
 
 
 def test_rate_function_kink_at_first_critical_time(kgrid):
-    tr = rate_function(FIG2A, kgrid, TimeGrid(7.0, 0.01))
+    tr = QuenchAnalysis(FIG2A, kgrid, TimeGrid(7.0, 0.01)).rate
     assert np.isfinite(tr.values).all()
     ks = tr.kinks()
     assert len(ks) >= 1
@@ -40,7 +44,7 @@ def test_rate_function_kink_at_first_critical_time(kgrid):
 def test_rate_function_accepts_precomputed_field(kgrid):
     field = loschmidt_field(FIG2A, kgrid, TimeGrid(3.0, 0.1))
     tr = rate_function(field)
-    tr2 = rate_function(FIG2A, kgrid, TimeGrid(3.0, 0.1))
+    tr2 = QuenchAnalysis(FIG2A, kgrid, TimeGrid(3.0, 0.1)).rate
     assert np.allclose(tr.values, tr2.values)
 
 
@@ -162,24 +166,24 @@ class TestDtop:
 
 class TestDetection:
     def test_unitary_transition_all_signals(self, kgrid):
-        rep = detect_dqpt(FIG2A, kgrid, TimeGrid(7.0, 0.01))
+        rep = detect_dqpt(QuenchAnalysis(FIG2A, kgrid, TimeGrid(7.0, 0.01)))
         assert rep.has_dqpt
         ev = min(rep.events, key=lambda e: abs(e.t_c - 4))
         assert ev.t_c == pytest.approx(4.0, abs=0.05)
         assert ev.signals_agreeing >= 2
 
     def test_no_transition_without_band_crossing(self, kgrid):
-        rep = detect_dqpt(FIG3, kgrid, TimeGrid(7.0, 0.01))
+        rep = detect_dqpt(QuenchAnalysis(FIG3, kgrid, TimeGrid(7.0, 0.01)))
         assert not rep.has_dqpt
 
     def test_broken_regime_quiet(self, kgrid):
-        rep = detect_dqpt(FIG4B, kgrid, TimeGrid(7.0, 0.01))
+        rep = detect_dqpt(QuenchAnalysis(FIG4B, kgrid, TimeGrid(7.0, 0.01)))
         assert not rep.has_dqpt
 
 
 def test_report_serializable_structure(kgrid):
     import json
-    rep = analysis.analysis_report(FIG2A, kgrid, TimeGrid(7.0, 0.1))
+    rep = analysis.analysis_report(QuenchAnalysis(FIG2A, kgrid, TimeGrid(7.0, 0.1)))
     json.dumps(rep)
     assert rep["regime"] == "pure"
     assert len(rep["fixed_points"]) == 4
@@ -189,7 +193,7 @@ def test_report_serializable_structure(kgrid):
 
 
 def test_report_flat_traces_without_transitions(kgrid):
-    rep = analysis.analysis_report(FIG3, kgrid, TimeGrid(7.0, 0.5))
+    rep = analysis.analysis_report(QuenchAnalysis(FIG3, kgrid, TimeGrid(7.0, 0.5)))
     assert rep["critical_momenta"] == []
     assert len(rep["dtop_traces"]) == 4
     for tr in rep["dtop_traces"]:
@@ -200,6 +204,53 @@ def test_report_flat_traces_without_transitions(kgrid):
 
 def test_report_trivial_quench_note(kgrid):
     s = QuenchSpec((np.pi / 4, -np.pi / 2), (np.pi / 4, -np.pi / 2))
-    rep = analysis.analysis_report(s, kgrid, TimeGrid(2.0, 0.5))
+    rep = analysis.analysis_report(QuenchAnalysis(s, kgrid, TimeGrid(2.0, 0.5)))
     assert rep["fixed_points"] == []
     assert "eigenbasis" in rep["trivial_quench"] or "quench" in rep["trivial_quench"]
+
+
+def _reference_jumps(qa):
+    """The former jump check: two single-time dtop calls per critical time
+    and sector, stopping at the first sector that jumps."""
+    predicted = qa.critical_times
+    if not predicted:
+        return []
+    fps = qa.critical.fixed_points
+    jumps = []
+    for t_c in predicted:
+        if t_c - 0.1 <= 0:
+            continue
+        for m in range(1, len(fps.segments()) + 1):
+            try:
+                before = dtop(qa.spec, t_c - 0.1, m, fixed_points=fps)
+                after = dtop(qa.spec, t_c + 0.1, m, fixed_points=fps)
+            except (IllDefinedPhaseError, UndefinedDynamicPhaseError):
+                continue
+            if abs(after - before) > 0.25:
+                jumps.append(t_c)
+                break
+    return jumps
+
+
+_REGIMES = {"pure": {}, "mixed": {"regime": "mixed", "mix_p": 0.7},
+            "lossy": {"regime": "nonunitary", "loss": 0.36}}
+
+
+@given(regime=st.sampled_from(sorted(_REGIMES)),
+       theta1=st.floats(-np.pi, np.pi), theta2=st.floats(-np.pi, np.pi))
+@example("pure", -np.pi / 2, 3 * np.pi / 8)       # fig2a: one jump at t = 4
+@example("pure", -np.pi / 2, np.pi / 4)           # fig2b: jumps at t = 2, 6
+@example("lossy", -np.pi / 3, np.pi / 5)          # fig4a: two critical scales
+@example("mixed", -np.pi / 2, 3 * np.pi / 8)
+@settings(max_examples=25, deadline=None)
+def test_batched_jump_check_equals_per_time_dtop(regime, theta1, theta2):
+    spec = QuenchSpec(FIG2A.initial_angles, (theta1, theta2), **_REGIMES[regime])
+    grid = MomentumGrid(128)
+    d0 = bloch_coefficients(spec.final_angles, spec.initial_loss, grid.samples)[0]
+    if np.any(np.abs(np.abs(d0) - 1) < 1e-6):
+        return  # a closed gap on the grid: the field is undefined there
+    qa = QuenchAnalysis(spec, grid, TimeGrid(7.0, 0.05))
+    want = _reference_jumps(qa)
+    assert list(detect_dqpt(qa).dtop_jumps) == want
+    if (regime, theta1, theta2) == ("pure", -np.pi / 2, 3 * np.pi / 8):
+        assert want == pytest.approx([4.0])

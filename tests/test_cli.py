@@ -97,6 +97,8 @@ def test_unreadable_angle_is_usage_error(capsys):
     ["quench", "--set", "t_max=nan"],
     ["quench", "--set", "t_max=inf"],
     ["dtop", "--set", "dt=nan"],
+    ["quench", "--set", "t_max=1e300"],
+    ["dtop", "--set", "t_max=1e7", "--set", "dt=1e-3"],
     ["error-mc", "--set", "positions=a"],
 ])
 def test_unreadable_value_is_usage_error(tmp_path, capsys, argv):
@@ -142,6 +144,22 @@ def test_sectorless_dtop_is_physics_error(tmp_path, capsys):
                    "--set", "final_theta2=-1/2", "--out", tmp_path / "d"])
     assert rc == 3
     assert "error: physics:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("final", [
+    # same protocol on both sides: a trivial quench
+    ["final_theta1=1/4", "final_theta2=-1/2"],
+    # lossy, PT broken: no fixed points, so no winding sectors
+    ["final_theta1=-1/2", "final_theta2=0.49", "loss=0.36"],
+])
+def test_sectorless_error_mc_dtop_is_physics_error(tmp_path, capsys, final):
+    out = tmp_path / "mc"
+    sets = [a for item in final for a in ("--set", item)]
+    rc = run_main(["error-mc", *sets, "--set", "quantity=dtop",
+                   "--set", "mc_samples=100", "--out", out])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: physics:")
+    assert not out.exists()
 
 
 def test_unwritable_output_is_io_error(capsys):

@@ -97,7 +97,8 @@ def test_time_grid():
     assert list(tg.integer_steps) == [0, 1, 2, 3, 4, 5, 6, 7]
     with pytest.raises(ConfigError):
         TimeGrid(0.5, 0.1)
-    for t_max, dt in ((np.nan, 0.1), (np.inf, 0.1), (7.0, np.nan), (7.0, np.inf)):
+    for t_max, dt in ((np.nan, 0.1), (np.inf, 0.1), (7.0, np.nan), (7.0, np.inf),
+                      (1e300, 0.01), (1e7, 1e-3), (1e300, 1e-10)):
         with pytest.raises(ConfigError):
             TimeGrid(t_max, dt)
 

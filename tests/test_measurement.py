@@ -218,7 +218,7 @@ def _reference_errorbars(spec, quantity, model, n_steps, grid, positions):
     if quantity == "dtop":
         segs = find_fixed_points(spec).segments()
         if not segs:
-            raise ConfigError("no winding sectors exist for this quench")
+            raise PhysicsError("no winding sectors exist for this quench")
         ks = np.linspace(*segs[0], 513)
         dyn_rate = overlaps(spec, ks).dynamic_rate
     else:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dqptwalk import quench
 from dqptwalk.errors import (
     ConfigError,
     DegenerateSpectrumError,
@@ -53,6 +54,29 @@ class TestSpecValidation:
         s = QuenchSpec(FLAT, (0.3, 0.4))
         assert s.initial_angles.theta1 == pytest.approx(np.pi / 4)
         assert s.is_unitary
+
+
+def test_prepared_state_is_kept_on_the_spec(monkeypatch):
+    calls = []
+    built = quench.initial_state
+    monkeypatch.setattr(quench, "initial_state",
+                        lambda spec: calls.append(spec) or built(spec))
+    for extra in ({}, {"regime": "mixed", "mix_p": 0.7},
+                  {"regime": "nonunitary", "loss": 0.36}):
+        s = QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), **extra)
+        twin = QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), **extra)
+        calls.clear()
+        first = s.prepared
+        assert s.prepared is first
+        overlaps(s, MomentumGrid(16))
+        evolve_position(s, 2)
+        assert calls == [s]
+        want = built(s)
+        assert np.array_equal(first.kets, want.kets)
+        assert np.array_equal(first.weights, want.weights)
+        # the kept state is no field: equality and hashing ignore it
+        assert "prepared" in vars(s) and "prepared" not in vars(twin)
+        assert s == twin and hash(s) == hash(twin)
 
 
 def test_initial_state_pure_is_lower_band_eigenvector():

@@ -45,6 +45,32 @@ def _wrap(x):
     return np.angle(np.exp(1j * np.asarray(x)))
 
 
+def _runs(values, gap) -> list:
+    """An ascending sequence as arrays, split wherever one step to the next
+    exceeds gap."""
+    values = np.asarray(values)
+    return np.split(values, np.nonzero(np.diff(values) > gap)[0] + 1) if values.size else []
+
+
+def _dedup_circular(items, tol) -> list:
+    """Items in ascending k without those within tol of a kept one, compared
+    across the +-pi seam; the first of each cluster stays."""
+    kept = []
+    for p in sorted(items, key=lambda p: p.k):
+        if not any(abs(normalize_angle(p.k - q.k)) < tol for q in kept):
+            kept.append(p)
+    return kept
+
+
+def _dedup_sorted(values, tol) -> np.ndarray:
+    """Ascending values without those within tol of the last kept one."""
+    out = []
+    for t in sorted(values):
+        if not out or t - out[-1] > tol:
+            out.append(t)
+    return np.array(out)
+
+
 @dataclass(frozen=True)
 class RateTrace:
     """Return rate g(t) = -(2/N) sum_k ln |G_k(t)|; +inf marks an exact zero."""
@@ -60,17 +86,9 @@ class RateTrace:
         med = np.median(d2)
         if not np.isfinite(med) or med == 0:
             med = np.mean(d2[np.isfinite(d2)]) or 1.0
-        hits = np.nonzero(d2 > KINK_FACTOR * med)[0] + 1
-        # collapse runs of adjacent flagged samples to the local maximum
-        out = []
-        i = 0
-        while i < hits.size:
-            j = i
-            while j + 1 < hits.size and hits[j + 1] - hits[j] <= 2:
-                j += 1
-            run = hits[i:j + 1]
-            out.append(run[np.argmax(d2[run - 1])])
-            i = j + 1
+        hits = np.nonzero(d2 > KINK_FACTOR * med)[0]
+        # collapse runs of nearby flagged samples to the local maximum
+        out = [run[np.argmax(d2[run])] + 1 for run in _runs(hits, 2)]
         return self.times[np.array(out, dtype=int)] if out else np.array([])
 
 
@@ -175,45 +193,34 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> Fix
         rel = np.angle(np.roll(raw_vals, -1) * np.conj(raw_vals))
         flip = (np.abs(rel) > np.pi / 2) & (vals > 0) \
             & ~local & ~np.roll(local, -1)
-        for i in np.nonzero(flip)[0]:
-            drn = complex(raw_vals[(i + 1) % len(ks)] - raw_vals[i])
+
+        def projected_root(drn: complex, a: float, b: float):
+            """Brent zero in [a, b] of the channel projected onto drn, with
+            the channel's modulus there; None without a sign change."""
             if abs(drn) == 0.0:
-                continue
+                return None
             signed = lambda k: (ct(k, kind) * drn.conjugate()).real
-            lo, hi = signed(ks[i]), signed(ks[i] + h)
-            if lo * hi < 0:
-                k0 = roots.brentq(signed, ks[i], ks[i] + h, xtol=1e-13)
-                fun = abs(ct(k0, kind))
-                if fun < FIXED_POINT_ACCEPT:
-                    found.append(FixedPoint(float(normalize_angle(k0)), kind,
-                                            float(fun)))
+            if not signed(a) * signed(b) < 0:
+                return None
+            k0 = roots.brentq(signed, a, b, xtol=1e-13)
+            return k0, abs(ct(k0, kind))
+
+        # candidates (k, |ct|), sign flips before minima: the dedup keeps
+        # the first of two near-equal momenta
+        cands = [projected_root(complex(raw_vals[(i + 1) % len(ks)] - raw_vals[i]),
+                                ks[i], ks[i] + h) for i in np.nonzero(flip)[0]]
         for i in np.nonzero(local)[0]:
             k0, fun = roots.minimize_bounded(lambda k: abs(ct(k, kind)),
                                              ks[i] - h, ks[i] + h, xatol=1e-12)
             k0, fun = float(k0), float(fun)
             # bounded search bottoms out near sqrt(eps)*|k| on shallow zeros;
-            # project onto the local gradient direction, which is linear
-            # through a simple zero, and bisect that instead
-            drn = ct(k0 + h, kind) - ct(k0 - h, kind)
-            if abs(drn) > 0.0:
-                signed = lambda k: (ct(k, kind) * drn.conjugate()).real
-                lo, hi = signed(k0 - h), signed(k0 + h)
-                if lo * hi < 0:
-                    k1 = roots.brentq(signed, k0 - h, k0 + h, xtol=1e-13)
-                    f1 = abs(ct(k1, kind))
-                    if f1 < fun:
-                        k0, fun = k1, f1
-            if fun < FIXED_POINT_ACCEPT:
-                found.append(FixedPoint(float(normalize_angle(k0)), kind,
-                                        float(fun)))
-    found.sort(key=lambda p: p.k)
-    # circular dedup, including the +-pi seam
-    kept = []
-    for p in found:
-        dup = any(abs(normalize_angle(p.k - q.k)) < FIXED_POINT_DEDUP for q in kept)
-        if not dup:
-            kept.append(p)
-    return FixedPointSet(spec, tuple(kept))
+            # the projection onto the local gradient is linear through a
+            # simple zero, so Brent on it gets closer
+            hit = projected_root(ct(k0 + h, kind) - ct(k0 - h, kind), k0 - h, k0 + h)
+            cands.append(hit if hit and hit[1] < fun else (k0, fun))
+        found += [FixedPoint(float(normalize_angle(k0)), kind, float(fun))
+                  for k0, fun in filter(None, cands) if fun < FIXED_POINT_ACCEPT]
+    return FixedPointSet(spec, tuple(_dedup_circular(found, FIXED_POINT_DEDUP)))
 
 
 @dataclass(frozen=True)
@@ -237,11 +244,7 @@ class CriticalSet:
     @property
     def time_scales(self) -> np.ndarray:
         """Distinct t0 values, ascending."""
-        out = []
-        for c in sorted(self.criticals, key=lambda c: c.t0):
-            if not out or abs(c.t0 - out[-1]) > 1e-9:
-                out.append(c.t0)
-        return np.array(out)
+        return _dedup_sorted([c.t0 for c in self.criticals], 1e-9)
 
     def as_dict(self) -> dict:
         """Fixed points, critical momenta, time scales and critical times as
@@ -262,20 +265,13 @@ class CriticalSet:
             while (2 * n - 1) * c.t0 <= self.t_max + 1e-12:
                 ts.append((2 * n - 1) * c.t0)
                 n += 1
-        ts.sort()
-        out = []
-        for t in ts:
-            if not out or abs(t - out[-1]) > 1e-9:
-                out.append(t)
-        return np.array(out)
+        return _dedup_sorted(ts, 1e-9)
 
 
-def find_critical(spec: QuenchSpec, grid: MomentumGrid | None = None,
-                  t_max: float = 7.0,
-                  fixed_points: FixedPointSet | None = None) -> CriticalSet:
+def find_critical(fps: FixedPointSet, t_max: float = 7.0) -> CriticalSet:
     """Critical momenta: weight-balance zeros between fixed points of
     opposite kind, each carrying its periodic ladder of critical times."""
-    fps = fixed_points if fixed_points is not None else find_fixed_points(spec, grid)
+    spec = fps.spec
 
     def weight_h(k: float) -> float:
         """weight_minus - weight_plus; its zeros are the critical momenta."""
@@ -302,12 +298,7 @@ def find_critical(spec: QuenchSpec, grid: MomentumGrid | None = None,
             raise PhysicsError(f"vanishing quasienergy at critical momentum {kc}")
         criticals.append(CriticalMomentum(float(normalize_angle(kc)), float(e),
                                           float(np.pi / (2 * e))))
-    criticals.sort(key=lambda c: c.k)
-    kept = []
-    for c in criticals:
-        if not any(abs(normalize_angle(c.k - q.k)) < 1e-9 for q in kept):
-            kept.append(c)
-    return CriticalSet(spec, fps, tuple(kept), t_max)
+    return CriticalSet(spec, fps, tuple(_dedup_circular(criticals, 1e-9)), t_max)
 
 
 def _sector_winding(spec: QuenchSpec, k_lo: float, k_hi: float, t: float,
@@ -331,10 +322,8 @@ def _sector_winding(spec: QuenchSpec, k_lo: float, k_hi: float, t: float,
     return total
 
 
-def _sector_bounds(spec: QuenchSpec, sector: int,
-                   fixed_points: FixedPointSet | None) -> tuple:
+def _sector_bounds(fps: FixedPointSet, sector: int) -> tuple:
     """Momentum bounds of a winding sector, numbered from 1."""
-    fps = fixed_points if fixed_points is not None else find_fixed_points(spec)
     segs = fps.segments()
     if not segs:
         raise PhysicsError("fewer than two fixed points; no winding sectors exist")
@@ -343,16 +332,16 @@ def _sector_bounds(spec: QuenchSpec, sector: int,
     return segs[sector - 1]
 
 
-def dtop(spec: QuenchSpec, t: float, sector: int = 1, resolution: int = DTOP_RESOLUTION,
-         fixed_points: FixedPointSet | None = None) -> float:
+def dtop(fps: FixedPointSet, t: float, sector: int = 1,
+         resolution: int = DTOP_RESOLUTION) -> float:
     """Geometric-phase winding across one fixed-point sector at time t.
 
     Sectors are numbered from 1 in momentum order; each is bounded by two
     consecutive fixed points and the phase at the ends is pinned, so for pure
     preparations the value is an integer away from critical times.
     """
-    lo, hi = _sector_bounds(spec, sector, fixed_points)
-    return _sector_winding(spec, lo, hi, t, resolution, 0) / (2 * np.pi)
+    lo, hi = _sector_bounds(fps, sector)
+    return _sector_winding(fps.spec, lo, hi, t, resolution, 0) / (2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -368,15 +357,15 @@ class DtopTrace:
         return bool(np.all(np.abs(v - np.round(v)) < 0.05))
 
 
-def dtop_trace(spec: QuenchSpec, sector: int, times,
-               resolution: int = DTOP_RESOLUTION,
-               fixed_points: FixedPointSet | None = None) -> DtopTrace:
+def dtop_trace(fps: FixedPointSet, sector: int, times,
+               resolution: int = DTOP_RESOLUTION) -> DtopTrace:
     """Order-parameter trace over a time grid.
 
     Bulk evaluation reuses one momentum table for all times; only times whose
     raw increments cross the jump guard are redone with local refinement.
     """
-    lo, hi = _sector_bounds(spec, sector, fixed_points)
+    spec = fps.spec
+    lo, hi = _sector_bounds(fps, sector)
     times = np.asarray(times, dtype=float)
     z = _unwound(overlaps(spec, np.linspace(lo, hi, resolution + 1)), times)
     inc = np.angle(z[1:, :] * np.conj(z[:-1, :]))
@@ -451,8 +440,7 @@ class QuenchAnalysis:
         if isinstance(fps, PhysicsError):
             return fps
         try:
-            return find_critical(self.spec, self.grid, float(self.tgrid.samples[-1]),
-                                 fixed_points=fps)
+            return find_critical(fps, float(self.tgrid.samples[-1]))
         except PhysicsError as err:
             return err
 
@@ -468,7 +456,7 @@ class QuenchAnalysis:
         fps = self.fixed_points
         if isinstance(fps, PhysicsError):
             return []
-        return [dtop_trace(self.spec, m, self.tgrid.samples, fixed_points=fps)
+        return [dtop_trace(fps, m, self.tgrid.samples)
                 for m in range(1, len(fps.segments()) + 1)]
 
     @cached_property
@@ -488,30 +476,19 @@ def detect_dqpt(qa: QuenchAnalysis) -> DqptReport:
     spec = qa.spec
     field = qa.field
     minabs = np.abs(field.values).min(axis=0)
-    below = minabs < DIP_CUT
-    dips = []
-    i = 0
-    while i < below.size:
-        if below[i]:
-            j = i
-            while j + 1 < below.size and below[j + 1]:
-                j += 1
-            seg = slice(i, j + 1)
-            dips.append(float(field.times[seg][np.argmin(minabs[seg])]))
-            i = j + 1
-        else:
-            i += 1
+    dips = [float(field.times[run[np.argmin(minabs[run])]])
+            for run in _runs(np.nonzero(minabs < DIP_CUT)[0], 1)]
 
     predicted = qa.critical_times
     probed = [t_c for t_c in predicted if t_c - 0.1 > 0]
     jumped = np.zeros(len(probed), dtype=bool)
     if probed:
-        fps = qa.critical.fixed_points
+        fps = qa.fixed_points
         # before and after each probed time, interleaved
         times = np.array(probed)[:, None] + np.array([-0.1, 0.1])
         for m in range(1, len(fps.segments()) + 1):
             try:
-                vals = dtop_trace(spec, m, times.ravel(), fixed_points=fps).values
+                vals = dtop_trace(fps, m, times.ravel()).values
             except UndefinedDynamicPhaseError:
                 continue
             jumped |= np.abs(vals[1::2] - vals[::2]) > 0.25
@@ -521,17 +498,12 @@ def detect_dqpt(qa: QuenchAnalysis) -> DqptReport:
                     + [(t, "predicted") for t in predicted]
                     + [(t, "dtop_jump") for t in jumps])
     events = []
-    i = 0
-    while i < len(tagged):
-        j = i
-        while j + 1 < len(tagged) and tagged[j + 1][0] - tagged[j][0] <= AGREEMENT_WINDOW:
-            j += 1
-        group = tagged[i:j + 1]
+    for run in _runs([t for t, _ in tagged], AGREEMENT_WINDOW):
+        group, tagged = tagged[:run.size], tagged[run.size:]
         srcs = tuple(sorted({s for _, s in group}))
         anchor = next((t for t, s in group if s == "predicted"),
                       float(np.mean([t for t, _ in group])))
         events.append(DqptEvent(float(anchor), len(srcs), srcs))
-        i = j + 1
     return DqptReport(spec, tuple(events), np.array(dips), np.array(predicted),
                       np.array(jumps))
 

@@ -78,7 +78,6 @@ class RunConfig:
     options: dict = field(default_factory=dict)
     out_dir: str = "out"
     seed: int = 0
-    kpoints: int | None = None
     figure: str | None = None
 
 
@@ -108,8 +107,8 @@ def build_spec(cfg) -> QuenchSpec:
     return QuenchSpec(initial, final, loss=loss, regime=regime, mix_p=mix_p)
 
 
-def _grids(cfg, config: RunConfig, default_k=128):
-    n_k = config.kpoints or _get(cfg, "kpoints", default_k, int)
+def _grids(cfg):
+    n_k = _get(cfg, "kpoints", 128, int)
     t_max = _get(cfg, "t_max", 7.0, float)
     dt = _get(cfg, "dt", 0.01, float)
     return MomentumGrid(n_k), TimeGrid(t_max, dt)
@@ -209,7 +208,7 @@ def cmd_phase_diagram(config: RunConfig) -> dict:
            parse_pi_value(cfg.get("theta1_max", "1")))
     t2r = (parse_pi_value(cfg.get("theta2_min", "-1")),
            parse_pi_value(cfg.get("theta2_max", "1")))
-    n_k = config.kpoints or _get(cfg, "kpoints", 256, int)
+    n_k = _get(cfg, "kpoints", 256, int)
     pd = phase_diagram_scan(t1r, t2r, res, loss, n_k)
     em = _Emitter(config.out_dir)
     pd.write_csv(em.path("phase_diagram.csv"))
@@ -227,7 +226,7 @@ def cmd_phase_diagram(config: RunConfig) -> dict:
 def cmd_quench(config: RunConfig) -> dict:
     cfg = config.options
     spec = build_spec(cfg)
-    grid, tgrid = _grids(cfg, config)
+    grid, tgrid = _grids(cfg)
     qa = QuenchAnalysis(spec, grid, tgrid)
     em = _Emitter(config.out_dir)
     qa.field.write_csv(em.path("loschmidt.csv"))
@@ -246,13 +245,13 @@ def cmd_quench(config: RunConfig) -> dict:
 def cmd_dtop(config: RunConfig) -> dict:
     cfg = config.options
     spec = build_spec(cfg)
-    grid, tgrid = _grids(cfg, config)
+    grid, tgrid = _grids(cfg)
     qa = QuenchAnalysis(spec, grid, tgrid)
-    em = _Emitter(config.out_dir)
     if isinstance(qa.fixed_points, PhysicsError):
         raise qa.fixed_points
     if not qa.dtop_traces:
         raise PhysicsError("no winding sectors: fewer than two fixed points")
+    em = _Emitter(config.out_dir)
     _write_dtop_csv(em.path("dtop.csv"), qa.dtop_traces)
     _dtop_chart(em.path("dtop.svg"), qa.dtop_traces, qa.critical_times,
                 "winding order parameter")
@@ -277,7 +276,7 @@ def cmd_error_mc(config: RunConfig) -> dict:
     sector = _get(cfg, "sector", 1, int)
     positions = _get(cfg, "positions", (0,),
                      lambda v: tuple(int(p) for p in str(v).split(",")))
-    grid = MomentumGrid(config.kpoints or _get(cfg, "kpoints", 256, int))
+    grid = MomentumGrid(_get(cfg, "kpoints", 256, int))
     result = monte_carlo_errorbars(spec, quantity, model, n_steps=n_steps,
                                    sector=sector, positions=positions, grid=grid)
     em = _Emitter(config.out_dir)
@@ -304,7 +303,7 @@ def cmd_reproduce(config: RunConfig) -> dict:
     em = _Emitter(config.out_dir)
     headline: dict = {}
     for label, spec in runs:
-        _quench_products(QuenchAnalysis(spec, *_grids(cfg, config)), em, label)
+        _quench_products(QuenchAnalysis(spec, *_grids(cfg)), em, label)
         headline[label] = _headline(spec)
     em.write_summary(config, headline)
     return headline
@@ -349,7 +348,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--kpoints", type=int, default=None,
-                       help="momentum grid size override")
+                       help="momentum grid size; beats the kpoints config entry")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config entry")
         if name == "reproduce-figure":
@@ -370,12 +369,13 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
             k, v = item.split("=", 1)
             cfg[k.strip()] = v.strip()
+        if args.kpoints is not None:
+            cfg["kpoints"] = args.kpoints
         config = RunConfig(
             command=args.command,
             options=cfg,
             out_dir=args.out,
             seed=args.seed,
-            kpoints=args.kpoints,
             figure=getattr(args, "figure", None),
         )
         run(config)

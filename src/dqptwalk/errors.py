@@ -11,7 +11,7 @@ class DqptWalkError(Exception):
 
 
 class ConfigError(DqptWalkError):
-    exit_code = 2
+    """Bad user input."""
 
 
 class InvalidInitialProtocolError(ConfigError):
@@ -19,7 +19,7 @@ class InvalidInitialProtocolError(ConfigError):
 
 
 class PhysicsError(DqptWalkError):
-    exit_code = 3
+    """The requested quantity is undefined for this walk or quench."""
 
 
 class DegenerateSpectrumError(PhysicsError):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import roots
 from .backend import phase_increments
 from .errors import (
     ConfigError,
@@ -311,7 +310,7 @@ def winding_global_berry(angles: CoinAngles, l: float, grid: MomentumGrid | None
     (d2, d3); both Brillouin-zone loops must give the same integer.
     """
     grid = grid or MomentumGrid()
-    status, _ = pt_classify(angles, l, grid)
+    status, _ = pt_classify(angles, l)
     if status != "unbroken":
         raise PTBrokenError(f"global Berry winding restricted to the unbroken regime ({status})")
 
@@ -334,20 +333,22 @@ def winding_global_berry(angles: CoinAngles, l: float, grid: MomentumGrid | None
     return nu_berry
 
 
-def pt_classify(angles: CoinAngles, l: float, grid: MomentumGrid | None = None):
-    """PT status from max_k d0^2: entirely real spectrum iff below 1."""
-    grid = grid or MomentumGrid()
-    ks = grid.samples
-    d0 = bloch_coefficients(angles, l, ks)[0]
-    sq = d0**2
-    i = int(np.argmax(sq))
-    lo, hi = ks[i] - grid.spacing, ks[i] + grid.spacing
+def _d0_range(theta1, theta2, l: float):
+    """Smallest and largest d0 over the zone, elementwise in the angles: d0
+    is affine in cos2k, so its extremes sit at cos2k = +-1."""
+    al, _ = alpha_beta(l)
+    a = np.cos(theta1) * np.cos(theta2)
+    b = -np.sin(theta1) * np.sin(theta2)
+    ends = al * (b - a), al * (b + a)
+    return np.minimum(*ends), np.maximum(*ends)
 
-    def neg_sq(k):
-        return -bloch_coefficients(angles, l, k)[0] ** 2
 
-    _, fun = roots.minimize_bounded(neg_sq, lo, hi, xatol=1e-12)
-    max_sq = max(float(sq[i]), float(-fun))
+def pt_classify(angles: CoinAngles, l: float):
+    """PT status and max_k d0^2: entirely real spectrum iff below 1."""
+    if not isinstance(angles, CoinAngles):
+        angles = CoinAngles(*angles)
+    lo, hi = _d0_range(angles.theta1, angles.theta2, l)
+    max_sq = float(max(lo**2, hi**2))
     return str(_pt_status(max_sq)), max_sq
 
 
@@ -421,11 +422,7 @@ def phase_diagram_scan(
         inc = np.angle(z[:, 1:] * np.conj(z[:, :-1]))
         raw[i] = inc.sum(axis=1) / (2 * np.pi)
 
-    # d0 is affine in cos2k, so its extremes sit at cos2k = +-1
-    a = c1 * c2
-    b = -s1 * s2
-    ends = al * (b - a), al * (b + a)
-    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    lo, hi = _d0_range(t1s[:, None], t2s, l)
     crosses = ((lo <= 1) & (1 <= hi)) | ((lo <= -1) & (-1 <= hi))
     min_gap = np.where(crosses, 0.0, np.minimum(np.abs(1 - lo**2), np.abs(1 - hi**2)))
     # a closed gap puts max d0^2 at or above 1 - GAP_TOL >= 1 - PT_TOL, so no

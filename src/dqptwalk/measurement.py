@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import MomentumGrid, _g12, _write_csv, coin_matrix, validate_density_matrix
 from .quench import QuenchSpec, evolve_position, overlaps, _step_params
-from .analysis import _sector_bounds
+from .analysis import _sector_bounds, find_fixed_points
 
 U_CIRC = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 U_DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -344,7 +344,7 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
     if quantity == "rate_function":
         fourier = [np.exp(-1j * np.outer(grid.samples, x)) for x in sites]
     elif quantity == "dtop":
-        lo, hi = _sector_bounds(spec, sector, None)
+        lo, hi = _sector_bounds(find_fixed_points(spec), sector)
         ks = np.linspace(lo, hi, MC_DTOP_POINTS + 1)
         dyn_rate = overlaps(spec, ks).dynamic_rate
         fourier = [np.exp(-1j * np.outer(ks, x)) for x in sites]

@@ -1,8 +1,8 @@
 """Named parameter sets for the bundled demonstration scenarios.
 
 Each preset id maps to one or more fully specified quenches. The lossy pair
-shares l = 0.36; the "edge" scenario places the evolution walk exactly on the
-exceptional line where max_k d0 = 1, via theta2 = (pi - arccos(1/alpha)) / 2.
+shares l = 0.36; in fig4b the evolution walk is PT broken on the whole zone
+(see _broken_theta2).
 """
 from __future__ import annotations
 
@@ -16,7 +16,10 @@ FLAT_INITIAL = CoinAngles(np.pi / 4, -np.pi / 2)
 DEMO_LOSS = 0.36
 
 
-def _broken_edge_theta2(l: float) -> float:
+def _broken_theta2(l: float) -> float:
+    """theta2 = (pi - arccos(1/alpha)) / 2. With theta1 = -pi/2, d0 = alpha
+    sin(theta2) at every k, so d0^2 = alpha (alpha + 1) / 2 > 1: just past
+    the exceptional line d0^2 = 1, not on it (1.0094 at l = 0.36)."""
     al = (1 + np.sqrt(1 - l)) / (2 * (1 - l) ** 0.25)
     return (np.pi - np.arccos(1 / al)) / 2
 
@@ -45,7 +48,7 @@ def _build(pid: str):
     if pid == "fig4a":
         return [("fig4a", _lossy((-np.pi / 3, np.pi / 5)))]
     if pid == "fig4b":
-        return [("fig4b", _lossy((-np.pi / 2, _broken_edge_theta2(DEMO_LOSS))))]
+        return [("fig4b", _lossy((-np.pi / 2, _broken_theta2(DEMO_LOSS))))]
     if pid == "mixed-p07":
         return [("mixed-p07", _mixed(two_a, 0.7))]
     if pid == "mixed-p09":
@@ -57,7 +60,7 @@ def _build(pid: str):
         return [("s2-p07", _mixed(two_a, 0.7)), ("s2-p09", _mixed(two_a, 0.9))]
     if pid == "s3":
         return [("s3-a", _lossy((-np.pi / 3, np.pi / 5))),
-                ("s3-b", _lossy((-np.pi / 2, _broken_edge_theta2(DEMO_LOSS))))]
+                ("s3-b", _lossy((-np.pi / 2, _broken_theta2(DEMO_LOSS))))]
     raise ConfigError(f"unknown figure id {pid!r}; choose from {', '.join(PRESET_IDS)}")
 
 

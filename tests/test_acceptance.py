@@ -80,8 +80,8 @@ def test_01_winding_numbers():
 
 def test_02_critical_time_scales():
     def body():
-        t_a = find_critical(FIG2A).time_scales
-        t_b = find_critical(FIG2B).time_scales
+        t_a = find_critical(find_fixed_points(FIG2A)).time_scales
+        t_b = find_critical(find_fixed_points(FIG2B)).time_scales
         assert len(t_a) == 1 and abs(t_a[0] - 4.0) < 1e-9, t_a
         assert len(t_b) == 1 and abs(t_b[0] - 2.0) < 1e-9, t_b
         return f"t0 = {t_a[0]:.12f}, {t_b[0]:.12f}"
@@ -91,7 +91,7 @@ def test_02_critical_time_scales():
 def test_03_lossy_quench_caption_numbers():
     def body():
         fps = find_fixed_points(FIG4A)
-        crit = find_critical(FIG4A, fixed_points=fps)
+        crit = find_critical(fps)
         bad = circular_match(fps.ks, np.array([-1.0094, -0.4470, -0.0094, 0.5530]) * np.pi,
                              1e-3 * np.pi)
         assert bad is None, f"fixed points: {bad}"
@@ -107,7 +107,7 @@ def test_03_lossy_quench_caption_numbers():
 def test_04_unitary_fixed_points_exact():
     def body():
         fps = find_fixed_points(FIG2A)
-        crit = find_critical(FIG2A, fixed_points=fps)
+        crit = find_critical(fps)
         bad = circular_match(fps.ks, [-np.pi, -np.pi / 2, 0.0, np.pi / 2], 1e-9)
         assert bad is None, f"fixed points: {bad}"
         bad = circular_match(crit.ks, [np.pi / 4, -np.pi / 4, 3 * np.pi / 4,
@@ -121,7 +121,8 @@ def test_05_order_parameter_quantization():
     def body():
         times = np.round(np.arange(0.0, 7.0 + 1e-9, 0.05), 10)
         away = np.abs(times - 4.0) > 0.05
-        traces = [dtop_trace(FIG2A, m, times).values for m in (1, 2, 3, 4)]
+        fps = find_fixed_points(FIG2A)
+        traces = [dtop_trace(fps, m, times).values for m in (1, 2, 3, 4)]
         for m, vals in enumerate(traces, start=1):
             v = vals[away]
             assert np.isfinite(v).all(), f"sector {m} lost values away from t_c"
@@ -140,13 +141,14 @@ def test_05_order_parameter_quantization():
 
 def test_06_mixed_states_shift_nothing_but_quantization():
     def body():
-        base = find_critical(FIG2A).critical_times
+        base = find_critical(find_fixed_points(FIG2A)).critical_times
         hits = []
         for pid in ("mixed-p07", "mixed-p09"):
             spec = preset(pid)[0][1]
-            times = find_critical(spec).critical_times
+            fps = find_fixed_points(spec)
+            times = find_critical(fps).critical_times
             assert np.allclose(times, base, atol=1e-9)
-            tr = dtop_trace(spec, 1, np.arange(0.0, 7.0, 0.2))
+            tr = dtop_trace(fps, 1, np.arange(0.0, 7.0, 0.2))
             v = tr.values[np.isfinite(tr.values)]
             off = np.abs(v - np.round(v)).max()
             assert off > 0.05, f"{pid} stayed quantized ({off:.3f})"
@@ -242,9 +244,9 @@ def test_11_fixed_point_counting():
             final = (rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
             loss = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
             try:
-                if pt_classify((th1i, s2 * np.pi / 2), loss, grid)[0] != "unbroken":
+                if pt_classify((th1i, s2 * np.pi / 2), loss)[0] != "unbroken":
                     continue
-                if pt_classify(final, loss, grid)[0] != "unbroken":
+                if pt_classify(final, loss)[0] != "unbroken":
                     continue
                 # initial flat-band walks all carry winding 0, so the
                 # winding difference equals |nu_f|; odd differences cannot

@@ -104,63 +104,68 @@ class TestFixedPoints:
 
 class TestCriticalSet:
     def test_unitary_momenta_and_scale(self):
-        crit = find_critical(FIG2A)
+        crit = find_critical(find_fixed_points(FIG2A))
         assert sorted(round(k / np.pi, 9) for k in crit.ks) == \
             [-0.75, -0.25, 0.25, 0.75]
         assert crit.time_scales == pytest.approx([4.0], abs=1e-9)
         assert crit.critical_times == pytest.approx([4.0], abs=1e-9)
 
     def test_faster_protocol_hits_twice(self):
-        crit = find_critical(FIG2B)
+        crit = find_critical(find_fixed_points(FIG2B))
         assert crit.time_scales == pytest.approx([2.0], abs=1e-9)
         assert crit.critical_times == pytest.approx([2.0, 6.0], abs=1e-9)
 
     def test_same_kind_neighbors_give_nothing(self):
-        crit = find_critical(FIG3)
+        crit = find_critical(find_fixed_points(FIG3))
         assert len(crit.criticals) == 0
 
     def test_mixed_state_times_identical_to_pure(self):
-        pure = find_critical(FIG2A).critical_times
-        mixed = find_critical(preset("mixed-p07")[0][1]).critical_times
+        pure = find_critical(find_fixed_points(FIG2A)).critical_times
+        mixed = find_critical(find_fixed_points(preset("mixed-p07")[0][1])).critical_times
         assert np.allclose(pure, mixed, atol=1e-12)
 
 
 class TestDtop:
     def test_integer_plateaus_and_jump(self):
-        before = dtop(FIG2A, 3.8)
-        after = dtop(FIG2A, 4.2)
+        fps = find_fixed_points(FIG2A)
+        before = dtop(fps, 3.8)
+        after = dtop(fps, 4.2)
         assert before == pytest.approx(0.0, abs=1e-6)
         assert after == pytest.approx(-1.0, abs=1e-6)
 
     def test_sector_argument_validated(self):
+        fps = find_fixed_points(FIG2A)
         with pytest.raises(ConfigError):
-            dtop(FIG2A, 1.0, sector=5)
+            dtop(fps, 1.0, sector=5)
         with pytest.raises(ConfigError):
-            dtop(FIG2A, 1.0, sector=0)
+            dtop(fps, 1.0, sector=0)
 
     def test_no_sectors_raises(self):
         with pytest.raises(PhysicsError):
-            dtop(FIG4B, 1.0)
+            dtop(find_fixed_points(FIG4B), 1.0)
 
     def test_trace_is_nan_exactly_at_the_transition(self):
-        tr = dtop_trace(FIG2A, 1, np.array([3.8, 4.0, 4.2]))
+        tr = dtop_trace(find_fixed_points(FIG2A), 1, np.array([3.8, 4.0, 4.2]))
         assert np.isnan(tr.values[1])
         assert np.isfinite(tr.values[[0, 2]]).all()
         assert tr.quantized
 
     def test_trace_matches_single_time_calls(self):
         times = np.array([1.0, 3.0, 5.0, 7.0])
-        tr = dtop_trace(FIG2A, 2, times)
-        singles = [dtop(FIG2A, t, sector=2) for t in times]
+        fps = find_fixed_points(FIG2A)
+        tr = dtop_trace(fps, 2, times)
+        singles = [dtop(fps, t, sector=2) for t in times]
         assert np.allclose(tr.values, singles, atol=1e-9)
 
     def test_mixed_state_loses_quantization(self):
-        tr = dtop_trace(preset("mixed-p07")[0][1], 1, np.arange(0.0, 7.0, 0.2))
+        tr = dtop_trace(find_fixed_points(preset("mixed-p07")[0][1]), 1,
+                        np.arange(0.0, 7.0, 0.2))
         assert not tr.quantized
 
     def test_resolution_refinement_stable_away_from_transition(self):
-        a = dtop(FIG2A, 5.0, sector=1, resolution=256)
-        b = dtop(FIG2A, 5.0, sector=1, resolution=512)
+        fps = find_fixed_points(FIG2A)
+        a = dtop(fps, 5.0, sector=1, resolution=256)
+        b = dtop(fps, 5.0, sector=1, resolution=512)
         assert abs(a - b) < 1e-6
 
 
@@ -222,8 +227,8 @@ def _reference_jumps(qa):
             continue
         for m in range(1, len(fps.segments()) + 1):
             try:
-                before = dtop(qa.spec, t_c - 0.1, m, fixed_points=fps)
-                after = dtop(qa.spec, t_c + 0.1, m, fixed_points=fps)
+                before = dtop(fps, t_c - 0.1, m)
+                after = dtop(fps, t_c + 0.1, m)
             except (IllDefinedPhaseError, UndefinedDynamicPhaseError):
                 continue
             if abs(after - before) > 0.25:
@@ -254,3 +259,26 @@ def test_batched_jump_check_equals_per_time_dtop(regime, theta1, theta2):
     assert list(detect_dqpt(qa).dtop_jumps) == want
     if (regime, theta1, theta2) == ("pure", -np.pi / 2, 3 * np.pi / 8):
         assert want == pytest.approx([4.0])
+
+
+def _reference_runs(values, gap):
+    """The former grouping loop: a run grows while the next step is at most
+    gap."""
+    out, i = [], 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[j + 1] - values[j] <= gap:
+            j += 1
+        out.append(list(values[i:j + 1]))
+        i = j + 1
+    return out
+
+
+@given(st.one_of(st.lists(st.integers(0, 60), max_size=30),
+                 st.lists(st.floats(0.0, 7.0), max_size=30)),
+       st.sampled_from([1, 2, analysis.AGREEMENT_WINDOW]))
+@settings(max_examples=200, deadline=None)
+def test_runs_equal_grouping_loop(values, gap):
+    values = sorted(values)
+    assert [run.tolist() for run in analysis._runs(values, gap)] == \
+        _reference_runs(values, gap)

@@ -125,6 +125,20 @@ def test_odd_kpoints_rejected(tmp_path):
     assert rc == 2
 
 
+def test_kpoints_flag_is_the_kpoints_option(tmp_path):
+    # the flag beats the config file and --set, and is echoed like them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("final_theta1=-1/2\nfinal_theta2=3/8\nkpoints=15\n")
+    out = tmp_path / "q"
+    rc = run_main(["quench", "--config", cfg, "--set", "kpoints=17", "--kpoints", 32,
+                   "--set", "t_max=1", "--set", "dt=0.5", "--out", out])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["inputs"]["kpoints"] == "32"
+    rows = (out / "loschmidt.csv").read_text().splitlines()[1:]
+    assert len({row.split(",")[0] for row in rows}) == 32
+
+
 @pytest.mark.parametrize("argv", [
     ["quench", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8"],
     ["dtop", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8"],
@@ -138,20 +152,25 @@ def test_threads_rejected_where_unused(tmp_path, argv):
     assert not out.exists()
 
 
-def test_sectorless_dtop_is_physics_error(tmp_path, capsys):
-    # same protocol on both sides: nothing crosses, no sectors
-    rc = run_main(["dtop", "--set", "final_theta1=1/4",
-                   "--set", "final_theta2=-1/2", "--out", tmp_path / "d"])
-    assert rc == 3
-    assert "error: physics:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("final", [
+SECTORLESS_FINALS = [
     # same protocol on both sides: a trivial quench
     ["final_theta1=1/4", "final_theta2=-1/2"],
     # lossy, PT broken: no fixed points, so no winding sectors
     ["final_theta1=-1/2", "final_theta2=0.49", "loss=0.36"],
-])
+]
+
+
+@pytest.mark.parametrize("final", SECTORLESS_FINALS)
+def test_sectorless_dtop_is_physics_error(tmp_path, capsys, final):
+    out = tmp_path / "d"
+    sets = [a for item in final for a in ("--set", item)]
+    rc = run_main(["dtop", *sets, "--out", out])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: physics:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("final", SECTORLESS_FINALS)
 def test_sectorless_error_mc_dtop_is_physics_error(tmp_path, capsys, final):
     out = tmp_path / "mc"
     sets = [a for item in final for a in ("--set", item)]

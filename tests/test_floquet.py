@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dqptwalk import floquet
+from dqptwalk import floquet, roots
 from dqptwalk.errors import (
     ConfigError,
     DegenerateSpectrumError,
@@ -24,6 +24,7 @@ from dqptwalk.floquet import (
     winding_unitary,
 )
 from dqptwalk.lattice import GAP_TOL, CoinAngles, MomentumGrid
+from dqptwalk.presets import preset
 
 angle = st.floats(-np.pi, np.pi, allow_nan=False)
 momentum = st.floats(-np.pi, np.pi, allow_nan=False)
@@ -155,11 +156,15 @@ def test_berry_route_agrees_with_unitary_route():
 def test_pt_classification():
     status, peak = pt_classify(CoinAngles(-np.pi / 3, np.pi / 5), 0.36)
     assert status == "unbroken" and peak < 1
+    # the closed form keeps the former grid search's bits on the lossy presets
+    assert peak == 0.8449973694691728
+    assert _reference_pt_classify(CoinAngles(-np.pi / 3, np.pi / 5), 0.36)[1] == peak
     # theta2 tuned past the edge at this loss closes the real-spectrum window
-    from dqptwalk.presets import preset
     spec = preset("fig4b")[0][1]
     status, peak = pt_classify(spec.final_angles, spec.loss)
     assert status == "broken" and peak > 1
+    assert peak == 1.009365294937453
+    assert _reference_pt_classify(spec.final_angles, spec.loss)[1] == peak
     with pytest.raises(PTBrokenError):
         winding_global_berry(spec.final_angles, spec.loss)
 
@@ -253,6 +258,41 @@ def test_phase_diagram_scan_equals_cell_reference(lo1, w1, lo2, w2, res, half_k,
         got = getattr(pd, name)
         assert got.shape == expected.shape, name
         assert np.array_equal(got, expected, equal_nan=name == "winding"), name
+
+
+def _reference_pt_classify(angles, l, grid=MomentumGrid()):
+    """The former PT classification: max d0^2 over the grid samples, then a
+    bounded search for the maximum around the largest one."""
+    ks = grid.samples
+    sq = bloch_coefficients(angles, l, ks)[0] ** 2
+    i = int(np.argmax(sq))
+    _, fun = roots.minimize_bounded(lambda k: -bloch_coefficients(angles, l, k)[0] ** 2,
+                                    ks[i] - grid.spacing, ks[i] + grid.spacing, xatol=1e-12)
+    max_sq = max(float(sq[i]), float(-fun))
+    return str(floquet._pt_status(max_sq)), max_sq
+
+
+@given(st.floats(-2, 2), st.floats(0.01, 2), st.floats(-2, 2), st.floats(0.01, 2),
+       st.floats(0.0, 0.9, exclude_max=True))
+@settings(max_examples=20, deadline=None)
+@example(-1.0, 2.0, -1.0, 2.0, 0.36)
+def test_pt_classify_equals_scan_status(lo1, w1, lo2, w2, l):
+    """The closed-form PT maximum gives each scan cell's status (windows and
+    widths in units of pi)."""
+    pd = phase_diagram_scan((lo1 * np.pi, (lo1 + w1) * np.pi),
+                            (lo2 * np.pi, (lo2 + w2) * np.pi), 32, l, 16)
+    for cell in np.ndindex(pd.theta1.shape):
+        angles = (pd.theta1[cell], pd.theta2[cell])
+        assert pt_classify(angles, l)[0] == pd.pt_status[cell], (angles, l)
+
+
+@given(angle, angle, st.floats(0.0, 0.9, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_pt_classify_equals_grid_search(t1, t2, l):
+    status, max_sq = pt_classify((t1, t2), l)
+    ref_status, ref_sq = _reference_pt_classify((t1, t2), l)
+    assert status == ref_status
+    assert abs(max_sq - ref_sq) <= 1e-15
 
 
 def test_phase_diagram_resolution_floor():

@@ -32,12 +32,7 @@ from .lattice import (
     shift_matrix,
 )
 from .floquet import (
-    BiorthogonalEigensystem,
-    BlochDecomposition,
     PhaseDiagram,
-    bloch_nonunitary,
-    bloch_unitary,
-    diagonalize,
     eigensystem_arrays,
     floquet_matrix,
     phase_diagram_scan,
@@ -56,7 +51,6 @@ from .quench import (
     loschmidt_field,
     loschmidt_k,
     overlaps,
-    pbar_table,
 )
 from .analysis import (
     CriticalSet,
@@ -77,13 +71,10 @@ from .analysis import (
 from .measurement import (
     ErrorBarResult,
     ErrorModel,
-    MeasurementProbs,
-    dephase,
     monte_carlo_errorbars,
     perturb_protocol,
     poisson_counts,
     reconstruct_pbar,
-    simulate_measurement_probs,
 )
 
 __version__ = "0.1.0"

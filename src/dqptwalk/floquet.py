@@ -64,24 +64,6 @@ def step_gamma(l: float) -> float:
     return (1 - l) ** -0.25
 
 
-@dataclass(frozen=True)
-class BlochDecomposition:
-    """Coefficients of O = d0*s0 - i(d1*s1 + d2*s2 + d3*s3)."""
-
-    d0: complex
-    d1: complex
-    d2: complex
-    d3: complex
-    is_unitary: bool
-
-    def as_matrix(self) -> np.ndarray:
-        return _bloch_matrices(self.d0, self.d1, self.d2, self.d3)
-
-    @property
-    def norm_residual(self) -> float:
-        return abs(self.d0**2 + self.d1**2 + self.d2**2 + self.d3**2 - 1)
-
-
 def _bloch_matrices(d0, d1, d2, d3) -> np.ndarray:
     """The (..., 2, 2) operators d0*s0 - i(d1*s1 + d2*s2 + d3*s3)."""
     return np.stack((np.stack((d0 - 1j * d3, -1j * d1 - d2), axis=-1),
@@ -102,16 +84,6 @@ def bloch_coefficients(angles: CoinAngles, l: float, k):
     return d0, be * np.ones_like(d0), d2, d3
 
 
-def bloch_unitary(angles: CoinAngles, k: float) -> BlochDecomposition:
-    d0, _, d2, d3 = bloch_coefficients(angles, 0.0, k)
-    return BlochDecomposition(float(d0), 0.0, float(d2), float(d3), is_unitary=True)
-
-
-def bloch_nonunitary(angles: CoinAngles, l: float, k: float) -> BlochDecomposition:
-    d0, be, d2, d3 = bloch_coefficients(angles, l, k)
-    return BlochDecomposition(float(d0), 1j * float(be), float(d2), float(d3), is_unitary=(l == 0))
-
-
 def floquet_matrix(angles: CoinAngles, l: float, k: float) -> np.ndarray:
     """One-step operator as the explicit optical-element product.
 
@@ -128,31 +100,6 @@ def floquet_matrix(angles: CoinAngles, l: float, k: float) -> np.ndarray:
     return step_gamma(l) * (outer @ s @ half @ loss_matrix(l) @ half @ s @ outer)
 
 
-@dataclass(frozen=True)
-class BiorthogonalEigensystem:
-    """Eigen data of one momentum sector.
-
-    Left vectors are stored as row covectors: left_plus @ right_plus == 1.
-    In the unitary case left vectors are the conjugated right vectors.
-    """
-
-    lambda_plus: complex
-    lambda_minus: complex
-    quasienergy: complex
-    right_plus: np.ndarray
-    right_minus: np.ndarray
-    left_plus: np.ndarray
-    left_minus: np.ndarray
-    Omega: complex | None
-    vartheta: float | None
-    method: str
-
-    def reconstruction(self) -> np.ndarray:
-        return self.lambda_plus * np.outer(self.right_plus, self.left_plus) + (
-            self.lambda_minus * np.outer(self.right_minus, self.left_minus)
-        )
-
-
 def _eigenvalues(d0):
     """lambda_pm = d0 -+ i sqrt(1 - d0^2), principal branch; E = i log(lambda_plus)."""
     s = np.sqrt((1 - d0) * (1 + d0) + 0j)
@@ -163,9 +110,9 @@ def _eigenvalues(d0):
 
 def _closed_form(be, d2, d3):
     """Closed-form biorthogonal frame over arrays of real Bloch components
-    (d1 = i*be). Returns the mask of momenta where it holds, Omega, vartheta
-    and the (n, 2) arrays psi_p, psi_m, chi_p, chi_m; rows outside the mask
-    are meaningless."""
+    (d1 = i*be). Returns the mask of momenta where it holds and the (n, 2)
+    arrays psi_p, psi_m, chi_p, chi_m; rows outside the mask are
+    meaningless."""
     d = np.hypot(d2, d3)
     # a vanishing d overflows sin2o; such rows fail the mask
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -186,7 +133,7 @@ def _closed_form(be, d2, d3):
 
     vectors = (frame(norm * ep, norm * eth * em), frame(-norm * em, norm * eth * ep),
                frame(norm * ep, norm * em / eth), frame(-norm * em, norm * ep / eth))
-    return ok, omega, vth, vectors
+    return ok, vectors
 
 
 def _cabs(z):
@@ -229,27 +176,6 @@ def _generic(d0, d1, d2, d3):
     return lam, right, np.linalg.inv(right)
 
 
-def diagonalize(b: BlochDecomposition) -> BiorthogonalEigensystem:
-    """Eigen data of one sector: the closed form of eigensystem_arrays where
-    it holds, else the generic numerical route."""
-    _require_gap(b.d0)
-    parts = (-1j * b.d1, b.d2, b.d3)
-    if max(abs(np.imag(x)) for x in parts) < STRUCT_TOL:
-        ok, omega, vth, vectors = _closed_form(*(np.atleast_1d(np.real(x)) for x in parts))
-        if ok[0]:
-            lam_p, lam_m, energy = _eigenvalues(b.d0)
-            return BiorthogonalEigensystem(
-                complex(lam_p), complex(lam_m), complex(energy),
-                *(v[0] for v in vectors), complex(omega[0]), float(vth[0]), "closed_form",
-            )
-    lam, right, left = _generic(*map(np.atleast_1d, (b.d0, b.d1, b.d2, b.d3)))
-    return BiorthogonalEigensystem(
-        complex(lam[0, 0]), complex(lam[0, 1]), complex(_eigenvalues(b.d0)[2]),
-        right[0, :, 0].copy(), right[0, :, 1].copy(), left[0, 0].copy(), left[0, 1].copy(),
-        None, None, "generic",
-    )
-
-
 def eigensystem_arrays(angles: CoinAngles, l: float, ks: np.ndarray) -> dict:
     """Vectorized closed-form eigen data over a momentum array.
 
@@ -261,7 +187,7 @@ def eigensystem_arrays(angles: CoinAngles, l: float, ks: np.ndarray) -> dict:
     ks = np.asarray(ks, dtype=float)
     d0, be, d2, d3 = bloch_coefficients(angles, l, ks)
     lam_p, lam_m, energy = _eigenvalues(d0)
-    ok, _, _, (psi_p, psi_m, chi_p, chi_m) = _closed_form(be, d2, d3)
+    ok, (psi_p, psi_m, chi_p, chi_m) = _closed_form(be, d2, d3)
     bad = ~ok
     if bad.any():
         _require_gap(d0[bad])
@@ -405,7 +331,7 @@ def phase_diagram_scan(
                               f"[{start / np.pi:.6g}pi, {stop / np.pi:.6g}pi]")
     t1s = theta1_range[0] + (theta1_range[1] - theta1_range[0]) * np.arange(resolution) / resolution
     t2s = theta2_range[0] + (theta2_range[1] - theta2_range[0]) * np.arange(resolution) / resolution
-    ks = MomentumGrid(max(n_k, 16)).samples
+    ks = MomentumGrid(n_k).samples
     c2k = np.cos(2 * ks)
     s2k = np.sin(2 * ks)
     al, _ = alpha_beta(l)

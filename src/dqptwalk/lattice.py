@@ -125,13 +125,10 @@ class MomentumGrid:
     def spacing(self) -> float:
         return 2 * np.pi / self.n_points
 
-    def refined(self) -> "MomentumGrid":
-        return MomentumGrid(2 * self.n_points)
-
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Walk-step times: integer steps plus a dense grid for continuous curves."""
+    """Walk-step times: a uniform grid from 0 to t_max for continuous curves."""
 
     t_max: float = 7.0
     dt: float = 0.01
@@ -144,10 +141,6 @@ class TimeGrid:
         if self.t_max / self.dt > MAX_TIME_STEPS:
             raise ConfigError(f"t_max / dt must be at most {MAX_TIME_STEPS}, "
                               f"got {self.t_max} / {self.dt}")
-
-    @property
-    def integer_steps(self) -> np.ndarray:
-        return np.arange(int(np.floor(self.t_max)) + 1)
 
     @property
     def samples(self) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import MomentumGrid, _g12, _write_csv, coin_matrix, validate_density_matrix
+from .lattice import MomentumGrid, _g12, _write_csv, coin_matrix
 from .quench import QuenchSpec, evolve_position, overlaps, _step_params
 from .analysis import _sector_bounds, find_fixed_points
 
@@ -60,41 +60,6 @@ class ErrorModel:
         """Same sample count with every noise source switched off; a zero
         coincidence total stands for unlimited counts (no shot noise)."""
         return ErrorModel(0.0, 0.0, 0, 1.0, self.mc_samples, self.seed)
-
-
-def dephase(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Phase-damping channel eta rho + (1 - eta) sz rho sz; keeps the
-    diagonal, scales coherences by 2 eta - 1."""
-    if not 0 <= eta <= 1:
-        raise ConfigError(f"eta must be in [0, 1], got {eta}")
-    validate_density_matrix(rho)
-    out = rho.copy()
-    out[0, 1] *= 2 * eta - 1
-    out[1, 0] *= 2 * eta - 1
-    return out
-
-
-@dataclass(frozen=True)
-class MeasurementProbs:
-    """Analyzer click probabilities at one lattice site and time.
-
-    p11/p21: circular-basis clicks in paths 1 and 2, p12/p22 the diagonal
-    ones; p1/p2 are the circular-setting path totals.
-    """
-
-    x: int
-    t: int
-    p11: float
-    p12: float
-    p21: float
-    p22: float
-    p1: float
-    p2: float
-
-
-def reconstruct_pbar(m: MeasurementProbs) -> complex:
-    return complex(1j * (m.p11 - m.p1 / 2 - m.p21 + m.p2 / 2)
-                   + (m.p12 - m.p1 / 2 + m.p22 - m.p2 / 2))
 
 
 @dataclass(frozen=True)
@@ -233,48 +198,6 @@ def _setting_probs(evo, eta: float, runs=None):
     return out
 
 
-def _assemble(sites, probs, t) -> list:
-    rows = []
-    p1 = probs[0] + probs[1]
-    p2 = probs[4] + probs[5]
-    for j, x in enumerate(sites):
-        rows.append(MeasurementProbs(int(x), t, float(probs[0, j]),
-                                     float(probs[2, j]), float(probs[4, j]),
-                                     float(probs[6, j]), float(p1[j]),
-                                     float(p2[j])))
-    return rows
-
-
-def simulate_measurement_probs(spec: QuenchSpec, x: int, t: int,
-                               error_free: bool = True,
-                               error_model: ErrorModel | None = None,
-                               rng: np.random.Generator | None = None) -> MeasurementProbs:
-    """Click probabilities for one site and step.
-
-    error_free gives the ideal analyzer (no dephasing, no draws); otherwise
-    the model's dephasing applies, plus one apparatus draw and a Poisson pass
-    when an rng is supplied.
-    """
-    if t < 0 or t != int(t):
-        raise ConfigError("t must be a nonnegative integer step count")
-    model = error_model or ErrorModel()
-    eta = 1.0 if error_free else model.dephasing_eta
-    run = None
-    if not error_free and rng is not None:
-        run = perturb_protocol(spec, model, rng, t if t > 0 else 1)
-    evo = evolve_position(spec, int(t),
-                          None if run is None else run.plate_angles[None])
-    sites = evo.sites(int(t))
-    probs = _setting_probs(evo, eta, None if run is None else [run])[int(t)][0]
-    if not error_free and rng is not None and model.total_coincidences > 0:
-        probs = poisson_counts(probs, model.total_coincidences, rng)
-    hit = np.nonzero(sites == x)[0]
-    if hit.size == 0:
-        raise ConfigError(f"site {x} outside the step-{t} window")
-    rows = _assemble(sites, probs, int(t))
-    return rows[int(hit[0])]
-
-
 @dataclass(frozen=True)
 class ErrorBarResult:
     """Asymmetric per-time error bars around the noiseless center.
@@ -295,8 +218,9 @@ class ErrorBarResult:
                      [str(self.n_samples)] * len(q), [str(self.seed)] * len(q)]])
 
 
-def _pbar_from_probs(probs) -> np.ndarray:
-    """Interference term per sample and site from probs (S, 8, nx)."""
+def reconstruct_pbar(probs) -> np.ndarray:
+    """Interference term per sample and site from the click probabilities
+    probs (S, 8, nx) of _setting_probs."""
     p1 = probs[:, 0] + probs[:, 1]
     p2 = probs[:, 4] + probs[:, 5]
     return (1j * (probs[:, 0] - p1 / 2 - probs[:, 4] + p2 / 2)
@@ -358,7 +282,7 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
         makes the rate infinite."""
         vals = {}
         for t, probs in zip(steps, probs_by_step):
-            pbar = _pbar_from_probs(probs)
+            pbar = reconstruct_pbar(probs)
             if quantity == "rate_function":
                 g = np.matmul(fourier[t], pbar[:, :, None])[:, :, 0]
                 mag = np.abs(g)

@@ -20,13 +20,7 @@ import numpy as np
 
 from .backend import two_mode_table, walk_step
 from .errors import ConfigError, InvalidInitialProtocolError
-from .floquet import (
-    bloch_coefficients,
-    bloch_nonunitary,
-    diagonalize,
-    eigensystem_arrays,
-    floquet_matrix,
-)
+from .floquet import _require_gap, bloch_coefficients, eigensystem_arrays, floquet_matrix
 from .lattice import CoinAngles, MomentumGrid, PositionState, TimeGrid, _g12, _write_csv
 
 FLAT_BAND_TOL = 1e-10
@@ -123,14 +117,13 @@ def _phase_fixed(ket: np.ndarray) -> np.ndarray:
 def initial_state(spec: QuenchSpec) -> InitialState:
     """Prepared coin state(s). The kets come from the lower branch of the
     preparation walk (and the upper one for mixtures), momentum independent
-    because the band is flat."""
-    b = bloch_nonunitary(spec.initial_angles, spec.initial_loss, 0.0)
-    es = diagonalize(b)
-    psi_m = _phase_fixed(es.right_minus)
-    if spec.regime == "pure":
-        return InitialState(np.array([psi_m]), np.array([1.0]))
+    because the band is flat, so one momentum solve gives them. A closed
+    preparation gap is refused."""
+    es = eigensystem_arrays(spec.initial_angles, spec.initial_loss, np.zeros(1))
+    _require_gap(es["d0"])
+    psi_m = _phase_fixed(es["psi_m"][0])
     if spec.regime == "mixed":
-        psi_p = _phase_fixed(es.right_plus)
+        psi_p = _phase_fixed(es["psi_p"][0])
         return InitialState(np.array([psi_m, psi_p]),
                             np.array([spec.mix_p, 1 - spec.mix_p]))
     return InitialState(np.array([psi_m]), np.array([1.0]))
@@ -350,9 +343,3 @@ def evolve_position(spec: QuenchSpec, n_steps: int,
         tuple(PositionState(-2 * t, st[..., j, :, :]) for t, st in enumerate(states))
         for j in range(len(init.kets)))
     return PositionEvolution(spec, n_steps, init.kets, init.weights, histories)
-
-
-def pbar_table(spec: QuenchSpec, n_steps: int) -> dict:
-    """P-bar interference profiles for t = 0..n_steps, keyed by step."""
-    evo = evolve_position(spec, n_steps)
-    return {t: (evo.sites(t), evo.pbar(t)) for t in range(n_steps + 1)}

@@ -44,10 +44,13 @@ class _Canvas:
             f'transform="rotate(-90 14 {(MT + H - MB) / 2})">{ylabel}</text>',
         ]
 
-    def finish(self, path):
-        self.parts.append("</svg>")
+    def finish(self, path, body=()):
+        """Write the parts, then each element of body as it is generated,
+        so a large drawing is never held as one list of strings."""
         with open(path, "w") as fh:
             fh.write("\n".join(self.parts))
+            fh.writelines("\n" + part for part in body)
+            fh.write("\n</svg>")
 
 
 def _frame(cv, xlo, xhi, ylo, yhi):
@@ -163,15 +166,18 @@ def phase_map(path, diagram, title=""):
     ch = (H - MT - MB) / res
     cv = _Canvas(title, "theta1", "theta2")
     # column and row of each cell: rank of its angle among the distinct ones
-    i1 = np.unique(diagram.theta1.ravel(), return_inverse=True)[1]
-    i2 = np.unique(diagram.theta2.ravel(), return_inverse=True)[1]
-    for c1, c2, w, status in zip(i1.tolist(), i2.tolist(), diagram.winding.ravel().tolist(),
-                                 diagram.pt_status.ravel().tolist()):
-        x = ML + c1 * cw
-        y = H - MB - (c2 + 1) * ch
-        cv.parts.append(f'<rect x="{x:.1f}" y="{y:.1f}" width="{cw + 0.5:.1f}" '
-                        f'height="{ch + 0.5:.1f}" '
-                        f'fill="{_winding_color(w, status)}"/>')
-    cv.parts.append(f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
-                    f'height="{H - MT - MB}" fill="none" stroke="#333"/>')
-    cv.finish(path)
+    i1 = np.unique(diagram.theta1.ravel(), return_inverse=True)[1].reshape(res, res)
+    i2 = np.unique(diagram.theta2.ravel(), return_inverse=True)[1].reshape(res, res)
+
+    def rows():
+        # one string per theta1 row: few writes, and never the whole map at once
+        for row in zip(i1.tolist(), i2.tolist(), diagram.winding.tolist(),
+                       diagram.pt_status.tolist()):
+            yield "\n".join(f'<rect x="{ML + c1 * cw:.1f}" y="{H - MB - (c2 + 1) * ch:.1f}" '
+                            f'width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" '
+                            f'fill="{_winding_color(w, status)}"/>'
+                            for c1, c2, w, status in zip(*row))
+        yield (f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
+               f'height="{H - MT - MB}" fill="none" stroke="#333"/>')
+
+    cv.finish(path, rows())

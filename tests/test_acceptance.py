@@ -22,9 +22,8 @@ from dqptwalk.errors import (
     TrivialQuenchError,
 )
 from dqptwalk.floquet import (
-    bloch_nonunitary,
-    bloch_unitary,
-    diagonalize,
+    bloch_coefficients,
+    eigensystem_arrays,
     floquet_matrix,
     pt_classify,
     winding_global_berry,
@@ -33,12 +32,12 @@ from dqptwalk.floquet import (
 from dqptwalk.lattice import CoinAngles, MomentumGrid, TimeGrid
 from dqptwalk.measurement import (
     ErrorModel,
+    _setting_probs,
     monte_carlo_errorbars,
     reconstruct_pbar,
-    simulate_measurement_probs,
 )
 from dqptwalk.presets import PRESET_IDS, preset
-from dqptwalk.quench import QuenchSpec, evolve_position, overlaps, pbar_table
+from dqptwalk.quench import QuenchSpec, evolve_position, overlaps
 
 FIG2A = preset("fig2a")[0][1]
 FIG2B = preset("fig2b")[0][1]
@@ -202,11 +201,10 @@ def test_09_measurement_round_trip():
             else:
                 spec = QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 2, 3 * np.pi / 8),
                                   regime="mixed", mix_p=p)
-            for t, (sites, pb) in pbar_table(spec, 7).items():
-                for j, x in enumerate(sites):
-                    rec = reconstruct_pbar(
-                        simulate_measurement_probs(spec, int(x), int(t)))
-                    worst = max(worst, abs(rec - pb[j]))
+            evo = evolve_position(spec, 7)
+            for t, probs in enumerate(_setting_probs(evo, 1.0)):
+                rec = reconstruct_pbar(probs)[0]
+                worst = max(worst, float(np.abs(rec - evo.pbar(t)).max()))
         assert worst < 1e-12, worst
         return f"worst {worst:.2e}"
     _run(9, "click probabilities invert to pbar at 1e-12", body)
@@ -280,27 +278,33 @@ def test_12_structural_invariants():
                  "biorth": 0.0, "recon": 0.0}
         for i in range(n):
             a = CoinAngles(th1[i], th2[i])
-            b = bloch_nonunitary(a, ls[i], ks[i])
-            worst["norm"] = max(worst["norm"], b.norm_residual)
+            d0, be, d2, d3 = bloch_coefficients(a, ls[i], ks[i])
+            worst["norm"] = max(worst["norm"], abs(d0**2 - be**2 + d2**2 + d3**2 - 1))
+            bloch = floquet._bloch_matrices(d0, 1j * be, d2, d3)
             m = floquet_matrix(a, ls[i], ks[i])
             worst["det"] = max(worst["det"], abs(np.linalg.det(m) - 1))
-            worst["product"] = max(worst["product"],
-                                   float(np.abs(b.as_matrix() - m).max()))
+            worst["product"] = max(worst["product"], float(np.abs(bloch - m).max()))
             if i % 5 == 0:
-                b0 = bloch_nonunitary(a, 0.0, ks[i])
+                # the lossless operator has beta = 0 exactly and is the
+                # unitary optical-element product
+                d0u, beu, d2u, d3u = bloch_coefficients(a, 0.0, ks[i])
+                assert beu == 0
                 worst["reduce"] = max(worst["reduce"], float(np.abs(
-                    b0.as_matrix() - bloch_unitary(a, ks[i]).as_matrix()).max()))
+                    floquet._bloch_matrices(d0u, 1j * beu, d2u, d3u)
+                    - floquet_matrix(a, 0.0, ks[i])).max()))
                 try:
-                    es = diagonalize(b)
+                    es = eigensystem_arrays(a, ls[i], np.array([ks[i]]))
+                    floquet._require_gap(es["d0"])
                 except DegenerateSpectrumError:
                     continue
-                bio = np.abs([es.left_plus @ es.right_plus - 1,
-                              es.left_minus @ es.right_minus - 1,
-                              es.left_plus @ es.right_minus,
-                              es.left_minus @ es.right_plus]).max()
+                psi_p, psi_m, chi_p, chi_m = (es[name][0] for name in
+                                              ("psi_p", "psi_m", "chi_p", "chi_m"))
+                bio = np.abs([chi_p @ psi_p - 1, chi_m @ psi_m - 1,
+                              chi_p @ psi_m, chi_m @ psi_p]).max()
                 worst["biorth"] = max(worst["biorth"], float(bio))
-                worst["recon"] = max(worst["recon"], float(np.abs(
-                    es.reconstruction() - b.as_matrix()).max()))
+                recon = (es["lambda_plus"][0] * np.outer(psi_p, chi_p)
+                         + es["lambda_minus"][0] * np.outer(psi_m, chi_m))
+                worst["recon"] = max(worst["recon"], float(np.abs(recon - bloch).max()))
         assert worst["norm"] < 1e-12, worst
         assert worst["det"] < 1e-12, worst
         assert worst["product"] < 1e-12, worst

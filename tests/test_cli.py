@@ -125,6 +125,17 @@ def test_odd_kpoints_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kpoints", ["8", "0", "15"])
+def test_phase_diagram_kpoints_not_clamped(tmp_path, capsys, kpoints):
+    # too few or odd momenta: refused before anything is written, as quench does
+    out = tmp_path / "pd"
+    rc = run_main(["phase-diagram", "--set", "resolution=32", "--set", f"kpoints={kpoints}",
+                   "--out", out])
+    assert rc == 2
+    assert "n_points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kpoints_flag_is_the_kpoints_option(tmp_path):
     # the flag beats the config file and --set, and is echoed like them
     cfg = tmp_path / "run.cfg"

@@ -11,14 +11,19 @@ from dqptwalk.measurement import (
     U_CIRC,
     U_DIAG,
     ErrorModel,
-    dephase,
+    _setting_probs,
     monte_carlo_errorbars,
     perturb_protocol,
     poisson_counts,
     reconstruct_pbar,
-    simulate_measurement_probs,
 )
-from dqptwalk.quench import QuenchSpec, _step_params, initial_state, overlaps, pbar_table
+from dqptwalk.quench import (
+    QuenchSpec,
+    _step_params,
+    evolve_position,
+    initial_state,
+    overlaps,
+)
 
 FLAT = (np.pi / 4, -np.pi / 2)
 SPEC = QuenchSpec(FLAT, (-np.pi / 2, 3 * np.pi / 8))
@@ -51,15 +56,18 @@ class TestErrorModel:
 
 
 def test_dephase_scales_coherences():
-    rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
-    out = dephase(rho, 0.75)
-    assert out[0, 0] == pytest.approx(0.6)
-    assert out[0, 1] == pytest.approx((2 * 0.75 - 1) * (0.2 - 0.1j))
-    assert np.allclose(dephase(rho, 1.0), rho)
-    # eta = 1/2 is the fully scrambled analyzer
-    assert abs(dephase(rho, 0.5)[0, 1]) == 0
-    with pytest.raises(ConfigError):
-        dephase(np.array([[0.9, 0.0], [0.0, 0.9]]), 0.9)
+    # the analyzer dephasing keeps each path's total (the arm populations)
+    # and scales only the interference term, by 2 eta - 1; eta = 1/2 is the
+    # fully scrambled analyzer
+    evo = evolve_position(SPEC, 4)
+    ideal = _setting_probs(evo, 1.0)
+    for eta in (0.75, 0.5):
+        for probs, ref in zip(_setting_probs(evo, eta), ideal):
+            for path in (slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8)):
+                totals = probs[:, path].sum(axis=1) - ref[:, path].sum(axis=1)
+                assert np.abs(totals).max() <= 1e-15
+            scaled = reconstruct_pbar(probs) - (2 * eta - 1) * reconstruct_pbar(ref)
+            assert np.abs(scaled).max() <= 1e-15
 
 
 def test_perturb_protocol_shapes_and_bounds(rng):
@@ -95,27 +103,20 @@ def test_round_trip_reconstruction():
     for p in (0.7, 1.0):
         s = SPEC if p == 1.0 else QuenchSpec(
             FLAT, (-np.pi / 2, 3 * np.pi / 8), regime="mixed", mix_p=p)
-        tab = pbar_table(s, 4)
-        for t, (sites, pb) in tab.items():
-            for j, x in enumerate(sites):
-                probs = simulate_measurement_probs(s, int(x), int(t))
-                assert reconstruct_pbar(probs) == pytest.approx(pb[j], abs=1e-12)
-
-
-def test_probs_outside_window_rejected():
-    with pytest.raises(ConfigError):
-        simulate_measurement_probs(SPEC, 99, 2)
-    with pytest.raises(ConfigError):
-        simulate_measurement_probs(SPEC, 0, -1)
+        evo = evolve_position(s, 4)
+        for t, probs in enumerate(_setting_probs(evo, 1.0)):
+            assert probs.shape == (1, 8, evo.sites(t).size)
+            assert np.abs(reconstruct_pbar(probs)[0] - evo.pbar(t)).max() <= 1e-12
 
 
 def test_dephasing_shrinks_interference():
     # pbar lives entirely in the arm coherences, so the analyzer contrast
     # eta rescales it by exactly 2 eta - 1
     em = ErrorModel()
-    ideal = reconstruct_pbar(simulate_measurement_probs(SPEC, -2, 4))
-    fuzzy = reconstruct_pbar(simulate_measurement_probs(
-        SPEC, -2, 4, error_free=False, error_model=em))
+    evo = evolve_position(SPEC, 4)
+    site = np.nonzero(evo.sites(4) == -2)[0][0]
+    ideal = reconstruct_pbar(_setting_probs(evo, 1.0)[4])[0, site]
+    fuzzy = reconstruct_pbar(_setting_probs(evo, em.dephasing_eta)[4])[0, site]
     assert abs(ideal) > 0.4
     assert fuzzy == pytest.approx((2 * 0.97 - 1) * ideal, abs=1e-9)
 

@@ -18,7 +18,6 @@ from dqptwalk.quench import (
     loschmidt_field,
     loschmidt_k,
     overlaps,
-    pbar_table,
 )
 
 FLAT = (np.pi / 4, -np.pi / 2)
@@ -91,6 +90,13 @@ def test_initial_state_pure_is_lower_band_eigenvector():
     # lower band means eigenvalue exp(+iE) with E in (0, pi)
     e = np.angle(lam[0])
     assert 0 < e < np.pi
+
+
+def test_closed_preparation_gap_refused():
+    # flat, but d0 = -1 on the whole zone: the prepared eigenstate is undefined
+    s = QuenchSpec((np.pi / 2, np.pi / 2), (-np.pi / 2, 3 * np.pi / 8))
+    with pytest.raises(DegenerateSpectrumError):
+        initial_state(s)
 
 
 def test_initial_state_mixed_weights():
@@ -175,20 +181,12 @@ def test_position_fourier_equals_momentum_product(t1, t2, regime, x, n_k):
         return  # broken or near the exceptional line: no real two-mode spectrum
     grid = MomentumGrid(n_k)
     d0 = bloch_coefficients(s.final_angles, s.initial_loss, grid.samples)[0]
-    gapped = np.abs(np.abs(d0) - 1) >= GAP_TOL  # the sectors diagonalize accepts
+    gapped = np.abs(np.abs(d0) - 1) >= GAP_TOL  # the sectors with an open gap
     table = overlaps(s, grid.samples[gapped])
     pe = evolve_position(s, 7)
     for t in range(8):
         g_cf = table.loschmidt(np.array([float(t)]))[:, 0]
         assert np.abs(g_cf - pe.loschmidt(grid, t)[gapped]).max() < 1e-10
-
-
-def test_pbar_table_shapes():
-    tab = pbar_table(spec_pure(), 4)
-    assert set(tab) == {0, 1, 2, 3, 4}
-    sites, pb = tab[3]
-    assert len(sites) == len(pb)
-    assert 0 in list(sites)
 
 
 def test_field_csv_roundtrip(tmp_path, kgrid):
@@ -227,7 +225,7 @@ def test_coefficient_path_equals_matrix_powers(t1, t2, regime, x, ks):
         return  # broken or near the exceptional line: no real two-mode spectrum
     d0 = bloch_coefficients(s.final_angles, s.initial_loss, np.array(ks))[0]
     if np.any(np.abs(np.abs(d0) - 1) < GAP_TOL):
-        return  # closed gap, the sector diagonalize refuses
+        return  # closed gap: no two-mode decomposition
     steps = np.arange(8)
     g = overlaps(s, np.array(ks)).loschmidt(steps)
     for j, k in enumerate(ks):

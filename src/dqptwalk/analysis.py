@@ -24,6 +24,7 @@ from .errors import (
     UndefinedDynamicPhaseError,
     UnresolvedPhaseJumpError,
 )
+from .floquet import _cabs
 from .lattice import MomentumGrid, TimeGrid, normalize_angle
 from .quench import LoschmidtField, QuenchSpec, SectorTable, loschmidt_field, overlaps
 
@@ -161,26 +162,53 @@ class FixedPointSet:
         return segs
 
 
+def _channel(spec: QuenchSpec, k, minus) -> np.ndarray:
+    """Each element's overlap channel at its momentum: ct_minus where minus
+    is set, else ct_plus, with one-momentum bits at any batch size."""
+    tab = overlaps(spec, k, _rowwise=True)
+    return np.where(minus, tab.ct_minus, tab.ct_plus)
+
+
+def _project(c: np.ndarray, drn: np.ndarray) -> np.ndarray:
+    """Re(c conj(drn)) in real arithmetic, as a scalar complex product rounds
+    it (numpy's complex product may round the last bit differently)."""
+    return c.real * drn.real + c.imag * drn.imag
+
+
+def _projected_roots(spec: QuenchSpec, minus, lo, hi, c_lo, c_hi, drn) -> tuple:
+    """Brent zero in each [lo, hi] of the channel projected onto drn, given
+    the channel at both ends, and the channel's modulus there; both NaN where
+    the projection does not change sign."""
+    k0, fun = np.full(lo.shape, np.nan), np.full(lo.shape, np.nan)
+    ok = _project(c_lo, drn) * _project(c_hi, drn) < 0
+    if ok.any():
+        k0[ok] = roots.brentq(lambda k, m, d: _project(_channel(spec, k, m), d),
+                              lo[ok], hi[ok], xtol=1e-13, args=(minus[ok], drn[ok]))
+        fun[ok] = _cabs(_channel(spec, k0[ok], minus[ok]))
+    return k0, fun
+
+
+def _ends(spec: QuenchSpec, minus, lo, hi) -> tuple:
+    """The channel at both ends of each interval, in one evaluation."""
+    return np.split(_channel(spec, np.concatenate([lo, hi]), np.concatenate([minus, minus])), 2)
+
+
 def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> FixedPointSet:
     """Momenta where the prepared state lies entirely in one band.
 
     Grid minima of each overlap channel are polished to machine precision;
     only zeros below a hard acceptance threshold count. A channel that
     vanishes identically means the quench does not change the state at all.
+    Candidates of both channels are polished together, one lockstep batch
+    per stage.
     """
     grid = grid or MomentumGrid()
-
-    def ct(k: float, kind: str) -> complex:
-        """The kind's overlap channel at one momentum."""
-        tab = overlaps(spec, k)
-        return complex((tab.ct_minus if kind == "minus" else tab.ct_plus)[0])
-
     table = overlaps(spec, grid)
-    ct_p, ct_m = table.ct_plus, table.ct_minus
     ks = grid.samples
     h = grid.spacing
-    found = []
-    for kind, raw_vals in (("plus", ct_p), ("minus", ct_m)):
+    flips, minima = [], []   # per channel, grid indices
+    drn_flip = []
+    for kind, raw_vals in (("plus", table.ct_plus), ("minus", table.ct_minus)):
         vals = np.abs(raw_vals)
         if vals.max() < TRIVIAL_WEIGHT_MAX:
             raise TrivialQuenchError(
@@ -190,36 +218,44 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> Fix
         # the overlap is real up to a k-smooth phase, so a zero squeezed
         # between samples still flips the aligned sign across the interval;
         # catches dips narrower than the grid spacing near PT boundaries
+        step = np.roll(raw_vals, -1) - raw_vals
         rel = np.angle(np.roll(raw_vals, -1) * np.conj(raw_vals))
         flip = (np.abs(rel) > np.pi / 2) & (vals > 0) \
             & ~local & ~np.roll(local, -1)
+        flips.append(np.nonzero(flip)[0])
+        minima.append(np.nonzero(local)[0])
+        drn_flip.append(step[flip])
+    minus_f = np.repeat([False, True], [i.size for i in flips])
+    minus_m = np.repeat([False, True], [i.size for i in minima])
 
-        def projected_root(drn: complex, a: float, b: float):
-            """Brent zero in [a, b] of the channel projected onto drn, with
-            the channel's modulus there; None without a sign change."""
-            if abs(drn) == 0.0:
-                return None
-            signed = lambda k: (ct(k, kind) * drn.conjugate()).real
-            if not signed(a) * signed(b) < 0:
-                return None
-            k0 = roots.brentq(signed, a, b, xtol=1e-13)
-            return k0, abs(ct(k0, kind))
+    # sign flips: Brent on the channel projected onto its step across the
+    # interval
+    lo = ks[np.concatenate(flips)]
+    hi = lo + h
+    k_f, f_f = (_projected_roots(spec, minus_f, lo, hi, *_ends(spec, minus_f, lo, hi),
+                                 np.concatenate(drn_flip)) if lo.size else (lo, lo))
 
-        # candidates (k, |ct|), sign flips before minima: the dedup keeps
-        # the first of two near-equal momenta
-        cands = [projected_root(complex(raw_vals[(i + 1) % len(ks)] - raw_vals[i]),
-                                ks[i], ks[i] + h) for i in np.nonzero(flip)[0]]
-        for i in np.nonzero(local)[0]:
-            k0, fun = roots.minimize_bounded(lambda k: abs(ct(k, kind)),
-                                             ks[i] - h, ks[i] + h, xatol=1e-12)
-            k0, fun = float(k0), float(fun)
-            # bounded search bottoms out near sqrt(eps)*|k| on shallow zeros;
-            # the projection onto the local gradient is linear through a
-            # simple zero, so Brent on it gets closer
-            hit = projected_root(ct(k0 + h, kind) - ct(k0 - h, kind), k0 - h, k0 + h)
-            cands.append(hit if hit and hit[1] < fun else (k0, fun))
-        found += [FixedPoint(float(normalize_angle(k0)), kind, float(fun))
-                  for k0, fun in filter(None, cands) if fun < FIXED_POINT_ACCEPT]
+    # minima: bounded search, then Brent on the projection onto the local
+    # gradient, which is linear through a simple zero and gets closer where
+    # the bounded search bottoms out near sqrt(eps)*|k| on a shallow zero
+    k_m = f_m = np.empty(0)
+    if minus_m.size:
+        i = np.concatenate(minima)
+        k0, fun = roots.minimize_bounded(lambda k, m: _cabs(_channel(spec, k, m)),
+                                         ks[i] - h, ks[i] + h, xatol=1e-12, args=(minus_m,))
+        c_hi, c_lo = _ends(spec, minus_m, k0 + h, k0 - h)
+        hit_k, hit_f = _projected_roots(spec, minus_m, k0 - h, k0 + h, c_lo, c_hi, c_hi - c_lo)
+        better = hit_f < fun
+        k_m, f_m = np.where(better, hit_k, k0), np.where(better, hit_f, fun)
+
+    # candidates of each channel, sign flips before minima: the dedup keeps
+    # the first of two near-equal momenta
+    minus = np.concatenate([minus_f, minus_m])
+    order = np.argsort(minus, kind="stable")
+    found = [FixedPoint(float(normalize_angle(k0)), "minus" if m else "plus", float(fun))
+             for k0, m, fun in zip(np.concatenate([k_f, k_m])[order], minus[order],
+                                   np.concatenate([f_f, f_m])[order])
+             if fun < FIXED_POINT_ACCEPT]
     return FixedPointSet(spec, tuple(_dedup_circular(found, FIXED_POINT_DEDUP)))
 
 
@@ -270,15 +306,16 @@ class CriticalSet:
 
 def find_critical(fps: FixedPointSet, t_max: float = 7.0) -> CriticalSet:
     """Critical momenta: weight-balance zeros between fixed points of
-    opposite kind, each carrying its periodic ladder of critical times."""
+    opposite kind, each carrying its periodic ladder of critical times. All
+    brackets are polished together in one lockstep Brent batch."""
     spec = fps.spec
 
-    def weight_h(k: float) -> float:
+    def weight_h(k):
         """weight_minus - weight_plus; its zeros are the critical momenta."""
-        tab = overlaps(spec, k)
-        return float(tab.weight_minus[0] - tab.weight_plus[0])
+        tab = overlaps(spec, k, _rowwise=True)
+        return tab.weight_minus - tab.weight_plus
 
-    criticals = []
+    brackets = []
     pts = fps.points
     for i in range(len(pts)):
         lo = pts[i]
@@ -287,17 +324,21 @@ def find_critical(fps: FixedPointSet, t_max: float = 7.0) -> CriticalSet:
             continue
         k_lo = lo.k + 1e-9
         k_hi = (hi.k if i + 1 < len(pts) else hi.k + 2 * np.pi) - 1e-9
-        if k_hi <= k_lo:
-            continue
-        f_lo, f_hi = weight_h(k_lo), weight_h(k_hi)
-        if f_lo * f_hi > 0:
-            continue
-        kc = roots.brentq(weight_h, k_lo, k_hi, xtol=1e-12)
-        e = overlaps(spec, kc).energy[0].real
-        if e <= 1e-12:
-            raise PhysicsError(f"vanishing quasienergy at critical momentum {kc}")
-        criticals.append(CriticalMomentum(float(normalize_angle(kc)), float(e),
-                                          float(np.pi / (2 * e))))
+        if k_hi > k_lo:
+            brackets.append((k_lo, k_hi))
+    k_lo, k_hi = np.array(brackets).reshape(-1, 2).T
+    if k_lo.size:
+        f_lo, f_hi = np.split(weight_h(np.concatenate([k_lo, k_hi])), 2)
+        sign_change = ~(f_lo * f_hi > 0)
+        k_lo, k_hi = k_lo[sign_change], k_hi[sign_change]
+    criticals = []
+    if k_lo.size:
+        kcs = roots.brentq(weight_h, k_lo, k_hi, xtol=1e-12)
+        for kc, e in zip(kcs, overlaps(spec, kcs, _rowwise=True).energy.real):
+            if e <= 1e-12:
+                raise PhysicsError(f"vanishing quasienergy at critical momentum {kc}")
+            criticals.append(CriticalMomentum(float(normalize_angle(kc)), float(e),
+                                              float(np.pi / (2 * e))))
     return CriticalSet(spec, fps, tuple(_dedup_circular(criticals, 1e-9)), t_max)
 
 

@@ -22,9 +22,10 @@ from dqptwalk.errors import (
     UndefinedDynamicPhaseError,
 )
 from dqptwalk.floquet import bloch_coefficients, pt_classify
-from dqptwalk.lattice import MomentumGrid, TimeGrid
+from dqptwalk.lattice import MomentumGrid, TimeGrid, normalize_angle
 from dqptwalk.presets import preset
 from dqptwalk.quench import QuenchSpec, loschmidt_field, overlaps
+from test_roots import _reference_brentq, _reference_minimize_bounded
 
 FIG2A = preset("fig2a")[0][1]
 FIG2B = preset("fig2b")[0][1]
@@ -328,3 +329,148 @@ def test_runs_equal_grouping_loop(values, gap):
     values = sorted(values)
     assert [run.tolist() for run in analysis._runs(values, gap)] == \
         _reference_runs(values, gap)
+
+
+# The scalar polish the batched searches replaced, kept as their reference:
+# one one-momentum overlaps call per function value, scalar Brent and bounded
+# minimum, CPython complex arithmetic.
+
+def _reference_find_fixed_points(spec, grid):
+    def ct(k, kind):
+        tab = overlaps(spec, k)
+        return complex((tab.ct_minus if kind == "minus" else tab.ct_plus)[0])
+
+    table = overlaps(spec, grid)
+    ks, h = grid.samples, grid.spacing
+    found = []
+    for kind, raw_vals in (("plus", table.ct_plus), ("minus", table.ct_minus)):
+        vals = np.abs(raw_vals)
+        if vals.max() < analysis.TRIVIAL_WEIGHT_MAX:
+            raise TrivialQuenchError(kind)
+        local = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)) \
+            & (vals < analysis.FIXED_POINT_CUT)
+        rel = np.angle(np.roll(raw_vals, -1) * np.conj(raw_vals))
+        flip = (np.abs(rel) > np.pi / 2) & (vals > 0) & ~local & ~np.roll(local, -1)
+
+        def projected_root(drn, a, b):
+            if abs(drn) == 0.0:
+                return None
+            signed = lambda k: (ct(k, kind) * drn.conjugate()).real
+            if not signed(a) * signed(b) < 0:
+                return None
+            k0 = _reference_brentq(signed, a, b, 1e-13)
+            return k0, abs(ct(k0, kind))
+
+        cands = [projected_root(complex(raw_vals[(i + 1) % len(ks)] - raw_vals[i]),
+                                ks[i], ks[i] + h) for i in np.nonzero(flip)[0]]
+        for i in np.nonzero(local)[0]:
+            k0, fun = _reference_minimize_bounded(lambda k: abs(ct(k, kind)),
+                                                  ks[i] - h, ks[i] + h, 1e-12)
+            k0, fun = float(k0), float(fun)
+            hit = projected_root(ct(k0 + h, kind) - ct(k0 - h, kind), k0 - h, k0 + h)
+            cands.append(hit if hit and hit[1] < fun else (k0, fun))
+        found += [analysis.FixedPoint(float(normalize_angle(k0)), kind, float(fun))
+                  for k0, fun in filter(None, cands) if fun < analysis.FIXED_POINT_ACCEPT]
+    return analysis._dedup_circular(found, analysis.FIXED_POINT_DEDUP)
+
+
+def _reference_find_critical(spec, pts):
+    def weight_h(k):
+        tab = overlaps(spec, k)
+        return float(tab.weight_minus[0] - tab.weight_plus[0])
+
+    criticals = []
+    for i in range(len(pts)):
+        lo, hi = pts[i], pts[(i + 1) % len(pts)]
+        if lo.kind == hi.kind:
+            continue
+        k_lo = lo.k + 1e-9
+        k_hi = (hi.k if i + 1 < len(pts) else hi.k + 2 * np.pi) - 1e-9
+        if k_hi <= k_lo or weight_h(k_lo) * weight_h(k_hi) > 0:
+            continue
+        kc = _reference_brentq(weight_h, k_lo, k_hi, 1e-12)
+        e = overlaps(spec, kc).energy[0].real
+        if e <= 1e-12:
+            raise PhysicsError(kc)
+        criticals.append(analysis.CriticalMomentum(float(normalize_angle(kc)), float(e),
+                                                   float(np.pi / (2 * e))))
+    return analysis._dedup_circular(criticals, 1e-9)
+
+
+def _bits(items, fields):
+    return [tuple(getattr(x, f).hex() if isinstance(getattr(x, f), float) else getattr(x, f)
+                  for f in fields) for x in items]
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except (PhysicsError, ValueError, RuntimeError) as err:
+        return None, type(err)
+
+
+_quench = st.one_of(
+    st.builds(lambda a, b: QuenchSpec(FIG2A.initial_angles, (a, b)),
+              st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    st.builds(lambda a, b, p: QuenchSpec(FIG2A.initial_angles, (a, b),
+                                         regime="mixed", mix_p=p),
+              st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.floats(0, 1)),
+    st.builds(lambda a, b, l: QuenchSpec(FIG2A.initial_angles, (a, b),
+                                         regime="nonunitary", loss=l),
+              st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.floats(0.01, 0.9)))
+
+
+@given(_quench, st.sampled_from([128, 2048]))
+@example(FIG2A, 128)
+@example(FIG2A, 2048)
+@example(FIG3, 2048)
+@example(FIG4A, 128)
+@example(FIG4A, 2048)
+@example(FIG4B, 2048)
+@settings(max_examples=40, deadline=None)
+def test_batched_polish_equals_scalar_polish(spec, n_k):
+    """Fixed points (k, kind, residual) and critical momenta (k, energy, t0)
+    carry the bits of the scalar polish, and the same errors."""
+    grid = MomentumGrid(n_k)
+    want = _outcome(lambda: _reference_find_fixed_points(spec, grid))
+    got = _outcome(lambda: find_fixed_points(spec, grid))
+    assert got[1] == want[1]
+    if want[1] is not None:
+        return
+    fields = ("k", "kind", "residual")
+    assert _bits(got[0].points, fields) == _bits(want[0], fields)
+    want_c = _outcome(lambda: _reference_find_critical(spec, want[0]))
+    got_c = _outcome(lambda: find_critical(got[0]))
+    assert got_c[1] == want_c[1]
+    if want_c[1] is None:
+        fields = ("k", "energy", "t0")
+        assert _bits(got_c[0].criticals, fields) == _bits(want_c[0], fields)
+
+
+@given(_quench, st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_rowwise_overlaps_equal_one_momentum_calls(spec, ks):
+    """The row-wise overlaps at n momenta equal n one-momentum calls bit for
+    bit in every channel."""
+    ks = np.array(ks)
+    d0 = bloch_coefficients(spec.final_angles, spec.initial_loss, ks)[0]
+    if np.any(np.abs(np.abs(d0) - 1) < 1e-6):
+        return  # a closed gap: no eigenbasis there
+    rows = overlaps(spec, ks, _rowwise=True)
+    for j, k in enumerate(ks):
+        one = overlaps(spec, k)
+        for name in ("energy", "A", "B", "ct_plus", "ct_minus", "b_plus", "b_minus",
+                     "weight_minus", "weight_plus"):
+            a, b = getattr(rows, name)[j], getattr(one, name)[0]
+            assert a.tobytes() == b.tobytes(), (name, k)
+
+
+@given(st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 4), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_projection_rounds_like_a_scalar_complex_product(rows):
+    """The polish projection Re(c conj(d)) carries the bits of CPython's
+    complex product, which numpy's complex product does not always match."""
+    cr, ci, dr, di = np.array(rows).T
+    got = analysis._project(cr + 1j * ci, dr + 1j * di)
+    want = [(complex(a, b) * complex(c, d).conjugate()).real for a, b, c, d in rows]
+    assert got.tobytes() == np.array(want).tobytes()

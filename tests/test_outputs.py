@@ -31,8 +31,9 @@ def _workload_calls():
 CALLS = _workload_calls()
 
 
-@pytest.mark.parametrize("name", ["quench_F2", "quench_F4", "dtop_F2", "figure_fig4b",
-                                  "figure_mixed-p07", "figure_s2", "phase_64",
+@pytest.mark.parametrize("name", ["quench_F2", "quench_F4", "dtop_F2", "figure_fig3",
+                                  "figure_fig4a", "figure_fig4b", "figure_mixed-p07",
+                                  "figure_s2", "figure_s3", "phase_64",
                                   "phase_256_loss02", "mc_dtop_F2"])
 def test_outputs_match_manifest(tmp_path, name):
     call = CALLS[name]

@@ -24,7 +24,6 @@ from .errors import (
 from .lattice import (
     CoinAngles,
     MomentumGrid,
-    PositionState,
     TimeGrid,
     coin_matrix,
     loss_matrix,

@@ -230,7 +230,7 @@ def cmd_quench(config: RunConfig) -> dict:
     qa = QuenchAnalysis(spec, grid, tgrid)
     em = _Emitter(config.out_dir)
     qa.field.write_csv(em.path("loschmidt.csv"))
-    evo = evolve_position(spec, int(round(tgrid.t_max)))
+    evo = evolve_position(spec, int(tgrid.t_max))
     evo.write_csv(em.path("field.csv"))
     _quench_products(qa, em, "quench")
     report = analysis_report(qa)
@@ -329,6 +329,8 @@ _COMMANDS = {
 def run(config: RunConfig) -> dict:
     if config.command not in _COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     command, keys = _COMMANDS[config.command]
     unknown = sorted(set(config.options) - set(keys))
     if unknown:

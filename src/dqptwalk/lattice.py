@@ -1,8 +1,8 @@
 """Shared value types and 2x2 building blocks.
 
-Everything downstream works in the fixed coin basis (|H>, |V|): spinors are
-complex arrays of shape (2,) with index 0 = H, density matrices are 2x2
-complex arrays. Momentum lives on the first Brillouin zone (-pi, pi].
+Everything downstream works in the fixed coin basis (|H>, |V>): spinors are
+complex arrays of shape (2,) with index 0 = H. Momentum lives on the first
+Brillouin zone (-pi, pi].
 """
 from __future__ import annotations
 
@@ -80,29 +80,6 @@ class CoinAngles:
         object.__setattr__(self, "theta2", normalize_angle(self.theta2))
 
 
-def coin_density_matrix(p: float, ket_a: np.ndarray, ket_b: np.ndarray) -> np.ndarray:
-    """rho = p |a><a| + (1-p) |b><b| from normalized kets."""
-    if not 0 <= p <= 1:
-        raise ConfigError(f"mixing weight must be in [0, 1], got {p}")
-    a = np.asarray(ket_a, dtype=complex)
-    b = np.asarray(ket_b, dtype=complex)
-    rho = p * np.outer(a, a.conj()) + (1 - p) * np.outer(b, b.conj())
-    validate_density_matrix(rho)
-    return rho
-
-
-def validate_density_matrix(rho: np.ndarray, tol: float = STRUCT_TOL) -> None:
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise ConfigError(f"density matrix must be 2x2, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ConfigError("density matrix not hermitian")
-    if abs(np.trace(rho) - 1) > tol:
-        raise ConfigError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ConfigError("density matrix has a negative eigenvalue")
-
-
 @dataclass(frozen=True)
 class MomentumGrid:
     """Uniform momentum samples on (-pi, pi]: -pi excluded, pi included.
@@ -144,31 +121,6 @@ class TimeGrid:
 
     @property
     def samples(self) -> np.ndarray:
-        n = int(round(self.t_max / self.dt))
+        # the largest n with n * dt <= t_max, up to rounding of the ratio
+        n = int(self.t_max / self.dt + 1e-9)
         return np.arange(n + 1) * self.dt
-
-
-@dataclass(frozen=True)
-class PositionState:
-    """Dense two-component wavefunction on a contiguous run of lattice sites.
-
-    amplitudes[..., 0, :] holds H amplitudes, amplitudes[..., 1, :] V
-    amplitudes; column j is site origin_offset + j. Leading axes, if any,
-    index independent replays of the same walk.
-    """
-
-    origin_offset: int
-    amplitudes: np.ndarray
-
-    @property
-    def sites(self) -> np.ndarray:
-        return self.origin_offset + np.arange(self.amplitudes.shape[-1])
-
-    def site_spinor(self, x: int) -> np.ndarray:
-        j = x - self.origin_offset
-        if 0 <= j < self.amplitudes.shape[-1]:
-            return self.amplitudes[..., j].copy()
-        return np.zeros(self.amplitudes.shape[:-1], dtype=complex)
-
-    def total_probability(self) -> float:
-        return float((np.abs(self.amplitudes) ** 2).sum())

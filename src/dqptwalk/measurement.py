@@ -151,7 +151,7 @@ def _setting_probs(evo, eta: float, runs=None):
 
     runs holds one PerturbedRun per sample, matching the leading axis of the
     walk evo; runs None is the ideal apparatus on an unbatched walk, returned
-    as one sample. Returns [probs (S, 8, nx) for t = 0..n_steps], sites as
+    as one sample. Returns [probs (S, 8, nx) for each of evo.states], sites as
     in evo.sites(t), rows ordered (p11, p11', p12, p12', p21, p21', p22, p22').
     """
     trans, terms = _analyzer(runs)
@@ -160,8 +160,9 @@ def _setting_probs(evo, eta: float, runs=None):
     norm2 = ((trans[:, 2] + trans[:, 3]) / 2)[:, None]
     coh = 2 * eta - 1
 
+    init = evo.spec.prepared
     out = []
-    for t in range(evo.n_steps + 1):
+    for t, st in enumerate(evo.states):
         sites = evo.sites(t)
         shape = (len(trans), sites.size)
         # weighted arm matrices; path 1 interferes the evolved H component
@@ -173,8 +174,8 @@ def _setting_probs(evo, eta: float, runs=None):
         b11 = np.zeros(shape)
         b22 = np.zeros(shape)
         b12 = np.zeros(shape, dtype=complex)
-        for w, ket, hist in zip(evo.weights, evo.kets, evo.histories):
-            amp = hist[t].amplitudes.reshape(-1, 2, sites.size)
+        for j, (w, ket) in enumerate(zip(init.weights, init.kets)):
+            amp = st[..., j, :, :].reshape(-1, 2, sites.size)
             v1 = root[:, 0, None] * amp[:, 0]
             v2 = (root[:, 1] * ket[0])[:, None] * np.ones(shape, dtype=complex)
             a11 += w * np.abs(v1) ** 2

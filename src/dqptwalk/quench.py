@@ -21,7 +21,7 @@ import numpy as np
 from .backend import two_mode_table, walk_step
 from .errors import ConfigError, InvalidInitialProtocolError
 from .floquet import _require_gap, bloch_coefficients, eigensystem_arrays, floquet_matrix
-from .lattice import CoinAngles, MomentumGrid, PositionState, TimeGrid, _g12, _write_csv
+from .lattice import CoinAngles, MomentumGrid, TimeGrid, _g12, _write_csv
 
 FLAT_BAND_TOL = 1e-10
 
@@ -98,14 +98,11 @@ def _require_flat_band(angles: CoinAngles, l: float) -> None:
 
 @dataclass(frozen=True)
 class InitialState:
+    """The prepared coin state as a mixture: rho = sum_j weights[j]
+    |kets[j]><kets[j]|."""
+
     kets: np.ndarray      # (m, 2) unit kets
     weights: np.ndarray   # (m,) summing to 1
-
-    def density_matrix(self) -> np.ndarray:
-        rho = np.zeros((2, 2), dtype=complex)
-        for w, ket in zip(self.weights, self.kets):
-            rho += w * np.outer(ket, ket.conj())
-        return rho
 
 
 def _phase_fixed(ket: np.ndarray) -> np.ndarray:
@@ -132,7 +129,7 @@ def initial_state(spec: QuenchSpec) -> InitialState:
 @dataclass(frozen=True)
 class SectorTable:
     """Per-momentum quench data: quasienergies, two-mode coefficients, and
-    the raw band overlaps they are built from.
+    the left-vector band overlaps ct_plus/ct_minus they are built from.
 
     weight_minus/weight_plus drive the fixed-point and critical-momentum
     searches: for unitary regimes they are the pure-state band populations
@@ -147,8 +144,6 @@ class SectorTable:
     B: np.ndarray
     ct_plus: np.ndarray
     ct_minus: np.ndarray
-    b_plus: np.ndarray
-    b_minus: np.ndarray
     weight_minus: np.ndarray
     weight_plus: np.ndarray
 
@@ -207,7 +202,7 @@ def overlaps(spec: QuenchSpec, grid: MomentumGrid | np.ndarray | None = None,
             A = (p * a + (1 - p) * b).astype(complex)
             B = (p * b + (1 - p) * a).astype(complex)
         wm, wp = a, b
-    return SectorTable(spec, ks, es["energy"], A, B, ct_p, ct_m, b_p, b_m, wm, wp)
+    return SectorTable(spec, ks, es["energy"], A, B, ct_p, ct_m, wm, wp)
 
 
 def evolve_k(spec: QuenchSpec, k: float, n_steps: int) -> np.ndarray:
@@ -273,16 +268,14 @@ def loschmidt_field(spec: QuenchSpec, grid: MomentumGrid | None = None,
 class PositionEvolution:
     """Real-space walk history from a localized start at the origin.
 
-    histories[j][t] holds the (possibly unnormalized, for lossy walks) spinor
-    field of prepared ket j after t steps; a batched replay puts its sample
-    axes in front of each field.
+    states[t] is the (..., m, 2, 4t + 1) spinor field after t steps,
+    unnormalized for lossy walks: prepared ket j on axis -3, the H and V rows
+    on axis -2 and site -2t + i in column i. A batched replay puts its sample
+    axes in front.
     """
 
     spec: QuenchSpec
-    n_steps: int
-    kets: np.ndarray
-    weights: np.ndarray
-    histories: tuple  # per ket: tuple of PositionState, length n_steps+1
+    states: tuple
 
     def pbar(self, t: int) -> np.ndarray:
         """Interference observable vs position after t steps.
@@ -290,15 +283,15 @@ class PositionEvolution:
         Per prepared ket this is sum_c conj(a_c) psi_c(x, t); the momentum
         transform of the weighted sum returns G_k(t) at integer times.
         """
+        init = self.spec.prepared
         out = None
-        for w, ket, hist in zip(self.weights, self.kets, self.histories):
-            st = hist[t]
-            z = ket.conj() @ st.amplitudes
+        for j, (w, ket) in enumerate(zip(init.weights, init.kets)):
+            z = ket.conj() @ self.states[t][..., j, :, :]
             out = w * z if out is None else out + w * z
         return out
 
     def sites(self, t: int) -> np.ndarray:
-        return self.histories[0][t].sites
+        return np.arange(-2 * t, 2 * t + 1)
 
     def loschmidt(self, grid: MomentumGrid, t: int) -> np.ndarray:
         """G_k(t) from the position-space field (Fourier cross-check)."""
@@ -310,10 +303,10 @@ class PositionEvolution:
         # amplitudes of the primary (lower-branch) preparation; mixtures have
         # no single spinor field, their other branch only enters via pbar
         _write_csv(path, ["t", "x", "re_H", "im_H", "re_V", "im_V"], (
-            [[str(t)] * len(st.sites), [str(x) for x in st.sites.tolist()],
-             _g12(st.amplitudes[0].real), _g12(st.amplitudes[0].imag),
-             _g12(st.amplitudes[1].real), _g12(st.amplitudes[1].imag)]
-            for t, st in enumerate(self.histories[0])))
+            [[str(t)] * st.shape[-1], [str(x) for x in self.sites(t).tolist()],
+             _g12(st[0, 0].real), _g12(st[0, 0].imag),
+             _g12(st[0, 1].real), _g12(st[0, 1].imag)]
+            for t, st in enumerate(self.states)))
 
 
 def _step_params(angles: CoinAngles, l: float):
@@ -331,7 +324,7 @@ def evolve_position(spec: QuenchSpec, n_steps: int,
     plate_angles, when given, is a (..., n_steps, 4) per-step override of the
     four coin plate angles (entry, mid, mid, exit); used to model
     miscalibrated plates. Leading axes batch independent replays, and every
-    amplitude array then carries them in front of its (2, n) site block.
+    states[t] then carries them in front of its (m, 2, 4t + 1) block.
     Lossless walks ignore the second mid angle.
     """
     if n_steps < 0:
@@ -350,7 +343,4 @@ def evolve_position(spec: QuenchSpec, n_steps: int,
             angles = [a[..., None] for a in np.moveaxis(plate_angles[..., s, :], -1, 0)]
         psi = walk_step(psi, *angles, base[4], base[5])
         states.append(psi)
-    histories = tuple(
-        tuple(PositionState(-2 * t, st[..., j, :, :]) for t, st in enumerate(states))
-        for j in range(len(init.kets)))
-    return PositionEvolution(spec, n_steps, init.kets, init.weights, histories)
+    return PositionEvolution(spec, tuple(states))

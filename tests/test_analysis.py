@@ -459,18 +459,22 @@ def test_rowwise_overlaps_equal_one_momentum_calls(spec, ks):
     rows = overlaps(spec, ks, _rowwise=True)
     for j, k in enumerate(ks):
         one = overlaps(spec, k)
-        for name in ("energy", "A", "B", "ct_plus", "ct_minus", "b_plus", "b_minus",
-                     "weight_minus", "weight_plus"):
+        for name in ("energy", "A", "B", "ct_plus", "ct_minus", "weight_minus",
+                     "weight_plus"):
             a, b = getattr(rows, name)[j], getattr(one, name)[0]
             assert a.tobytes() == b.tobytes(), (name, k)
 
 
 @given(st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 4), min_size=1, max_size=20))
 @settings(max_examples=100, deadline=None)
+@example([(0.0, 0.0, -0.0, -0.0)])
 def test_projection_rounds_like_a_scalar_complex_product(rows):
     """The polish projection Re(c conj(d)) carries the bits of CPython's
-    complex product, which numpy's complex product does not always match."""
+    complex product, which numpy's complex product does not always match.
+    The inputs are built part by part: x + 1j * y turns y = -0.0 into +0.0."""
     cr, ci, dr, di = np.array(rows).T
-    got = analysis._project(cr + 1j * ci, dr + 1j * di)
+    c, d = cr.astype(complex), dr.astype(complex)
+    c.imag, d.imag = ci, di
+    got = analysis._project(c, d)
     want = [(complex(a, b) * complex(c, d).conjugate()).real for a, b, c, d in rows]
     assert got.tobytes() == np.array(want).tobytes()

@@ -110,6 +110,16 @@ def test_unreadable_value_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["error-mc", "quench"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "x"
+    rc = run_main([command, "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                   "--seed", -1, "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not out.exists()
+
+
 def test_import_loads_no_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, dqptwalk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -134,6 +144,18 @@ def test_phase_diagram_kpoints_not_clamped(tmp_path, capsys, kpoints):
     assert rc == 2
     assert "n_points" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_quench_stops_at_t_max(tmp_path):
+    # neither the time grid nor the integer-step walk runs past t_max
+    out = tmp_path / "q"
+    rc = run_main(["quench", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                   "--kpoints", 32, "--set", "t_max=2.6", "--set", "dt=0.5", "--out", out])
+    assert rc == 0
+    field = (out / "field.csv").read_text().splitlines()[1:]
+    grid = (out / "loschmidt.csv").read_text().splitlines()[1:]
+    assert max(float(row.split(",")[0]) for row in field) == 2
+    assert max(float(row.split(",")[1]) for row in grid) == 2.5
 
 
 def test_kpoints_flag_is_the_kpoints_option(tmp_path):

@@ -6,14 +6,11 @@ from dqptwalk.errors import ConfigError
 from dqptwalk.lattice import (
     CoinAngles,
     MomentumGrid,
-    PositionState,
     TimeGrid,
-    coin_density_matrix,
     coin_matrix,
     loss_matrix,
     normalize_angle,
     shift_matrix,
-    validate_density_matrix,
 )
 
 angles = st.floats(-20.0, 20.0, allow_nan=False)
@@ -89,37 +86,15 @@ def test_time_grid():
     assert tg.samples[0] == 0.0
     assert tg.samples[-1] == pytest.approx(7.0)
     assert np.allclose(np.diff(tg.samples), 0.5)
+    # nothing past t_max: the last sample is the largest n * dt <= t_max
+    for t_max, dt, n in ((7.0, 0.4, 17), (2.0, 0.3, 6), (3.0, 0.1, 30), (7.0, 0.07, 100)):
+        samples = TimeGrid(t_max, dt).samples
+        assert len(samples) == n + 1
+        assert samples[-1] == pytest.approx(n * dt) and samples[-1] <= t_max + 1e-12
+    assert TimeGrid().samples.tobytes() == (np.arange(701) * 0.01).tobytes()
     with pytest.raises(ConfigError):
         TimeGrid(0.5, 0.1)
     for t_max, dt in ((np.nan, 0.1), (np.inf, 0.1), (7.0, np.nan), (7.0, np.inf),
                       (1e300, 0.01), (1e7, 1e-3), (1e300, 1e-10)):
         with pytest.raises(ConfigError):
             TimeGrid(t_max, dt)
-
-
-@given(st.floats(0.0, 1.0))
-def test_coin_density_matrix_valid(p):
-    lo = np.array([1.0, 0.0], dtype=complex)
-    up = np.array([0.0, 1.0], dtype=complex)
-    rho = coin_density_matrix(p, lo, up)
-    validate_density_matrix(rho)
-    assert np.trace(rho).real == pytest.approx(1.0)
-
-
-def test_validate_density_matrix_rejects():
-    with pytest.raises(ConfigError):
-        validate_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))  # not hermitian
-    with pytest.raises(ConfigError):
-        validate_density_matrix(np.array([[0.9, 0.0], [0.0, 0.9]]))  # trace
-    with pytest.raises(ConfigError):
-        validate_density_matrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative
-
-
-def test_position_state_window():
-    amps = np.zeros((2, 5), dtype=complex)
-    amps[0, 2] = 1.0
-    ps = PositionState(-4, amps)
-    assert list(ps.sites) == [-4, -3, -2, -1, 0]
-    assert ps.total_probability() == pytest.approx(1.0)
-    assert ps.site_spinor(-2)[0] == pytest.approx(1.0)
-    assert np.all(ps.site_spinor(99) == 0)

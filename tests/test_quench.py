@@ -18,6 +18,7 @@ from dqptwalk.quench import (
     loschmidt_field,
     loschmidt_k,
     overlaps,
+    _step_params,
 )
 
 FLAT = (np.pi / 4, -np.pi / 2)
@@ -104,8 +105,9 @@ def test_initial_state_mixed_weights():
     st0 = initial_state(s)
     assert st0.kets.shape == (2, 2)
     assert list(st0.weights) == pytest.approx([0.7, 0.3])
-    rho = st0.density_matrix()
-    assert np.trace(rho).real == pytest.approx(1.0)
+    # unit kets with weights summing to 1: the mixture has unit trace
+    assert np.linalg.norm(st0.kets, axis=1) == pytest.approx([1.0, 1.0])
+    assert st0.weights.sum() == pytest.approx(1.0)
 
 
 def test_overlap_table_pure_unitary(kgrid):
@@ -148,12 +150,27 @@ def test_direct_evolution_norm_preserved():
         assert np.linalg.norm(ev) == pytest.approx(np.linalg.norm(psi), abs=1e-12)
 
 
+def test_position_walk_record():
+    s = QuenchSpec(FLAT, (0.3, 0.4), regime="mixed", mix_p=0.7)
+    pe = evolve_position(s, 4)
+    assert len(pe.states) == 5
+    for t, st in enumerate(pe.states):
+        assert st.shape == (2, 2, 4 * t + 1)
+        assert list(pe.sites(t)) == list(range(-2 * t, 2 * t + 1))
+    # a batched replay puts its sample axes in front of each step's field
+    plates = np.broadcast_to(np.array(_step_params(s.final_angles, 0.0)[:4]), (3, 5, 4, 4))
+    batched = evolve_position(s, 4, plates)
+    for t, st in enumerate(batched.states):
+        assert st.shape == (3, 5, 2, 2, 4 * t + 1)
+        assert np.array_equal(st[2, 4], pe.states[t])
+
+
 def test_position_walk_probability_conservation():
     pe = evolve_position(spec_pure(), 6)
     # unitary: each ket history keeps norm 1
-    for hist in pe.histories:
-        for t in range(7):
-            assert hist[t].total_probability() == pytest.approx(1.0, abs=1e-12)
+    for st in pe.states:
+        for j in range(len(st)):
+            assert (np.abs(st[j]) ** 2).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_position_walk_rescaled_loss_near_unity():
@@ -161,7 +178,7 @@ def test_position_walk_rescaled_loss_near_unity():
     # real-spectrum regime the norm oscillates about 1 instead of decaying
     s = QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), regime="nonunitary", loss=0.36)
     pe = evolve_position(s, 5)
-    probs = np.array([pe.histories[0][t].total_probability() for t in range(6)])
+    probs = np.array([(np.abs(st[0]) ** 2).sum() for st in pe.states])
     assert probs[0] == pytest.approx(1.0)
     assert np.abs(probs[1:] - 1).max() > 1e-6
     assert np.all((probs > 0.8) & (probs < 1.3))

@@ -33,6 +33,7 @@ from .lattice import (
     CoinAngles,
     MomentumGrid,
     _g12,
+    _shared_text,
     _wrap_angle,
     _write_csv,
     coin_matrix,
@@ -45,6 +46,9 @@ CLOSED_FORM_COS2OMEGA_MIN = 1e-6
 # integer extraction from accumulated phase
 WINDING_RESIDUAL_MAX = 0.01
 PT_TOL = 1e-9
+# most points per axis of a phase-diagram scan: 2^20 cells, whose status
+# array alone is 32 MB and whose SVG is about 100 MB
+MAX_RESOLUTION = 1024
 
 _SQ2 = np.sqrt(2.0)
 
@@ -303,9 +307,14 @@ class PhaseDiagram:
         return len(self.theta1)
 
     def write_csv(self, path) -> None:
+        # angles, loss and labels repeat across the map: each distinct one is
+        # formatted once, and the rows share the texts
+        theta1 = _shared_text(self.theta1, "{:.12g}".format)
+        theta2 = _shared_text(self.theta2, "{:.12g}".format)
+        label = _shared_text(self.winding, lambda w: "" if np.isnan(w) else str(int(w)))
+        loss = _g12([self.loss]) * self.resolution
         _write_csv(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"], (
-            [_g12(self.theta1[i]), _g12(self.theta2[i]), _g12([self.loss] * self.resolution),
-             ["" if np.isnan(w) else str(int(w)) for w in self.winding[i].tolist()],
+            [theta1[i].tolist(), theta2[i].tolist(), loss, label[i].tolist(),
              self.pt_status[i].tolist(), _g12(self.min_gap[i])]
             for i in range(self.resolution)))
 
@@ -322,8 +331,9 @@ def phase_diagram_scan(
 
     Cells whose gap closes get no winding.
     """
-    if resolution < 32:
-        raise ConfigError(f"resolution must be >= 32 per axis, got {resolution}")
+    if not 32 <= resolution <= MAX_RESOLUTION:
+        raise ConfigError(f"resolution must be in [32, {MAX_RESOLUTION}] per axis, "
+                          f"got {resolution}")
     for name, (start, stop) in (("theta1", theta1_range), ("theta2", theta2_range)):
         # a wider window would scan some angles twice
         if not 0 < stop - start <= 2 * np.pi + STRUCT_TOL:

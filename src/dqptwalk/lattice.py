@@ -18,6 +18,9 @@ STRUCT_TOL = 1e-12
 GAP_TOL = 1e-9
 # most dt steps a time grid may take
 MAX_TIME_STEPS = 10**6
+# most momenta a grid may hold: 8x the default grid; one complex table over
+# the default 701 times is then 184 MB
+MAX_MOMENTA = 2**14
 
 
 def normalize_angle(a: float) -> float:
@@ -58,6 +61,17 @@ def _g12(values) -> list:
     return [f"{x:.12g}" for x in np.asarray(values).tolist()]
 
 
+def _shared_text(values, fmt) -> np.ndarray:
+    """fmt(x) of each element of a real array, as an object array of the
+    array's shape. fmt runs once per distinct bit pattern, and elements with
+    equal bits share its text: keyed by bits, -0.0 and 0.0 keep their own
+    text and all NaNs of one pattern share one."""
+    a = np.asarray(values, dtype=float)
+    bits, idx = np.unique(a.view(np.int64), return_inverse=True)
+    text = np.array([fmt(x) for x in bits.view(float).tolist()], dtype=object)
+    return text[idx.reshape(a.shape)]
+
+
 def _write_csv(path, header, blocks) -> None:
     """Write CSV rows with the CRLF line ends of csv.writer; no field needs
     quoting. Each block is a list of equal-length text columns, written in
@@ -93,8 +107,8 @@ class MomentumGrid:
 
     def __post_init__(self):
         n = self.n_points
-        if n < 16 or n % 2:
-            raise ConfigError(f"n_points must be even and >= 16, got {n}")
+        if n < 16 or n % 2 or n > MAX_MOMENTA:
+            raise ConfigError(f"n_points must be even and in [16, {MAX_MOMENTA}], got {n}")
         ks = -np.pi + 2 * np.pi * np.arange(1, n + 1) / n
         object.__setattr__(self, "samples", ks)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .lattice import _shared_text
+
 PALETTE = ("#2060a8", "#c03020", "#208040", "#9040a0", "#c08020", "#508090")
 W, H = 720, 420
 ML, MR, MT, MB = 62, 16, 34, 46
@@ -102,18 +104,14 @@ def line_chart(path, series, vlines=(), title="", xlabel="t", ylabel=""):
                             f'y2="{H - MB}" stroke="#888" stroke-dasharray="4 3"/>')
     for i, (label, x, y) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = []
-        chunks = []
-        for xi, yi in zip(x, y):
-            if np.isfinite(yi):
-                pts.append(f"{sx(xi):.1f},{sy(yi):.1f}")
-            elif pts:
-                chunks.append(pts)
-                pts = []
-        if pts:
-            chunks.append(pts)
-        for ch in chunks:
-            cv.parts.append(f'<polyline points="{" ".join(ch)}" fill="none" '
+        # sx and sy over whole arrays are the IEEE operations of one point,
+        # in the same order, so the same bits
+        px, py = sx(x).tolist(), sy(y).tolist()
+        # a non-finite y breaks the line: one polyline per run of finite ones
+        edges = np.flatnonzero(np.diff(np.r_[0, np.isfinite(y), 0])).tolist()
+        for a, b in zip(edges[::2], edges[1::2]):
+            pts = " ".join(f"{u:.1f},{v:.1f}" for u, v in zip(px[a:b], py[a:b]))
+            cv.parts.append(f'<polyline points="{pts}" fill="none" '
                             f'stroke="{color}" stroke-width="1.4"/>')
         if label:
             ly = MT + 14 + 14 * i
@@ -151,9 +149,9 @@ def errorbar_chart(path, rows, title="", xlabel="t", ylabel=""):
     cv.finish(path)
 
 
-def _winding_color(w, status):
+def _winding_color(w, boundary):
     if np.isnan(w):
-        return "#b0b0b0" if status == "boundary" else "#707070"
+        return "#b0b0b0" if boundary else "#707070"
     table = {0: "#f2f2e8", -2: "#3a6fb0", 2: "#c04a3a", -1: "#7fa8d0",
              1: "#d08a7f", -4: "#1d3a60", 4: "#6e2218"}
     return table.get(int(w), "#caa0d0")
@@ -166,17 +164,22 @@ def phase_map(path, diagram, title=""):
     ch = (H - MT - MB) / res
     cv = _Canvas(title, "theta1", "theta2")
     # column and row of each cell: rank of its angle among the distinct ones
-    i1 = np.unique(diagram.theta1.ravel(), return_inverse=True)[1].reshape(res, res)
-    i2 = np.unique(diagram.theta2.ravel(), return_inverse=True)[1].reshape(res, res)
+    u1, i1 = np.unique(diagram.theta1.ravel(), return_inverse=True)
+    u2, i2 = np.unique(diagram.theta2.ravel(), return_inverse=True)
+    # a cell is head + mid + fill; each is formatted once: the x of each
+    # column, the y of each row with the one size, the colour of each
+    # distinct (winding, boundary) pair
+    head = np.array([f'<rect x="{ML + c * cw:.1f}" y="' for c in range(len(u1))], dtype=object)
+    mid = np.array([f'{H - MB - (c + 1) * ch:.1f}" width="{cw + 0.5:.1f}" '
+                    f'height="{ch + 0.5:.1f}" fill="' for c in range(len(u2))], dtype=object)
+    fill = np.where(diagram.pt_status == "boundary",
+                    _shared_text(diagram.winding, lambda w: f'{_winding_color(w, True)}"/>'),
+                    _shared_text(diagram.winding, lambda w: f'{_winding_color(w, False)}"/>'))
 
     def rows():
         # one string per theta1 row: few writes, and never the whole map at once
-        for row in zip(i1.tolist(), i2.tolist(), diagram.winding.tolist(),
-                       diagram.pt_status.tolist()):
-            yield "\n".join(f'<rect x="{ML + c1 * cw:.1f}" y="{H - MB - (c2 + 1) * ch:.1f}" '
-                            f'width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" '
-                            f'fill="{_winding_color(w, status)}"/>'
-                            for c1, c2, w, status in zip(*row))
+        for a, b, f in zip(i1.reshape(res, res), i2.reshape(res, res), fill):
+            yield "\n".join((head[a] + mid[b] + f).tolist())
         yield (f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
                f'height="{H - MT - MB}" fill="none" stroke="#333"/>')
 

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqptwalk import cli
+from dqptwalk import cli, floquet
 from dqptwalk.errors import ConfigError
+from dqptwalk.floquet import MAX_RESOLUTION
+from dqptwalk.lattice import MAX_MOMENTA
 
 
 def test_parse_pi_value():
@@ -143,6 +145,26 @@ def test_phase_diagram_kpoints_not_clamped(tmp_path, capsys, kpoints):
                    "--out", out])
     assert rc == 2
     assert "n_points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, first_step", [
+    (["phase-diagram", "--set", f"resolution={MAX_RESOLUTION + 1}"], (floquet, "alpha_beta")),
+    (["phase-diagram", "--set", "resolution=32", "--set", f"kpoints={MAX_MOMENTA + 2}"],
+     (floquet, "alpha_beta")),
+    (["quench", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+      "--kpoints", MAX_MOMENTA + 2], (cli, "QuenchAnalysis")),
+])
+def test_oversized_grid_is_usage_error(tmp_path, capsys, monkeypatch, argv, first_step):
+    def started(*args):
+        raise AssertionError("a run started")
+
+    # refused by the size check alone: a run that got past it fails at its
+    # first step
+    monkeypatch.setattr(*first_step, started)
+    out = tmp_path / "x"
+    assert run_main(argv + ["--out", out]) == 2
+    assert "must be" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,0 +1,187 @@
+"""The phase-map CSV and SVG and the line chart against the per-element
+writers they replace: the same bytes for the same input. The references
+format every cell and point on its own, as the writers did before each
+distinct text was formatted once and shared."""
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from dqptwalk import svgplot
+from dqptwalk.floquet import PhaseDiagram, phase_diagram_scan
+from dqptwalk.lattice import _g12, _write_csv
+from dqptwalk.svgplot import H, MB, ML, MR, MT, PALETTE, W, _Canvas, _finite_span, _frame
+
+NAN = float("nan")
+
+
+def _reference_write_csv(path, pd):
+    _write_csv(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"], (
+        [_g12(pd.theta1[i]), _g12(pd.theta2[i]), _g12([pd.loss] * pd.resolution),
+         ["" if np.isnan(w) else str(int(w)) for w in pd.winding[i].tolist()],
+         pd.pt_status[i].tolist(), _g12(pd.min_gap[i])]
+        for i in range(pd.resolution)))
+
+
+def _reference_color(w, status):
+    if np.isnan(w):
+        return "#b0b0b0" if status == "boundary" else "#707070"
+    table = {0: "#f2f2e8", -2: "#3a6fb0", 2: "#c04a3a", -1: "#7fa8d0",
+             1: "#d08a7f", -4: "#1d3a60", 4: "#6e2218"}
+    return table.get(int(w), "#caa0d0")
+
+
+def _reference_phase_map(path, diagram, title=""):
+    res = diagram.resolution
+    cw = (W - ML - MR) / res
+    ch = (H - MT - MB) / res
+    cv = _Canvas(title, "theta1", "theta2")
+    i1 = np.unique(diagram.theta1.ravel(), return_inverse=True)[1].reshape(res, res)
+    i2 = np.unique(diagram.theta2.ravel(), return_inverse=True)[1].reshape(res, res)
+
+    def rows():
+        for row in zip(i1.tolist(), i2.tolist(), diagram.winding.tolist(),
+                       diagram.pt_status.tolist()):
+            yield "\n".join(f'<rect x="{ML + c1 * cw:.1f}" y="{H - MB - (c2 + 1) * ch:.1f}" '
+                            f'width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" '
+                            f'fill="{_reference_color(w, status)}"/>'
+                            for c1, c2, w, status in zip(*row))
+        yield (f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
+               f'height="{H - MT - MB}" fill="none" stroke="#333"/>')
+
+    cv.finish(path, rows())
+
+
+def _reference_line_chart(path, series, vlines=(), title="", xlabel="t", ylabel=""):
+    series = [(lab, np.asarray(x, float), np.asarray(y, float))
+              for lab, x, y in series]
+    xlo, xhi = _finite_span([x for _, x, _ in series])
+    ylo, yhi = _finite_span([y for _, _, y in series])
+    cv = _Canvas(title, xlabel, ylabel)
+    sx, sy = _frame(cv, xlo, xhi, ylo, yhi)
+    for v in vlines:
+        if xlo <= v <= xhi:
+            px = sx(v)
+            cv.parts.append(f'<line x1="{px:.1f}" y1="{MT}" x2="{px:.1f}" '
+                            f'y2="{H - MB}" stroke="#888" stroke-dasharray="4 3"/>')
+    for i, (label, x, y) in enumerate(series):
+        color = PALETTE[i % len(PALETTE)]
+        pts = []
+        chunks = []
+        for xi, yi in zip(x, y):
+            if np.isfinite(yi):
+                pts.append(f"{sx(xi):.1f},{sy(yi):.1f}")
+            elif pts:
+                chunks.append(pts)
+                pts = []
+        if pts:
+            chunks.append(pts)
+        for ch in chunks:
+            cv.parts.append(f'<polyline points="{" ".join(ch)}" fill="none" '
+                            f'stroke="{color}" stroke-width="1.4"/>')
+        if label:
+            ly = MT + 14 + 14 * i
+            cv.parts.append(f'<line x1="{W - MR - 90}" y1="{ly - 4}" '
+                            f'x2="{W - MR - 70}" y2="{ly - 4}" stroke="{color}" '
+                            f'stroke-width="2"/>')
+            cv.parts.append(f'<text x="{W - MR - 65}" y="{ly}" '
+                            f'font-family="sans-serif" font-size="11">{label}</text>')
+    cv.finish(path)
+
+
+def _write_csv_of(path, pd):
+    pd.write_csv(path)
+
+
+def _same_bytes(write, reference, *args, **kwargs):
+    with tempfile.TemporaryDirectory() as d:
+        new, old = Path(d) / "new", Path(d) / "old"
+        write(new, *args, **kwargs)
+        reference(old, *args, **kwargs)
+        return new.read_bytes() == old.read_bytes()
+
+
+def _diagram(theta1, theta2, winding, status, gap, loss=0.2):
+    return PhaseDiagram(*(np.array(a, dtype=float) for a in (theta1, theta2, winding)),
+                        np.array(status), np.array(gap, dtype=float), loss)
+
+
+# both zeros, repeats, both NaN signs and windings off the colour table
+ANGLE = st.sampled_from([0.0, -0.0, np.pi, -np.pi, 0.5, 1 / 3, NAN, -NAN]) | st.floats(-4, 4)
+WINDING = st.sampled_from([NAN, -NAN, 0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0,
+                           4.0, -4.0, 6.0, -6.0])
+STATUS = st.sampled_from(["unbroken", "broken", "boundary"])
+GAP = st.sampled_from([0.0, -0.0, 1e-9]) | st.floats(0, 2)
+LOSS = st.sampled_from([0.0, -0.0, 0.2, 0.36])
+
+
+@st.composite
+def diagrams(draw):
+    res = draw(st.integers(1, 6))
+
+    def grid(elements):
+        return np.array(draw(st.lists(elements, min_size=res * res, max_size=res * res)),
+                        dtype=object).reshape(res, res).tolist()
+
+    if draw(st.booleans()):
+        # the layout a scan makes: theta1 constant along rows, theta2 along columns
+        t1s, t2s = (draw(st.lists(ANGLE, min_size=res, max_size=res)) for _ in range(2))
+        theta1, theta2 = np.meshgrid(t1s, t2s, indexing="ij")
+    else:
+        theta1, theta2 = grid(ANGLE), grid(ANGLE)
+    return _diagram(theta1, theta2, grid(WINDING), grid(STATUS), grid(GAP), draw(LOSS))
+
+
+# each zero in both orders: a cache keyed by value writes one text for both
+SIGNED_ZEROS = _diagram([[0.0, -0.0], [-0.0, 0.0]], [[-0.0, 0.0], [0.0, -0.0]],
+                        [[0.0, -0.0], [NAN, -NAN]], [["boundary", "broken"], ["boundary", "unbroken"]],
+                        [[-0.0, 0.0], [0.0, -0.0]], -0.0)
+
+
+@given(diagrams())
+@example(SIGNED_ZEROS)
+@settings(max_examples=200, deadline=None)
+def test_phase_diagram_csv_bytes(pd):
+    assert _same_bytes(_write_csv_of, _reference_write_csv, pd)
+
+
+@given(diagrams(), st.sampled_from(["", "winding map, loss=0.2"]))
+@example(SIGNED_ZEROS, "")
+@settings(max_examples=200, deadline=None)
+def test_phase_map_svg_bytes(pd, title):
+    assert _same_bytes(svgplot.phase_map, _reference_phase_map, pd, title=title)
+
+
+def test_scanned_map_bytes():
+    pd = phase_diagram_scan((-np.pi, np.pi), (-np.pi / 2, np.pi / 2), resolution=32, l=0.2,
+                            n_k=32)
+    assert _same_bytes(_write_csv_of, _reference_write_csv, pd)
+    assert _same_bytes(svgplot.phase_map, _reference_phase_map, pd, title="map")
+
+
+Y = st.sampled_from([NAN, np.inf, -np.inf, 0.0, -0.0, 1.0]) | st.floats(-1e3, 1e3)
+X = st.floats(-10, 10) | st.just(NAN)
+
+
+@st.composite
+def curves(draw):
+    n = draw(st.integers(0, 40))
+    x = draw(st.lists(X, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        x = sorted(x)
+    return draw(st.sampled_from(["", "sector 1"])), x, draw(st.lists(Y, min_size=n, max_size=n))
+
+
+T8 = np.linspace(0, 7, 8)
+
+
+@given(st.lists(curves(), min_size=1, max_size=3), st.lists(st.floats(-20, 20), max_size=3))
+@example([("nan at both ends and in runs", T8, [NAN, 1, 2, NAN, NAN, 3, 4, NAN])], [])
+@example([("", T8, [NAN] * 8), ("a", T8, [NAN, NAN, NAN, 5, NAN, NAN, NAN, NAN])], [])
+@example([("constant", T8, [2.0] * 8), ("", T8, [-np.inf, 2, np.inf, 2, 2, 2, 2, 2])],
+         [-100.0, 3.5, 100.0])
+@settings(max_examples=200, deadline=None)
+def test_line_chart_bytes(series, vlines):
+    assert _same_bytes(svgplot.line_chart, _reference_line_chart, series, vlines,
+                       title="t", ylabel="g(t)")

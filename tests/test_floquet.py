@@ -10,6 +10,7 @@ from dqptwalk.errors import (
     TopologicalBoundaryError,
 )
 from dqptwalk.floquet import (
+    MAX_RESOLUTION,
     alpha_beta,
     bloch_coefficients,
     eigensystem_arrays,
@@ -305,6 +306,16 @@ def test_pt_classify_equals_grid_search(t1, t2, l):
 def test_phase_diagram_resolution_floor():
     with pytest.raises(ConfigError):
         phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), resolution=16)
+
+
+def test_phase_diagram_resolution_cap(monkeypatch):
+    def started(*args):
+        raise AssertionError("the scan started")
+
+    # refused by the check alone: a scan that got past it fails at once
+    monkeypatch.setattr(floquet, "MomentumGrid", started)
+    with pytest.raises(ConfigError, match="resolution"):
+        phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), resolution=MAX_RESOLUTION + 1)
 
 
 def test_tuple_angles_accepted():

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from dqptwalk.errors import ConfigError
 from dqptwalk.lattice import (
+    MAX_MOMENTA,
     CoinAngles,
     MomentumGrid,
     TimeGrid,
@@ -79,6 +80,9 @@ def test_momentum_grid_contract():
         MomentumGrid(15)
     with pytest.raises(ConfigError):
         MomentumGrid(8)
+    assert len(MomentumGrid(MAX_MOMENTA).samples) == MAX_MOMENTA
+    with pytest.raises(ConfigError, match="n_points"):
+        MomentumGrid(MAX_MOMENTA + 2)
 
 
 def test_time_grid():

@@ -6,7 +6,6 @@ nonanalyticities of the return-rate function, tracks the quantized winding of
 the Pancharatnam phase, and replays the interferometric measurement with its
 full instrument-noise budget.
 """
-from .backend import BACKEND
 from .errors import (
     ConfigError,
     DegenerateSpectrumError,
@@ -44,11 +43,9 @@ from .quench import (
     LoschmidtField,
     QuenchSpec,
     SectorTable,
-    evolve_k,
     evolve_position,
     initial_state,
     loschmidt_field,
-    loschmidt_k,
     overlaps,
 )
 from .analysis import (
@@ -64,7 +61,6 @@ from .analysis import (
     dynamic_phase,
     find_critical,
     find_fixed_points,
-    pgp,
     rate_function,
 )
 from .measurement import (

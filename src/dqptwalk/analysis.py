@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from . import roots
-from .backend import phase_increments, two_mode_table
 from .errors import (
     ConfigError,
     IllDefinedPhaseError,
@@ -24,9 +23,16 @@ from .errors import (
     UndefinedDynamicPhaseError,
     UnresolvedPhaseJumpError,
 )
-from .floquet import _cabs
+from .floquet import _cabs, phase_increments
 from .lattice import MomentumGrid, TimeGrid, normalize_angle
-from .quench import LoschmidtField, QuenchSpec, SectorTable, loschmidt_field, overlaps
+from .quench import (
+    LoschmidtField,
+    QuenchSpec,
+    SectorTable,
+    loschmidt_field,
+    overlaps,
+    two_mode_table,
+)
 
 FIXED_POINT_CUT = 0.05       # grid minima below this are candidate zeros
 FIXED_POINT_ACCEPT = 1e-8
@@ -39,11 +45,6 @@ DTOP_RESOLUTION = 256        # sector momenta of an order-parameter evaluation
 KINK_FACTOR = 10.0           # second differences this many medians out are kinks
 DIP_CUT = 0.05               # min_k |G| below this is a rate dip
 AGREEMENT_WINDOW = 0.05      # signals this close in time are one event
-
-
-def _wrap(x):
-    """Wrap to (-pi, pi]."""
-    return np.angle(np.exp(1j * np.asarray(x)))
 
 
 def _runs(values, gap) -> list:
@@ -114,12 +115,6 @@ def dynamic_phase(table: SectorTable, times) -> np.ndarray:
         raise UndefinedDynamicPhaseError(
             "quasienergies are complex; the dynamical phase has no meaning here")
     return table.dynamic_rate[:, None] * np.asarray(times, dtype=float)[None, :]
-
-
-def pgp(table: SectorTable, times) -> np.ndarray:
-    """Pancharatnam geometric phase arg G - phi_dyn, wrapped to (-pi, pi]."""
-    g = table.loschmidt(times)
-    return _wrap(np.angle(g) - dynamic_phase(table, times))
 
 
 def _unwound(table: SectorTable, times) -> np.ndarray:
@@ -409,7 +404,7 @@ def dtop_trace(fps: FixedPointSet, sector: int, times,
     lo, hi = _sector_bounds(fps, sector)
     times = np.asarray(times, dtype=float)
     z = _unwound(overlaps(spec, np.linspace(lo, hi, resolution + 1)), times)
-    inc = np.angle(z[1:, :] * np.conj(z[:-1, :]))
+    inc = phase_increments(z)
     vals = inc.sum(axis=0) / (2 * np.pi)
     bad = np.abs(z).min(axis=0) < 1e-12
     rough = (np.abs(inc).max(axis=0) > PHASE_JUMP_GUARD) & ~bad

@@ -29,7 +29,7 @@ from .floquet import (
     winding_global_berry,
     winding_unitary,
 )
-from .lattice import MomentumGrid, TimeGrid, _g12, _write_csv
+from .lattice import MAX_TABLE_ENTRIES, MomentumGrid, TimeGrid, _g12, _write_csv
 from .measurement import ErrorModel, monte_carlo_errorbars
 from .presets import PRESET_IDS, preset
 from .quench import QuenchSpec, evolve_position
@@ -111,7 +111,12 @@ def _grids(cfg):
     n_k = _get(cfg, "kpoints", 128, int)
     t_max = _get(cfg, "t_max", 7.0, float)
     dt = _get(cfg, "dt", 0.01, float)
-    return MomentumGrid(n_k), TimeGrid(t_max, dt)
+    grid, tgrid = MomentumGrid(n_k), TimeGrid(t_max, dt)
+    n_t = len(tgrid.samples)
+    if n_k * n_t > MAX_TABLE_ENTRIES:
+        raise ConfigError(f"kpoints x time samples must be at most {MAX_TABLE_ENTRIES}, "
+                          f"got {n_k} x {n_t}")
+    return grid, tgrid
 
 
 def _headline(spec: QuenchSpec) -> dict:
@@ -227,10 +232,11 @@ def cmd_quench(config: RunConfig) -> dict:
     cfg = config.options
     spec = build_spec(cfg)
     grid, tgrid = _grids(cfg)
+    # the walk comes first: its length check refuses before anything is written
+    evo = evolve_position(spec, int(tgrid.t_max))
     qa = QuenchAnalysis(spec, grid, tgrid)
     em = _Emitter(config.out_dir)
     qa.field.write_csv(em.path("loschmidt.csv"))
-    evo = evolve_position(spec, int(tgrid.t_max))
     evo.write_csv(em.path("field.csv"))
     _quench_products(qa, em, "quench")
     report = analysis_report(qa)
@@ -299,11 +305,11 @@ def cmd_reproduce(config: RunConfig) -> dict:
         raise ConfigError("reproduce-figure needs --figure "
                           f"(one of {', '.join(PRESET_IDS)})")
     runs = preset(config.figure)
-    cfg = config.options
+    grids = _grids(config.options)
     em = _Emitter(config.out_dir)
     headline: dict = {}
     for label, spec in runs:
-        _quench_products(QuenchAnalysis(spec, *_grids(cfg)), em, label)
+        _quench_products(QuenchAnalysis(spec, *grids), em, label)
         headline[label] = _headline(spec)
     em.write_summary(config, headline)
     return headline

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import phase_increments
 from .errors import (
     ConfigError,
     DegenerateSpectrumError,
@@ -32,6 +31,7 @@ from .lattice import (
     STRUCT_TOL,
     CoinAngles,
     MomentumGrid,
+    _as_coin_angles,
     _g12,
     _shared_text,
     _wrap_angle,
@@ -54,9 +54,7 @@ _SQ2 = np.sqrt(2.0)
 
 
 def alpha_beta(l: float) -> tuple[float, float]:
-    if not 0 <= l < 1:
-        raise ConfigError(f"loss must be in [0, 1), got {l}")
-    g = (1 - l) ** -0.25
+    g = step_gamma(l)
     r = np.sqrt(1 - l)
     return g * (1 + r) / 2, g * (1 - r) / 2
 
@@ -76,8 +74,7 @@ def _bloch_matrices(d0, d1, d2, d3) -> np.ndarray:
 
 def bloch_coefficients(angles: CoinAngles, l: float, k):
     """Vectorized (d0, beta, d2, d3) over scalar or array k; d1 = i*beta."""
-    if not isinstance(angles, CoinAngles):
-        angles = CoinAngles(*angles)
+    angles = _as_coin_angles(angles)
     al, be = alpha_beta(l)
     c1, s1 = np.cos(angles.theta1), np.sin(angles.theta1)
     c2, s2 = np.cos(angles.theta2), np.sin(angles.theta2)
@@ -94,8 +91,7 @@ def floquet_matrix(angles: CoinAngles, l: float, k: float) -> np.ndarray:
     Lossless: C(t1/2) S C(t2) S C(t1/2). Lossy: the middle coin splits around
     the partial measurement and the product carries the gamma rescale.
     """
-    if not isinstance(angles, CoinAngles):
-        angles = CoinAngles(*angles)
+    angles = _as_coin_angles(angles)
     s = shift_matrix(k)
     outer = coin_matrix(angles.theta1 / 2)
     if l == 0:
@@ -211,6 +207,13 @@ def _gap_check(d0: np.ndarray) -> None:
         raise TopologicalBoundaryError("gap closes on the momentum grid; winding undefined")
 
 
+def phase_increments(z):
+    """Wrapped phase increments arg(z[i+1] * conj(z[i])) along axis 0, each
+    in (-pi, pi]."""
+    z = np.asarray(z, dtype=complex)
+    return np.angle(z[1:] * np.conj(z[:-1]))
+
+
 def _integer_from_phase(total: float, what: str) -> int:
     raw = total / (2 * np.pi)
     nu = round(raw)
@@ -275,8 +278,7 @@ def _d0_range(theta1, theta2, l: float):
 
 def pt_classify(angles: CoinAngles, l: float):
     """PT status and max_k d0^2: entirely real spectrum iff below 1."""
-    if not isinstance(angles, CoinAngles):
-        angles = CoinAngles(*angles)
+    angles = _as_coin_angles(angles)
     lo, hi = _d0_range(angles.theta1, angles.theta2, l)
     max_sq = float(max(lo**2, hi**2))
     return str(_pt_status(max_sq)), max_sq

@@ -21,6 +21,8 @@ MAX_TIME_STEPS = 10**6
 # most momenta a grid may hold: 8x the default grid; one complex table over
 # the default 701 times is then 184 MB
 MAX_MOMENTA = 2**14
+# most entries of one (momenta, times) table: the 184 MB above
+MAX_TABLE_ENTRIES = MAX_MOMENTA * 701
 
 
 def normalize_angle(a: float) -> float:
@@ -92,6 +94,13 @@ class CoinAngles:
     def __post_init__(self):
         object.__setattr__(self, "theta1", normalize_angle(self.theta1))
         object.__setattr__(self, "theta2", normalize_angle(self.theta2))
+
+
+def _as_coin_angles(value) -> CoinAngles:
+    """value as CoinAngles; a (theta1, theta2) pair is converted."""
+    if isinstance(value, CoinAngles):
+        return value
+    return CoinAngles(*value)
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .backend import two_mode_table, walk_step
 from .errors import ConfigError, InvalidInitialProtocolError
-from .floquet import _require_gap, bloch_coefficients, eigensystem_arrays, floquet_matrix
-from .lattice import CoinAngles, MomentumGrid, TimeGrid, _g12, _write_csv
+from .floquet import _require_gap, bloch_coefficients, eigensystem_arrays, step_gamma
+from .lattice import CoinAngles, MomentumGrid, TimeGrid, _as_coin_angles, _g12, _write_csv
 
 FLAT_BAND_TOL = 1e-10
+# most steps of a position-space walk, whose history holds about
+# 64 n^2 bytes per walk after n steps: 640 kB at this cap
+MAX_WALK_STEPS = 100
 
 _REGIMES = ("pure", "mixed", "nonunitary")
-
-
-def _coerce_angles(value) -> CoinAngles:
-    if isinstance(value, CoinAngles):
-        return value
-    return CoinAngles(*value)
 
 
 @dataclass(frozen=True)
@@ -52,8 +48,8 @@ class QuenchSpec:
     mix_p: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_angles", _coerce_angles(self.initial_angles))
-        object.__setattr__(self, "final_angles", _coerce_angles(self.final_angles))
+        object.__setattr__(self, "initial_angles", _as_coin_angles(self.initial_angles))
+        object.__setattr__(self, "final_angles", _as_coin_angles(self.final_angles))
         if self.regime not in _REGIMES:
             raise ConfigError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
         if self.regime == "nonunitary":
@@ -124,6 +120,14 @@ def initial_state(spec: QuenchSpec) -> InitialState:
         return InitialState(np.array([psi_m, psi_p]),
                             np.array([spec.mix_p, 1 - spec.mix_p]))
     return InitialState(np.array([psi_m]), np.array([1.0]))
+
+
+def two_mode_table(a, b, energy, times):
+    """G[j, i] = a[j] e^{i E[j] t[i]} + b[j] e^{-i E[j] t[i]} (complex E allowed)."""
+    a = np.asarray(a, dtype=complex)[:, None]
+    b = np.asarray(b, dtype=complex)[:, None]
+    phase = 1j * np.asarray(energy, dtype=complex)[:, None] * np.asarray(times, dtype=float)[None, :]
+    return a * np.exp(phase) + b * np.exp(-phase)
 
 
 @dataclass(frozen=True)
@@ -205,37 +209,6 @@ def overlaps(spec: QuenchSpec, grid: MomentumGrid | np.ndarray | None = None,
     return SectorTable(spec, ks, es["energy"], A, B, ct_p, ct_m, wm, wp)
 
 
-def evolve_k(spec: QuenchSpec, k: float, n_steps: int) -> np.ndarray:
-    """Prepared ket(s) after n integer steps of the post-quench walk at
-    momentum k; shape (m, 2) matching the initial kets."""
-    if n_steps < 0:
-        raise ConfigError("step count must be nonnegative")
-    u = floquet_matrix(spec.final_angles, spec.initial_loss, k)
-    ut = np.linalg.matrix_power(u, n_steps)
-    return spec.prepared.kets @ ut.T
-
-
-def loschmidt_k(spec: QuenchSpec, k: float, t, method: str = "two_mode"):
-    """Return-amplitude overlap G_k(t).
-
-    method "two_mode" interpolates continuously in t through the quasienergy
-    phases; "direct" takes integer matrix powers (cross-check path).
-    """
-    if method == "direct":
-        steps = int(round(float(t)))
-        if abs(steps - float(t)) > 1e-9:
-            raise ConfigError("direct evolution needs integer step counts")
-        init = spec.prepared
-        evolved = evolve_k(spec, k, steps)
-        vals = np.einsum("ij,ij->i", init.kets.conj(), evolved)
-        return complex(np.dot(init.weights, vals))
-    if method != "two_mode":
-        raise ConfigError(f"unknown loschmidt method {method!r}")
-    t = np.asarray(t, dtype=float)
-    out = overlaps(spec, [k]).loschmidt(t.ravel())[0].reshape(t.shape)
-    return complex(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class LoschmidtField:
     """G_k(t) sampled on a momentum x time grid."""
@@ -312,9 +285,49 @@ class PositionEvolution:
 def _step_params(angles: CoinAngles, l: float):
     if l == 0:
         return (angles.theta1 / 2, angles.theta2, 0.0, angles.theta1 / 2, 1.0, 1.0)
-    r = np.sqrt(1 - l)
     return (angles.theta1 / 2, angles.theta2 / 2, angles.theta2 / 2,
-            angles.theta1 / 2, r, (1 - l) ** -0.25)
+            angles.theta1 / 2, np.sqrt(1 - l), step_gamma(l))
+
+
+def _coin(psi, theta):
+    c = np.asarray(np.cos(theta))[..., None]
+    s = np.asarray(np.sin(theta))[..., None]
+    return np.stack((c * psi[..., 0, :] - s * psi[..., 1, :],
+                     s * psi[..., 0, :] + c * psi[..., 1, :]), axis=-2)
+
+
+def walk_step(psi, a_entry, a_mid1, a_mid2, a_exit, keep_amp, gamma):
+    """One split-step walk step on dense two-row position arrays.
+
+    psi has shape (..., 2, n): row 0 H amplitudes, row 1 V amplitudes,
+    columns are consecutive sites. The four plate angles are scalars or
+    arrays that broadcast against psi.shape[:-2], one angle per walk. Each of
+    the two shifts grows the array by one site on each side (H moves left,
+    V moves right), so the result has shape (..., 2, n + 4) and its leftmost
+    column sits two sites left of the input's. keep_amp is sqrt(1 - loss);
+    gamma rescales the step.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    lead, n = psi.shape[:-2], psi.shape[-1]
+
+    psi = _coin(psi, a_entry)
+    out = np.zeros(lead + (2, n + 2), dtype=complex)
+    out[..., 0, 0:n] = psi[..., 0, :]
+    out[..., 1, 2 : n + 2] = psi[..., 1, :]
+
+    psi = _coin(out, a_mid1)
+    m0 = 0.5 * (1.0 + keep_amp)
+    m1 = 0.5 * (1.0 - keep_amp)
+    psi = np.stack((m0 * psi[..., 0, :] + m1 * psi[..., 1, :],
+                    m1 * psi[..., 0, :] + m0 * psi[..., 1, :]), axis=-2)
+    psi = _coin(psi, a_mid2)
+
+    out = np.zeros(lead + (2, n + 4), dtype=complex)
+    out[..., 0, 0 : n + 2] = psi[..., 0, :]
+    out[..., 1, 2 : n + 4] = psi[..., 1, :]
+
+    psi = _coin(out, a_exit)
+    return gamma * psi
 
 
 def evolve_position(spec: QuenchSpec, n_steps: int,
@@ -325,10 +338,11 @@ def evolve_position(spec: QuenchSpec, n_steps: int,
     four coin plate angles (entry, mid, mid, exit); used to model
     miscalibrated plates. Leading axes batch independent replays, and every
     states[t] then carries them in front of its (m, 2, 4t + 1) block.
-    Lossless walks ignore the second mid angle.
+    Lossless walks ignore the second mid angle. The walk keeps every step,
+    so it takes at most MAX_WALK_STEPS of them.
     """
-    if n_steps < 0:
-        raise ConfigError("step count must be nonnegative")
+    if not 0 <= n_steps <= MAX_WALK_STEPS:
+        raise ConfigError(f"step count must be in [0, {MAX_WALK_STEPS}], got {n_steps}")
     base = _step_params(spec.final_angles, spec.initial_loss)
     init = spec.prepared
     lead = () if plate_angles is None else np.shape(plate_angles)[:-2]

@@ -11,7 +11,6 @@ from dqptwalk.analysis import (
     dynamic_phase,
     find_critical,
     find_fixed_points,
-    pgp,
     rate_function,
 )
 from dqptwalk.errors import (
@@ -66,10 +65,21 @@ def test_dynamic_phase_refuses_complex_spectrum(kgrid):
         dynamic_phase(overlaps(FIG4B, kgrid), np.array([1.0]))
 
 
+def _reference_pgp(table, times):
+    """Pancharatnam geometric phase arg G - phi_dyn, wrapped to (-pi, pi]."""
+    phase = np.angle(table.loschmidt(times)) - dynamic_phase(table, times)
+    return np.angle(np.exp(1j * phase))
+
+
 def test_pgp_wrapped(kgrid):
-    vals = pgp(overlaps(FIG2A, kgrid), np.linspace(0.0, 7.0, 15))
+    table = overlaps(FIG2A, kgrid)
+    times = np.linspace(0.0, 7.0, 15)
+    vals = _reference_pgp(table, times)
     assert vals.max() <= np.pi + 1e-12
     assert vals.min() > -np.pi - 1e-12
+    # the order parameter's unwound amplitude carries the same phase
+    diff = np.angle(analysis._unwound(table, times)) - vals
+    assert np.abs(np.angle(np.exp(1j * diff))).max() < 1e-12
 
 
 class TestFixedPoints:

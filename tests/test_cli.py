@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqptwalk import cli, floquet
+from dqptwalk import cli, floquet, quench
 from dqptwalk.errors import ConfigError
 from dqptwalk.floquet import MAX_RESOLUTION
 from dqptwalk.lattice import MAX_MOMENTA
@@ -153,7 +153,17 @@ def test_phase_diagram_kpoints_not_clamped(tmp_path, capsys, kpoints):
     (["phase-diagram", "--set", "resolution=32", "--set", f"kpoints={MAX_MOMENTA + 2}"],
      (floquet, "alpha_beta")),
     (["quench", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
-      "--kpoints", MAX_MOMENTA + 2], (cli, "QuenchAnalysis")),
+      "--kpoints", MAX_MOMENTA + 2], (cli, "evolve_position")),
+    # each grid fits, but one (n_k, n_t) table would take 1.8 GB
+    (["quench", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+      "--kpoints", MAX_MOMENTA, "--set", "dt=0.001"], (cli, "evolve_position")),
+    (["reproduce-figure", "--figure", "fig2a", "--kpoints", MAX_MOMENTA,
+      "--set", "dt=0.001"], (cli, "QuenchAnalysis")),
+    # walks whose step history would take about 640 GB and 4 GB
+    (["quench", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+      "--kpoints", 16, "--set", "t_max=100000", "--set", "dt=1"], (quench, "walk_step")),
+    (["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+      "--set", "n_steps=1000"], (quench, "walk_step")),
 ])
 def test_oversized_grid_is_usage_error(tmp_path, capsys, monkeypatch, argv, first_step):
     def started(*args):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dqptwalk.analysis import find_fixed_points
-from dqptwalk.backend import walk_step
 from dqptwalk.errors import ConfigError, PhysicsError
 from dqptwalk.lattice import MomentumGrid, coin_matrix
 from dqptwalk.measurement import (
@@ -23,6 +22,7 @@ from dqptwalk.quench import (
     evolve_position,
     initial_state,
     overlaps,
+    walk_step,
 )
 
 FLAT = (np.pi / 4, -np.pi / 2)

@@ -77,7 +77,6 @@ def _dedup_sorted(values, tol) -> np.ndarray:
 class RateTrace:
     """Return rate g(t) = -(2/N) sum_k ln |G_k(t)|; +inf marks an exact zero."""
 
-    spec: QuenchSpec
     times: np.ndarray
     values: np.ndarray
 
@@ -102,7 +101,7 @@ def rate_function(field: LoschmidtField) -> RateTrace:
         logs = np.log(mags)
     g = -(2.0 / n) * logs.sum(axis=0)
     g[np.any(mags == 0, axis=0)] = np.inf
-    return RateTrace(field.spec, field.times, g)
+    return RateTrace(field.times, g)
 
 
 def dynamic_phase(table: SectorTable, times) -> np.ndarray:
@@ -263,7 +262,6 @@ class CriticalMomentum:
 
 @dataclass(frozen=True)
 class CriticalSet:
-    spec: QuenchSpec
     fixed_points: FixedPointSet
     criticals: tuple
     t_max: float
@@ -334,7 +332,7 @@ def find_critical(fps: FixedPointSet, t_max: float = 7.0) -> CriticalSet:
                 raise PhysicsError(f"vanishing quasienergy at critical momentum {kc}")
             criticals.append(CriticalMomentum(float(normalize_angle(kc)), float(e),
                                               float(np.pi / (2 * e))))
-    return CriticalSet(spec, fps, tuple(_dedup_circular(criticals, 1e-9)), t_max)
+    return CriticalSet(fps, tuple(_dedup_circular(criticals, 1e-9)), t_max)
 
 
 def _sector_winding(spec: QuenchSpec, k_lo: float, k_hi: float, t: float,
@@ -382,7 +380,6 @@ def dtop(fps: FixedPointSet, t: float, sector: int = 1,
 
 @dataclass(frozen=True)
 class DtopTrace:
-    spec: QuenchSpec
     sector: int
     times: np.ndarray
     values: np.ndarray
@@ -415,22 +412,18 @@ def dtop_trace(fps: FixedPointSet, sector: int, times,
             vals[j] = _sector_winding(spec, lo, hi, times[j], resolution, 0) / (2 * np.pi)
         except IllDefinedPhaseError:
             vals[j] = np.nan
-    return DtopTrace(spec, sector, times, vals)
+    return DtopTrace(sector, times, vals)
 
 
 @dataclass(frozen=True)
 class DqptEvent:
     t_c: float
     signals_agreeing: int
-    sources: tuple
 
 
 @dataclass(frozen=True)
 class DqptReport:
-    spec: QuenchSpec
     events: tuple
-    rate_dips: np.ndarray
-    predicted: np.ndarray
     dtop_jumps: np.ndarray
 
     @property
@@ -448,11 +441,10 @@ class QuenchAnalysis:
     keeps that error as its value; callers decide whether it is fatal.
     """
 
-    def __init__(self, spec: QuenchSpec, grid: MomentumGrid | None = None,
-                 tgrid: TimeGrid | None = None):
+    def __init__(self, spec: QuenchSpec, grid: MomentumGrid, tgrid: TimeGrid):
         self.spec = spec
-        self.grid = grid or MomentumGrid()
-        self.tgrid = tgrid or TimeGrid()
+        self.grid = grid
+        self.tgrid = tgrid
 
     @cached_property
     def field(self) -> LoschmidtField:
@@ -509,7 +501,6 @@ def detect_dqpt(qa: QuenchAnalysis) -> DqptReport:
     undefined is skipped, and an undefined order parameter is no jump.
     Candidates within the agreement window merge into one event.
     """
-    spec = qa.spec
     field = qa.field
     minabs = np.abs(field.values).min(axis=0)
     dips = [float(field.times[run[np.argmin(minabs[run])]])
@@ -536,12 +527,10 @@ def detect_dqpt(qa: QuenchAnalysis) -> DqptReport:
     events = []
     for run in _runs([t for t, _ in tagged], AGREEMENT_WINDOW):
         group, tagged = tagged[:run.size], tagged[run.size:]
-        srcs = tuple(sorted({s for _, s in group}))
         anchor = next((t for t, s in group if s == "predicted"),
                       float(np.mean([t for t, _ in group])))
-        events.append(DqptEvent(float(anchor), len(srcs), srcs))
-    return DqptReport(spec, tuple(events), np.array(dips), np.array(predicted),
-                      np.array(jumps))
+        events.append(DqptEvent(float(anchor), len({s for _, s in group})))
+    return DqptReport(tuple(events), np.array(jumps))
 
 
 def analysis_report(qa: QuenchAnalysis) -> dict:

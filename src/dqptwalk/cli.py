@@ -119,21 +119,22 @@ def _grids(cfg):
     return grid, tgrid
 
 
-def _headline(spec: QuenchSpec) -> dict:
-    """Windings and the critical set on the default grids (2048 momenta,
-    t_max 7), whatever grids the run's artifacts use."""
+def _headline(qa: QuenchAnalysis) -> dict:
+    """Windings on the run's momentum grid and the critical set of the run's
+    own analysis, so the headline matches the artifacts and report.json."""
+    spec = qa.spec
     out: dict = {}
     try:
         if spec.is_unitary:
-            out["winding"] = winding_unitary(spec.final_angles)
+            out["winding"] = winding_unitary(spec.final_angles, qa.grid)
         else:
             status, _ = pt_classify(spec.final_angles, spec.loss)
             out["pt_status"] = status
-            out["winding"] = (winding_global_berry(spec.final_angles, spec.loss)
+            out["winding"] = (winding_global_berry(spec.final_angles, spec.loss, qa.grid)
                               if status == "unbroken" else None)
     except PhysicsError:
         out["winding"] = None
-    crit = QuenchAnalysis(spec).critical
+    crit = qa.critical
     if isinstance(crit, PhysicsError):
         empty = None if isinstance(crit, TrivialQuenchError) else []
         out.update(dict.fromkeys(("fixed_points", "critical_momenta", "time_scales",
@@ -243,7 +244,7 @@ def cmd_quench(config: RunConfig) -> dict:
     with open(em.path("report.json"), "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    headline = _headline(spec)
+    headline = _headline(qa)
     em.write_summary(config, headline)
     return headline
 
@@ -261,15 +262,21 @@ def cmd_dtop(config: RunConfig) -> dict:
     _write_dtop_csv(em.path("dtop.csv"), qa.dtop_traces)
     _dtop_chart(em.path("dtop.svg"), qa.dtop_traces, qa.critical_times,
                 "winding order parameter")
-    headline = _headline(spec)
+    headline = _headline(qa)
     em.write_summary(config, headline)
     return headline
 
 
+# error-mc keys that a quantity never reads
+_MC_UNREAD = {"rate_function": ("sector", "positions"), "dtop": ("positions",),
+              "pbar": ("kpoints", "sector")}
+
+
 def cmd_error_mc(config: RunConfig) -> dict:
     cfg = config.options
-    spec = build_spec(cfg)
     quantity = cfg.get("quantity", "dtop")
+    _refuse(f"error-mc quantity={quantity}", set(cfg) & set(_MC_UNREAD.get(quantity, ())))
+    spec = build_spec(cfg)
     model = ErrorModel(
         wp_angle_tol=_get(cfg, "wp_angle_tol", np.deg2rad(0.1), float),
         path_loss_tol=_get(cfg, "path_loss_tol", 0.02, float),
@@ -309,8 +316,9 @@ def cmd_reproduce(config: RunConfig) -> dict:
     em = _Emitter(config.out_dir)
     headline: dict = {}
     for label, spec in runs:
-        _quench_products(QuenchAnalysis(spec, *grids), em, label)
-        headline[label] = _headline(spec)
+        qa = QuenchAnalysis(spec, *grids)
+        _quench_products(qa, em, label)
+        headline[label] = _headline(qa)
     em.write_summary(config, headline)
     return headline
 
@@ -332,16 +340,20 @@ _COMMANDS = {
 }
 
 
+def _refuse(what: str, unread) -> None:
+    """Refuse a run given config keys that it would silently ignore."""
+    if unread:
+        raise ConfigError(f"{what} does not read config key(s) "
+                          f"{', '.join(map(str, sorted(unread)))}")
+
+
 def run(config: RunConfig) -> dict:
     if config.command not in _COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     command, keys = _COMMANDS[config.command]
-    unknown = sorted(set(config.options) - set(keys))
-    if unknown:
-        raise ConfigError(f"{config.command} does not read config key(s) "
-                          f"{', '.join(map(str, unknown))}")
+    _refuse(config.command, set(config.options) - set(keys))
     return command(config)
 
 

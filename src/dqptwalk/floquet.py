@@ -195,7 +195,7 @@ def eigensystem_arrays(angles: CoinAngles, l: float, ks: np.ndarray) -> dict:
         psi_p[bad], psi_m[bad] = right[..., 0], right[..., 1]
         chi_p[bad], chi_m[bad] = left[:, 0], left[:, 1]
     return {
-        "k": ks, "d0": d0, "energy": energy,
+        "d0": d0, "energy": energy,
         "lambda_plus": lam_p, "lambda_minus": lam_m,
         "psi_p": psi_p, "psi_m": psi_m, "chi_p": chi_p, "chi_m": chi_m,
         "closed_form": ok,

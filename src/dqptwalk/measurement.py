@@ -67,7 +67,6 @@ class PerturbedRun:
     """One noisy replay of the apparatus: per-step plate angles, analyzer
     basis errors, and the four sub-arm transmissions."""
 
-    spec: QuenchSpec
     plate_angles: np.ndarray      # (n_steps, 4) actual angles
     basis_deltas: np.ndarray      # (4,) analyzer rotations: circ1, diag1, circ2, diag2
     transmissions: np.ndarray     # (4,) evolved1, ref1, ref2, evolved2
@@ -90,7 +89,7 @@ def perturb_protocol(spec: QuenchSpec, error_model: ErrorModel,
     basis = rng.uniform(-error_model.wp_angle_tol, error_model.wp_angle_tol, 4)
     trans = 1.0 + rng.uniform(-error_model.path_loss_tol,
                               error_model.path_loss_tol, 4)
-    return PerturbedRun(spec, plates + d, basis, trans)
+    return PerturbedRun(plates + d, basis, trans)
 
 
 def poisson_counts(probabilities, total_coincidences: int, rng):
@@ -245,7 +244,9 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
     """Error bars for a measured quantity over integer steps.
 
     quantity is one of "rate_function", "dtop" (one sector, labeled
-    dtop_m<sector>), or "pbar" (labeled re/im_pbar_x<position>). Each sample
+    dtop_m<sector>), or "pbar" (labeled re/im_pbar_x<position>). The rate is
+    transformed onto grid, and the fixed points that bound the dtop sector
+    are found on it; pbar does not use it. Each sample
     replays the full measurement with fresh apparatus draws and Poisson
     counting; lossy walks keep only the counting noise. Sample i draws from
     its own generator seeded with seed XOR i, so the result does not depend
@@ -269,7 +270,7 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
     if quantity == "rate_function":
         fourier = [np.exp(-1j * np.outer(grid.samples, x)) for x in sites]
     elif quantity == "dtop":
-        lo, hi = _sector_bounds(find_fixed_points(spec), sector)
+        lo, hi = _sector_bounds(find_fixed_points(spec, grid), sector)
         ks = np.linspace(lo, hi, MC_DTOP_POINTS + 1)
         dyn_rate = overlaps(spec, ks).dynamic_rate
         fourier = [np.exp(-1j * np.outer(ks, x)) for x in sites]

@@ -141,7 +141,6 @@ class SectorTable:
     |A|, |B| of the biorthogonal coefficients.
     """
 
-    spec: QuenchSpec
     k: np.ndarray
     energy: np.ndarray
     A: np.ndarray
@@ -183,7 +182,7 @@ def overlaps(spec: QuenchSpec, grid: MomentumGrid | np.ndarray | None = None,
     psi0 = spec.prepared.kets[0]
     # A many-row @ rounds differently from a one-row @, and the polished
     # roots carry the one-row bits, so root polishing asks for the row-wise
-    # form at any batch size while grid tables keep @. ROADMAP item 3 picks
+    # form at any batch size while grid tables keep @. ROADMAP item 1 picks
     # one dot form for both and deletes this switch.
     dot = _rowwise_dot if _rowwise else np.matmul
 
@@ -206,14 +205,13 @@ def overlaps(spec: QuenchSpec, grid: MomentumGrid | np.ndarray | None = None,
             A = (p * a + (1 - p) * b).astype(complex)
             B = (p * b + (1 - p) * a).astype(complex)
         wm, wp = a, b
-    return SectorTable(spec, ks, es["energy"], A, B, ct_p, ct_m, wm, wp)
+    return SectorTable(ks, es["energy"], A, B, ct_p, ct_m, wm, wp)
 
 
 @dataclass(frozen=True)
 class LoschmidtField:
     """G_k(t) sampled on a momentum x time grid."""
 
-    spec: QuenchSpec
     k: np.ndarray
     times: np.ndarray
     values: np.ndarray  # (n_k, n_t)
@@ -234,7 +232,7 @@ def loschmidt_field(spec: QuenchSpec, grid: MomentumGrid | None = None,
     tgrid = tgrid or TimeGrid()
     table = overlaps(spec, grid)
     times = tgrid.samples
-    return LoschmidtField(spec, table.k, times, table.loschmidt(times))
+    return LoschmidtField(table.k, times, table.loschmidt(times))
 
 
 @dataclass(frozen=True)

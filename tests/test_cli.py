@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqptwalk import cli, floquet, quench
+from dqptwalk import analysis, cli, floquet, measurement, quench
 from dqptwalk.errors import ConfigError
 from dqptwalk.floquet import MAX_RESOLUTION
-from dqptwalk.lattice import MAX_MOMENTA
+from dqptwalk.lattice import MAX_MOMENTA, MomentumGrid, TimeGrid
+from dqptwalk.presets import PRESET_IDS, preset
 
 
 def test_parse_pi_value():
@@ -101,7 +102,7 @@ def test_unreadable_angle_is_usage_error(capsys):
     ["dtop", "--set", "dt=nan"],
     ["quench", "--set", "t_max=1e300"],
     ["dtop", "--set", "t_max=1e7", "--set", "dt=1e-3"],
-    ["error-mc", "--set", "positions=a"],
+    ["error-mc", "--set", "quantity=pbar", "--set", "positions=a"],
 ])
 def test_unreadable_value_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "x"
@@ -336,3 +337,65 @@ def test_trivial_quench_headline_complete(tmp_path):
         assert headline[key] is None
     report = json.loads((out / "report.json").read_text())
     assert "trivial_quench" in report and report["critical_times"] == []
+
+
+CRITICAL_KEYS = ("fixed_points", "critical_momenta", "time_scales", "critical_times")
+
+
+def test_headline_is_the_runs_own_analysis(tmp_path):
+    # a t_max of 2 cuts the critical ladder of this quench, whose first
+    # critical time is 4
+    out = tmp_path / "q"
+    rc = run_main(["quench", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                   "--kpoints", 32, "--set", "t_max=2", "--out", out])
+    assert rc == 0
+    headline = json.loads((out / "summary.json").read_text())["headline"]
+    report = json.loads((out / "report.json").read_text())
+    assert {key: headline[key] for key in CRITICAL_KEYS} \
+        == {key: report[key] for key in CRITICAL_KEYS}
+    assert all(t <= 2 for t in headline["critical_times"])
+
+
+PRESET_RUNS = dict(run for pid in PRESET_IDS for run in preset(pid))
+
+
+@pytest.mark.parametrize("label", list(PRESET_RUNS))
+def test_preset_headline_grid_independent(label):
+    # the headline of every preset label at 128 momenta, the default
+    # kpoints, is its headline at 2048 momenta bit for bit
+    spec = PRESET_RUNS[label]
+    coarse, fine = (cli._headline(analysis.QuenchAnalysis(spec, MomentumGrid(n), TimeGrid()))
+                    for n in (128, 2048))
+    assert coarse == fine
+
+
+def test_error_mc_dtop_reads_kpoints(tmp_path, monkeypatch):
+    grids = []
+
+    def recording(spec, grid):
+        grids.append(grid)
+        return analysis.find_fixed_points(spec, grid)
+
+    monkeypatch.setattr(measurement, "find_fixed_points", recording)
+    rc = run_main(["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                   "--set", "quantity=dtop", "--set", "mc_samples=100", "--set", "n_steps=2",
+                   "--kpoints", 64, "--out", tmp_path / "mc"])
+    assert rc == 0
+    assert [g.n_points for g in grids] == [64]
+
+
+@pytest.mark.parametrize("quantity, unread", [
+    ("rate_function", "sector=1"),
+    ("rate_function", "positions=0"),
+    ("dtop", "positions=0"),
+    ("pbar", "sector=1"),
+    ("pbar", "kpoints=64"),
+])
+def test_error_mc_refuses_keys_its_quantity_ignores(tmp_path, capsys, quantity, unread):
+    out = tmp_path / "mc"
+    rc = run_main(["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                   "--set", f"quantity={quantity}", "--set", unread,
+                   "--set", "mc_samples=100", "--set", "n_steps=2", "--out", out])
+    assert rc == 2
+    assert f"does not read config key(s) {unread.split('=')[0]}" in capsys.readouterr().err
+    assert not out.exists()

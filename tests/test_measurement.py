@@ -217,7 +217,7 @@ def _reference_errorbars(spec, quantity, model, n_steps, grid, positions):
     ref = _reference_probs(spec, n_steps, None, 1.0)
     sites = [np.arange(-2 * t, 2 * t + 1) for t in range(n_steps + 1)]
     if quantity == "dtop":
-        segs = find_fixed_points(spec).segments()
+        segs = find_fixed_points(spec, grid).segments()
         if not segs:
             raise PhysicsError("no winding sectors exist for this quench")
         ks = np.linspace(*segs[0], 513)

@@ -46,5 +46,8 @@ def test_outputs_match_manifest(tmp_path, name):
 
 def test_benchmark_config_keys_accepted():
     for call in CALLS.values():
-        keys = {item.split("=", 1)[0] for item in call.sets}
-        assert keys <= set(cli._COMMANDS[call.command][1]), call.name
+        cfg = dict(item.split("=", 1) for item in call.sets)
+        assert set(cfg) <= set(cli._COMMANDS[call.command][1]), call.name
+        if call.command == "error-mc":
+            unread = cli._MC_UNREAD[cfg.get("quantity", "dtop")]
+            assert not set(cfg) & set(unread), call.name

@@ -118,10 +118,11 @@ def dynamic_phase(table: SectorTable, times) -> np.ndarray:
 
 def _unwound(table: SectorTable, times) -> np.ndarray:
     """G e^{-i phi_dyn}, (n_k, n_t), whose phase is the PGP; E is taken real."""
-    times = np.asarray(times, dtype=float)
     phi = dynamic_phase(table, times)
-    g = two_mode_table(table.A, table.B, table.energy.real + 0j, times)
-    return g * np.exp(-1j * phi)
+    g = two_mode_table(table.A, table.B, table.energy.real, times)
+    w = np.multiply(-1j, phi)
+    # the phase factor is the first operand, the order of the elided g * exp(...)
+    return np.multiply(np.exp(w, out=w), g, out=g)
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,12 @@ def _projected_roots(spec: QuenchSpec, minus, lo, hi, c_lo, c_hi, drn) -> tuple:
     the channel at both ends, and the channel's modulus there; both NaN where
     the projection does not change sign."""
     k0, fun = np.full(lo.shape, np.nan), np.full(lo.shape, np.nan)
-    ok = _project(c_lo, drn) * _project(c_hi, drn) < 0
+    p_lo, p_hi = _project(c_lo, drn), _project(c_hi, drn)
+    ok = p_lo * p_hi < 0
     if ok.any():
         k0[ok] = roots.brentq(lambda k, m, d: _project(_channel(spec, k, m), d),
-                              lo[ok], hi[ok], xtol=1e-13, args=(minus[ok], drn[ok]))
+                              lo[ok], hi[ok], xtol=1e-13, args=(minus[ok], drn[ok]),
+                              ends=(p_lo[ok], p_hi[ok]))
         fun[ok] = _cabs(_channel(spec, k0[ok], minus[ok]))
     return k0, fun
 
@@ -323,10 +326,10 @@ def find_critical(fps: FixedPointSet, t_max: float = 7.0) -> CriticalSet:
     if k_lo.size:
         f_lo, f_hi = np.split(weight_h(np.concatenate([k_lo, k_hi])), 2)
         sign_change = ~(f_lo * f_hi > 0)
-        k_lo, k_hi = k_lo[sign_change], k_hi[sign_change]
+        k_lo, k_hi, f_lo, f_hi = (v[sign_change] for v in (k_lo, k_hi, f_lo, f_hi))
     criticals = []
     if k_lo.size:
-        kcs = roots.brentq(weight_h, k_lo, k_hi, xtol=1e-12)
+        kcs = roots.brentq(weight_h, k_lo, k_hi, xtol=1e-12, ends=(f_lo, f_hi))
         for kc, e in zip(kcs, overlaps(spec, kcs, _rowwise=True).energy.real):
             if e <= 1e-12:
                 raise PhysicsError(f"vanishing quasienergy at critical momentum {kc}")

@@ -211,7 +211,9 @@ def phase_increments(z):
     """Wrapped phase increments arg(z[i+1] * conj(z[i])) along axis 0, each
     in (-pi, pi]."""
     z = np.asarray(z, dtype=complex)
-    return np.angle(z[1:] * np.conj(z[:-1]))
+    w = np.conjugate(z[:-1])
+    # the conjugate is the first operand, the order of the elided z[1:] * conj(...)
+    return np.angle(np.multiply(w, z[1:], out=w))
 
 
 def _integer_from_phase(total: float, what: str) -> int:

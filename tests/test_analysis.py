@@ -82,6 +82,32 @@ def test_pgp_wrapped(kgrid):
     assert np.abs(np.angle(np.exp(1j * diff))).max() < 1e-12
 
 
+@pytest.mark.parametrize("pid", ["fig2a", "fig2b", "fig3", "mixed-p07", "mixed-p09"])
+def test_single_time_dtop_equals_trace(pid, monkeypatch):
+    """dtop at one time has the bits of the trace over the 701-sample grid,
+    wherever the trace keeps its bulk value (no refinement fires)."""
+    fps = find_fixed_points(preset(pid)[0][1], MomentumGrid(128))
+    times = TimeGrid(7.0, 0.01).samples
+    refined = set()
+    winding = analysis._sector_winding
+
+    def spy(spec, lo, hi, t, n, depth):
+        refined.add(t)
+        return winding(spec, lo, hi, t, n, depth)
+
+    monkeypatch.setattr(analysis, "_sector_winding", spy)
+    traces = [dtop_trace(fps, m, times).values for m in range(1, len(fps.segments()) + 1)]
+    monkeypatch.undo()
+    probed = 0
+    for m, values in enumerate(traces, 1):
+        for j in range(0, times.size, 23):
+            if times[j] not in refined and np.isfinite(values[j]):
+                one = np.float64(dtop(fps, times[j], m))
+                assert one.tobytes() == values[j].tobytes(), (m, times[j], one, values[j])
+                probed += 1
+    assert probed >= 100, probed
+
+
 class TestFixedPoints:
     def test_unitary_preset_values(self):
         fps = find_fixed_points(FIG2A)

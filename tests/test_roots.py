@@ -278,14 +278,27 @@ def test_batched_brentq_equals_scalar_port(elements, xtol):
         lo.append(a)
         hi.append(b)
     want = [_outcome(lambda: _reference_brentq(f, a, b, xtol)) for f, a, b in zip(fs, lo, hi)]
-    got = _outcome(lambda: brentq(_per_element(fs), np.array(lo), np.array(hi), xtol,
-                                  args=(np.arange(len(fs)),)))
+    batch_f, index = _per_element(fs), np.arange(len(fs))
+    points = {None: [], "ends": []}
+
+    def counted(key):
+        return lambda xs, i: points[key].append(xs.size) or batch_f(xs, i)
+
+    got = _outcome(lambda: brentq(counted(None), np.array(lo), np.array(hi), xtol,
+                                  args=(index,)))
+    # given f at the bracket ends, the search skips only their evaluation
+    ends = tuple(batch_f(np.array(x), index) for x in (lo, hi))
+    known = _outcome(lambda: brentq(counted("ends"), np.array(lo), np.array(hi), xtol,
+                                    args=(index,), ends=ends))
+    assert known[1] == got[1]
     errors = {err for _, err in want if err is not None}
     if errors:
         assert got[1] in errors
     else:
         assert got[1] is None and got[0].shape == (len(fs),)
         assert all(_same(g, w) for g, (w, _) in zip(got[0], want))
+        assert all(_same(g, w) for g, w in zip(known[0], got[0]))
+        assert sum(points["ends"]) == sum(points[None]) - 2 * len(fs)
     for f, a, b, w in zip(fs, lo, hi, want):
         one = _outcome(lambda: brentq(_elementwise(f), a, b, xtol))
         assert one[1] == w[1]

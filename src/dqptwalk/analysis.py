@@ -10,7 +10,7 @@ quantized amount that jumps at the critical times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -93,15 +93,20 @@ class RateTrace:
         return self.times[np.array(out, dtype=int)] if out else np.array([])
 
 
-def rate_function(field: LoschmidtField) -> RateTrace:
-    """Intensive return rate of a Loschmidt field."""
-    mags = np.abs(field.values)
-    n = mags.shape[0]
+def _rate(values) -> np.ndarray:
+    """Return rate -(2/N) sum_k ln |G_k| per column of amplitudes with their
+    N momenta on axis 0; +inf where some amplitude is exactly zero."""
+    mags = np.abs(values)
     with np.errstate(divide="ignore"):
         logs = np.log(mags)
-    g = -(2.0 / n) * logs.sum(axis=0)
+    g = -(2.0 / mags.shape[0]) * logs.sum(axis=0)
     g[np.any(mags == 0, axis=0)] = np.inf
-    return RateTrace(field.times, g)
+    return g
+
+
+def rate_function(field: LoschmidtField) -> RateTrace:
+    """Intensive return rate of a Loschmidt field."""
+    return RateTrace(field.times, _rate(field.values))
 
 
 def dynamic_phase(table: SectorTable, times) -> np.ndarray:
@@ -338,22 +343,22 @@ def find_critical(fps: FixedPointSet, t_max: float = 7.0) -> CriticalSet:
     return CriticalSet(fps, tuple(_dedup_circular(criticals, 1e-9)), t_max)
 
 
-def _sector_winding(spec: QuenchSpec, k_lo: float, k_hi: float, t: float,
-                    n: int, depth: int) -> float:
-    ks = np.linspace(k_lo, k_hi, n + 1)
-    z = _unwound(overlaps(spec, ks), [t])[:, 0]
-    if np.abs(z).min() < 1e-12:
-        raise IllDefinedPhaseError(
-            f"G vanishes on the sector at t = {t}; phase winding undefined")
-    inc = phase_increments(z)
+def _refined(spec: QuenchSpec, ks, inc, t: float, depth: int) -> float:
+    """Phase accumulated over the momenta ks at time t from its increments
+    inc, in momentum order; a step across the jump guard is redone on
+    DTOP_REFINE_POINTS subintervals of its interval, recursively."""
     total = 0.0
     for j in range(inc.size):
         if abs(inc[j]) > PHASE_JUMP_GUARD:
             if depth >= DTOP_REFINE_DEPTH:
                 raise UnresolvedPhaseJumpError(
                     f"phase step {inc[j]:.3f} rad persists after refinement at t = {t}")
-            total += _sector_winding(spec, ks[j], ks[j + 1], t,
-                                     DTOP_REFINE_POINTS, depth + 1)
+            fine = np.linspace(ks[j], ks[j + 1], DTOP_REFINE_POINTS + 1)
+            z = _unwound(overlaps(spec, fine), [t])[:, 0]
+            if np.abs(z).min() < 1e-12:
+                raise IllDefinedPhaseError(
+                    f"G vanishes on the sector at t = {t}; phase winding undefined")
+            total += _refined(spec, fine, phase_increments(z), t, depth + 1)
         else:
             total += inc[j]
     return total
@@ -371,14 +376,18 @@ def _sector_bounds(fps: FixedPointSet, sector: int) -> tuple:
 
 def dtop(fps: FixedPointSet, t: float, sector: int = 1,
          resolution: int = DTOP_RESOLUTION) -> float:
-    """Geometric-phase winding across one fixed-point sector at time t.
+    """Geometric-phase winding across one fixed-point sector at time t: the
+    one-time dtop_trace.
 
     Sectors are numbered from 1 in momentum order; each is bounded by two
     consecutive fixed points and the phase at the ends is pinned, so for pure
     preparations the value is an integer away from critical times.
     """
-    lo, hi = _sector_bounds(fps, sector)
-    return _sector_winding(fps.spec, lo, hi, t, resolution, 0) / (2 * np.pi)
+    value = dtop_trace(fps, sector, [t], resolution).values[0]
+    if np.isnan(value):
+        raise IllDefinedPhaseError(
+            f"G vanishes on the sector at t = {t}; phase winding undefined")
+    return value
 
 
 @dataclass(frozen=True)
@@ -395,24 +404,27 @@ class DtopTrace:
 
 def dtop_trace(fps: FixedPointSet, sector: int, times,
                resolution: int = DTOP_RESOLUTION) -> DtopTrace:
-    """Order-parameter trace over a time grid.
+    """Order-parameter trace over a time grid, NaN where G vanishes on the
+    sector.
 
-    Bulk evaluation reuses one momentum table for all times; only times whose
-    raw increments cross the jump guard are redone with local refinement.
+    One momentum table serves all times, and each time's increments are
+    summed one momentum row at a time, so a time has the same bits in a
+    trace of any length. Only a time whose increments cross the jump guard
+    is refined, from its own column of the table.
     """
     spec = fps.spec
     lo, hi = _sector_bounds(fps, sector)
     times = np.asarray(times, dtype=float)
-    z = _unwound(overlaps(spec, np.linspace(lo, hi, resolution + 1)), times)
+    ks = np.linspace(lo, hi, resolution + 1)
+    z = _unwound(overlaps(spec, ks), times)
     inc = phase_increments(z)
-    vals = inc.sum(axis=0) / (2 * np.pi)
+    vals = reduce(np.add, inc) / (2 * np.pi)
     bad = np.abs(z).min(axis=0) < 1e-12
     rough = (np.abs(inc).max(axis=0) > PHASE_JUMP_GUARD) & ~bad
-    for j in np.nonzero(bad)[0]:
-        vals[j] = np.nan
+    vals[bad] = np.nan
     for j in np.nonzero(rough)[0]:
         try:
-            vals[j] = _sector_winding(spec, lo, hi, times[j], resolution, 0) / (2 * np.pi)
+            vals[j] = _refined(spec, ks, inc[:, j], times[j], 0) / (2 * np.pi)
         except IllDefinedPhaseError:
             vals[j] = np.nan
     return DtopTrace(sector, times, vals)

@@ -130,8 +130,7 @@ def _headline(qa: QuenchAnalysis) -> dict:
         else:
             status, _ = pt_classify(spec.final_angles, spec.loss)
             out["pt_status"] = status
-            out["winding"] = (winding_global_berry(spec.final_angles, spec.loss, qa.grid)
-                              if status == "unbroken" else None)
+            out["winding"] = winding_global_berry(spec.final_angles, spec.loss, qa.grid)
     except PhysicsError:
         out["winding"] = None
     crit = qa.critical

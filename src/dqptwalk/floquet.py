@@ -216,6 +216,13 @@ def phase_increments(z):
     return np.angle(np.multiply(w, z[1:], out=w))
 
 
+def _loop_phase(d2, d3):
+    """Phase that -d3 + i d2 accumulates around the closed momentum loop on
+    axis 0, one value per loop."""
+    z = -d3 + 1j * d2
+    return phase_increments(np.concatenate([z, z[:1]])).sum(axis=0)
+
+
 def _integer_from_phase(total: float, what: str) -> int:
     raw = total / (2 * np.pi)
     nu = round(raw)
@@ -231,11 +238,9 @@ def winding_unitary(angles: CoinAngles, grid: MomentumGrid | None = None) -> int
     grid = grid or MomentumGrid()
     d0, _, d2, d3 = bloch_coefficients(angles, 0.0, grid.samples)
     _gap_check(d0)
-    z = -d3 + 1j * d2
-    z = np.append(z, z[0])
-    if np.abs(z).min() < 1e-14:
+    if np.hypot(d2, d3).min() < 1e-14:
         raise TopologicalBoundaryError("Bloch vector touches the winding axis")
-    return _integer_from_phase(float(phase_increments(z).sum()), "winding")
+    return _integer_from_phase(float(_loop_phase(d2, d3)), "winding")
 
 
 def winding_global_berry(angles: CoinAngles, l: float, grid: MomentumGrid | None = None) -> int:
@@ -251,8 +256,7 @@ def winding_global_berry(angles: CoinAngles, l: float, grid: MomentumGrid | None
 
     d0, _, d2, d3 = bloch_coefficients(angles, l, grid.samples)
     _gap_check(d0)
-    z = -d3 + 1j * d2
-    nu_polar = _integer_from_phase(float(phase_increments(np.append(z, z[0])).sum()), "polar route")
+    nu_polar = _integer_from_phase(float(_loop_phase(d2, d3)), "polar route")
 
     es = eigensystem_arrays(angles, l, grid.samples)
     total = 0.0
@@ -352,15 +356,13 @@ def phase_diagram_scan(
     c1, s1 = np.cos(t1s)[:, None], np.sin(t1s)[:, None]
     c2, s2 = np.cos(t2s), np.sin(t2s)
 
-    # winding of (d2, d3), one theta1 row at a time to bound memory
+    # winding of (d2, d3), one theta1 row at a time to bound memory; momentum
+    # on axis 0, theta2 on axis 1
     raw = np.empty((resolution, resolution))
-    d3 = -al * np.outer(c2, s2k)
+    d3 = -al * np.outer(s2k, c2)
     for i in range(resolution):
-        d2 = al * (np.outer(c2 * s1[i], c2k) + (c1[i] * s2)[:, None])
-        z = -d3 + 1j * d2
-        z = np.concatenate([z, z[:, :1]], axis=1)
-        inc = np.angle(z[:, 1:] * np.conj(z[:, :-1]))
-        raw[i] = inc.sum(axis=1) / (2 * np.pi)
+        d2 = al * (np.outer(c2k, c2 * s1[i]) + c1[i] * s2)
+        raw[i] = _loop_phase(d2, d3) / (2 * np.pi)
 
     lo, hi = _d0_range(t1s[:, None], t2s, l)
     crosses = ((lo <= 1) & (1 <= hi)) | ((lo <= -1) & (-1 <= hi))

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import MomentumGrid, _g12, _write_csv, coin_matrix
 from .quench import QuenchSpec, evolve_position, overlaps, _step_params
-from .analysis import _sector_bounds, find_fixed_points
+from .analysis import _rate, _sector_bounds, find_fixed_points
 
 U_CIRC = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 U_DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -276,7 +276,6 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
         fourier = [np.exp(-1j * np.outer(ks, x)) for x in sites]
         unwind = [np.exp(-1j * dyn_rate * t) for t in steps]
 
-    @np.errstate(divide="ignore")
     def measure(probs_by_step):
         """Quantity values keyed (label, t), one entry per sample. The
         momentum transform is one matrix-vector product per sample: a
@@ -287,13 +286,16 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
             pbar = reconstruct_pbar(probs)
             if quantity == "rate_function":
                 g = np.matmul(fourier[t], pbar[:, :, None])[:, :, 0]
-                mag = np.abs(g)
-                rate = -(2.0 / mag.shape[1]) * np.log(mag).sum(axis=1)
-                vals[("rate_function", t)] = np.where((mag == 0).any(axis=1),
-                                                      np.inf, rate)
+                # g.T keeps each sample's momenta contiguous, so numpy sums
+                # them pairwise; the replayed bits depend on that order
+                vals[("rate_function", t)] = _rate(g.T)
             elif quantity == "dtop":
                 g = np.matmul(fourier[t], pbar[:, :, None])[:, :, 0]
                 z = g * unwind[t]
+                # not floquet.phase_increments, whose first factor is
+                # conj(z[:-1]): on AVX-512 a complex product can change in the
+                # last bit when its operands swap, so that would move the
+                # Monte Carlo bytes; it waits for ROADMAP item 1
                 inc = np.angle(np.multiply(z[:, 1:], np.conj(z[:, :-1])))
                 vals[(f"dtop_m{sector}", t)] = inc.sum(axis=1) / (2 * np.pi)
             else:

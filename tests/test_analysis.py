@@ -89,13 +89,13 @@ def test_single_time_dtop_equals_trace(pid, monkeypatch):
     fps = find_fixed_points(preset(pid)[0][1], MomentumGrid(128))
     times = TimeGrid(7.0, 0.01).samples
     refined = set()
-    winding = analysis._sector_winding
+    refine = analysis._refined
 
-    def spy(spec, lo, hi, t, n, depth):
+    def spy(spec, ks, inc, t, depth):
         refined.add(t)
-        return winding(spec, lo, hi, t, n, depth)
+        return refine(spec, ks, inc, t, depth)
 
-    monkeypatch.setattr(analysis, "_sector_winding", spy)
+    monkeypatch.setattr(analysis, "_refined", spy)
     traces = [dtop_trace(fps, m, times).values for m in range(1, len(fps.segments()) + 1)]
     monkeypatch.undo()
     probed = 0
@@ -106,6 +106,38 @@ def test_single_time_dtop_equals_trace(pid, monkeypatch):
                 assert one.tobytes() == values[j].tobytes(), (m, times[j], one, values[j])
                 probed += 1
     assert probed >= 100, probed
+
+
+@pytest.mark.parametrize("pid", ["fig2a", "fig2b", "fig3", "fig4a", "mixed-p07"])
+def test_one_time_trace_equals_long_trace(pid):
+    """A trace over one time has the bits of that time in the 701-sample
+    trace, refined times included: both sum the momenta one row at a time."""
+    fps = find_fixed_points(preset(pid)[0][1], MomentumGrid(128))
+    times = TimeGrid(7.0, 0.01).samples
+    for m in range(1, len(fps.segments()) + 1):
+        values = dtop_trace(fps, m, times).values
+        for j in range(0, times.size, 23):
+            one = dtop_trace(fps, m, times[j:j + 1]).values
+            assert one.tobytes() == values[j:j + 1].tobytes(), (m, times[j], one, values[j])
+
+
+def test_refinement_reuses_the_sector_table(monkeypatch):
+    """A refined time starts from its column of the trace's table: the
+    resolution + 1 momenta are evaluated once, and only the refined
+    intervals get tables of their own."""
+    fps = find_fixed_points(FIG4A, MomentumGrid(128))
+    sizes = []
+    real = analysis.overlaps
+
+    def spy(spec, ks, **kwargs):
+        sizes.append(np.size(ks))
+        return real(spec, ks, **kwargs)
+
+    monkeypatch.setattr(analysis, "overlaps", spy)
+    dtop_trace(fps, 1, TimeGrid(7.0, 0.01).samples, resolution=32)
+    assert sizes.count(33) == 1
+    assert sizes.count(analysis.DTOP_REFINE_POINTS + 1) == 6
+    assert len(sizes) == 7
 
 
 class TestFixedPoints:

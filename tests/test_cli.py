@@ -369,6 +369,17 @@ def test_preset_headline_grid_independent(label):
     assert coarse == fine
 
 
+@pytest.mark.parametrize("label, status, winding", [("fig4a", "unbroken", -2),
+                                                     ("fig4b", "broken", None)])
+def test_lossy_headline_winding_follows_pt_status(label, status, winding):
+    # the global Berry winding refuses a walk that is not PT-unbroken, and
+    # the headline records that refusal as no winding
+    qa = analysis.QuenchAnalysis(PRESET_RUNS[label], MomentumGrid(128), TimeGrid())
+    headline = cli._headline(qa)
+    assert headline["pt_status"] == status
+    assert headline["winding"] == winding
+
+
 def test_error_mc_dtop_reads_kpoints(tmp_path, monkeypatch):
     grids = []
 

@@ -250,13 +250,16 @@ def _reference_scan(theta1_range, theta2_range, resolution, l, n_k):
 
 
 @given(st.floats(-2, 2), st.floats(0.01, 2), st.floats(-2, 2), st.floats(0.01, 2),
-       st.integers(32, 40), st.integers(8, 64), st.floats(0.0, 0.9, exclude_max=True))
+       st.integers(32, 64), st.integers(8, 256), st.floats(0.0, 0.9, exclude_max=True))
 @settings(max_examples=40, deadline=None)
 @example(-1.0, 2.0, -1.0, 2.0, 32, 32, 0.0)
 @example(-1.0, 2.0, -1.0, 2.0, 40, 64, 0.2)
+@example(-1.0, 2.0, -1.0, 2.0, 64, 256, 0.5)
 def test_phase_diagram_scan_equals_cell_reference(lo1, w1, lo2, w2, res, half_k, l):
-    """The array scan reproduces the cell-by-cell scan bit for bit (windows
-    and widths in units of pi)."""
+    """The array scan reproduces the cell-by-cell scan (windows and widths in
+    units of pi). A zero winding may differ in sign: the loop phase sums the
+    momenta in another order than the reference's inline steps, and no
+    output shows that sign."""
     t1r = (lo1 * np.pi, (lo1 + w1) * np.pi)
     t2r = (lo2 * np.pi, (lo2 + w2) * np.pi)
     pd = phase_diagram_scan(t1r, t2r, res, l, 2 * half_k)

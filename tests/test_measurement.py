@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dqptwalk.analysis import find_fixed_points
+from dqptwalk.analysis import _rate, find_fixed_points
 from dqptwalk.errors import ConfigError, PhysicsError
 from dqptwalk.lattice import MomentumGrid, coin_matrix
 from dqptwalk.measurement import (
@@ -156,6 +156,30 @@ class TestMonteCarlo:
         assert lines[0] == "quantity,t,center,err_plus,err_minus,n_samples,seed"
         assert all(row.split(",")[0] == "dtop_m1" for row in lines[1:])
         assert len(lines) == 1 + 8
+
+
+def _reference_mc_rate(g):
+    """The Monte Carlo branch's former rate: per sample, a row of g."""
+    mag = np.abs(g)
+    with np.errstate(divide="ignore"):
+        rate = -(2.0 / mag.shape[1]) * np.log(mag).sum(axis=1)
+    return np.where((mag == 0).any(axis=1), np.inf, rate)
+
+
+@given(samples=st.integers(1, 40), n_k=st.integers(1, 300),
+       zeros=st.floats(0.0, 0.05), seed=st.integers(0, 2 ** 32 - 1))
+@example(1, 256, 0.0, 0)
+@example(33, 256, 0.01, 1)
+@settings(max_examples=40, deadline=None)
+def test_rate_of_transposed_samples_equals_former_formula(samples, n_k, zeros, seed):
+    """_rate(g.T) sums each sample's momenta pairwise, as the row sum of the
+    former formula did: the same bits, and +inf at an exact zero."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(samples, n_k)) + 1j * rng.normal(size=(samples, n_k))
+    g[rng.random((samples, n_k)) < zeros] = 0
+    got, want = _rate(g.T), _reference_mc_rate(g)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.isposinf(got), (g == 0).any(axis=1))
 
 
 def _reference_probs(spec, n_steps, run, eta):

@@ -25,14 +25,11 @@ from .lattice import (
     MomentumGrid,
     TimeGrid,
     coin_matrix,
-    loss_matrix,
     normalize_angle,
-    shift_matrix,
 )
 from .floquet import (
     PhaseDiagram,
     eigensystem_arrays,
-    floquet_matrix,
     phase_diagram_scan,
     pt_classify,
     winding_global_berry,

@@ -195,7 +195,7 @@ def _ends(spec: QuenchSpec, minus, lo, hi) -> tuple:
     return np.split(_channel(spec, np.concatenate([lo, hi]), np.concatenate([minus, minus])), 2)
 
 
-def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> FixedPointSet:
+def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid) -> FixedPointSet:
     """Momenta where the prepared state lies entirely in one band.
 
     Grid minima of each overlap channel are polished to machine precision;
@@ -204,9 +204,8 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid | None = None) -> Fix
     Candidates of both channels are polished together, one lockstep batch
     per stage.
     """
-    grid = grid or MomentumGrid()
-    table = overlaps(spec, grid)
     ks = grid.samples
+    table = overlaps(spec, ks)
     h = grid.spacing
     flips, minima = [], []   # per channel, grid indices
     drn_flip = []
@@ -305,7 +304,7 @@ class CriticalSet:
         return _dedup_sorted(ts, 1e-9)
 
 
-def find_critical(fps: FixedPointSet, t_max: float = 7.0) -> CriticalSet:
+def find_critical(fps: FixedPointSet, t_max: float) -> CriticalSet:
     """Critical momenta: weight-balance zeros between fixed points of
     opposite kind, each carrying its periodic ladder of critical times. All
     brackets are polished together in one lockstep Brent batch."""
@@ -440,10 +439,6 @@ class DqptEvent:
 class DqptReport:
     events: tuple
     dtop_jumps: np.ndarray
-
-    @property
-    def has_dqpt(self) -> bool:
-        return any(e.signals_agreeing >= 2 for e in self.events)
 
 
 class QuenchAnalysis:

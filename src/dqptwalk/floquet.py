@@ -36,9 +36,6 @@ from .lattice import (
     _shared_text,
     _wrap_angle,
     _write_csv,
-    coin_matrix,
-    loss_matrix,
-    shift_matrix,
 )
 
 # closed-form eigenvectors degenerate as cos(2*Omega) -> 0
@@ -83,21 +80,6 @@ def bloch_coefficients(angles: CoinAngles, l: float, k):
     d2 = al * (c2k * c2 * s1 + c1 * s2)
     d3 = -al * s2k * c2
     return d0, be * np.ones_like(d0), d2, d3
-
-
-def floquet_matrix(angles: CoinAngles, l: float, k: float) -> np.ndarray:
-    """One-step operator as the explicit optical-element product.
-
-    Lossless: C(t1/2) S C(t2) S C(t1/2). Lossy: the middle coin splits around
-    the partial measurement and the product carries the gamma rescale.
-    """
-    angles = _as_coin_angles(angles)
-    s = shift_matrix(k)
-    outer = coin_matrix(angles.theta1 / 2)
-    if l == 0:
-        return outer @ s @ coin_matrix(angles.theta2) @ s @ outer
-    half = coin_matrix(angles.theta2 / 2)
-    return step_gamma(l) * (outer @ s @ half @ loss_matrix(l) @ half @ s @ outer)
 
 
 def _eigenvalues(d0):
@@ -233,9 +215,8 @@ def _integer_from_phase(total: float, what: str) -> int:
     return -nu
 
 
-def winding_unitary(angles: CoinAngles, grid: MomentumGrid | None = None) -> int:
+def winding_unitary(angles: CoinAngles, grid: MomentumGrid) -> int:
     """Winding of the Bloch vector's (d2, d3) components around the origin."""
-    grid = grid or MomentumGrid()
     d0, _, d2, d3 = bloch_coefficients(angles, 0.0, grid.samples)
     _gap_check(d0)
     if np.hypot(d2, d3).min() < 1e-14:
@@ -243,13 +224,12 @@ def winding_unitary(angles: CoinAngles, grid: MomentumGrid | None = None) -> int
     return _integer_from_phase(float(_loop_phase(d2, d3)), "winding")
 
 
-def winding_global_berry(angles: CoinAngles, l: float, grid: MomentumGrid | None = None) -> int:
+def winding_global_berry(angles: CoinAngles, l: float, grid: MomentumGrid) -> int:
     """Winding number from the biorthogonal Berry phase summed over both bands.
 
     Cross-checked internally against the polar-angle accumulation of
     (d2, d3); both Brillouin-zone loops must give the same integer.
     """
-    grid = grid or MomentumGrid()
     status, _ = pt_classify(angles, l)
     if status != "unbroken":
         raise PTBrokenError(f"global Berry winding restricted to the unbroken regime ({status})")

@@ -18,8 +18,8 @@ STRUCT_TOL = 1e-12
 GAP_TOL = 1e-9
 # most dt steps a time grid may take
 MAX_TIME_STEPS = 10**6
-# most momenta a grid may hold: 8x the default grid; one complex table over
-# the default 701 times is then 184 MB
+# most momenta a grid may hold; one complex table over the default 701
+# times is then 184 MB
 MAX_MOMENTA = 2**14
 # most entries of one (momenta, times) table: the 184 MB above
 MAX_TABLE_ENTRIES = MAX_MOMENTA * 701
@@ -42,20 +42,6 @@ def coin_matrix(theta: float) -> np.ndarray:
     """Coin rotation exp(-i*theta*sigma_y), real orthogonal with det 1."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def shift_matrix(k: float | np.ndarray) -> np.ndarray:
-    """Momentum-sector shift diag(e^{ik}, e^{-ik}); H moves left, V right."""
-    e = np.exp(1j * np.asarray(k))
-    return np.array([[e, 0 * e], [0 * e, e.conj()]])
-
-
-def loss_matrix(l: float) -> np.ndarray:
-    """Polarization-selective partial measurement, |+><+| + sqrt(1-l)|-><-|."""
-    if not 0 <= l < 1:
-        raise ConfigError(f"loss must be in [0, 1), got {l}")
-    r = np.sqrt(1 - l)
-    return np.array([[(1 + r) / 2, (1 - r) / 2], [(1 - r) / 2, (1 + r) / 2]], dtype=complex)
 
 
 def _g12(values) -> list:
@@ -111,7 +97,7 @@ class MomentumGrid:
     polynomials up to degree n_points/2 - 1 exactly.
     """
 
-    n_points: int = 2048
+    n_points: int
     samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

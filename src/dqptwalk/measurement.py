@@ -56,11 +56,6 @@ class ErrorModel:
         if self.total_coincidences < 0:
             raise ConfigError("coincidence total must be nonnegative")
 
-    def silent(self) -> "ErrorModel":
-        """Same sample count with every noise source switched off; a zero
-        coincidence total stands for unlimited counts (no shot noise)."""
-        return ErrorModel(0.0, 0.0, 0, 1.0, self.mc_samples, self.seed)
-
 
 @dataclass(frozen=True)
 class PerturbedRun:
@@ -236,11 +231,9 @@ def _counted(probs, total_coincidences: int, rngs) -> list:
     return [c.reshape(p.shape) for c, p in zip(np.split(counts, ends, axis=1), probs)]
 
 
-def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
-                          error_model: ErrorModel | None = None,
-                          n_steps: int = 7, sector: int = 1,
-                          positions=(0,),
-                          grid: MomentumGrid | None = None) -> ErrorBarResult:
+def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorModel,
+                          n_steps: int = 7, sector: int = 1, positions=(0,), *,
+                          grid: MomentumGrid) -> ErrorBarResult:
     """Error bars for a measured quantity over integer steps.
 
     quantity is one of "rate_function", "dtop" (one sector, labeled
@@ -253,14 +246,12 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
     on how samples are grouped: they are replayed in blocks of MC_BLOCK, each
     block as one batched walk, probability and reduction pass.
     """
-    model = error_model or ErrorModel()
-    if model.mc_samples < 100:
+    if error_model.mc_samples < 100:
         raise ConfigError("mc_samples must be at least 100")
     if quantity not in ("rate_function", "dtop", "pbar"):
         raise ConfigError(f"unknown quantity {quantity!r}")
-    grid = grid or MomentumGrid(256)
     poisson_only = spec.regime == "nonunitary"
-    eta = model.dephasing_eta
+    eta = error_model.dephasing_eta
 
     # momentum transforms, one matrix per step (and per winding sector)
     steps = range(n_steps + 1)
@@ -310,18 +301,18 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
 
     hi_dev = {key: 0.0 for key in center}
     lo_dev = {key: 0.0 for key in center}
-    for start in range(0, model.mc_samples, MC_BLOCK):
-        rngs = [np.random.default_rng(model.seed ^ i)
-                for i in range(start, min(start + MC_BLOCK, model.mc_samples))]
+    for start in range(0, error_model.mc_samples, MC_BLOCK):
+        rngs = [np.random.default_rng(error_model.seed ^ i)
+                for i in range(start, min(start + MC_BLOCK, error_model.mc_samples))]
         if poisson_only:
             probs = [np.broadcast_to(p, (len(rngs),) + p.shape[1:])
                      for p in ref_probs]
         else:
-            runs = [perturb_protocol(spec, model, rng, n_steps) for rng in rngs]
+            runs = [perturb_protocol(spec, error_model, rng, n_steps) for rng in rngs]
             evo = evolve_position(spec, n_steps, np.stack([r.plate_angles for r in runs]))
             probs = _setting_probs(evo, eta, runs)
-        if model.total_coincidences > 0:
-            probs = _counted(probs, model.total_coincidences, rngs)
+        if error_model.total_coincidences > 0:
+            probs = _counted(probs, error_model.total_coincidences, rngs)
         for key, v in measure(probs).items():
             d = v - center[key]
             d = d[np.isfinite(d)]
@@ -335,4 +326,4 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str,
         rows.append((q, float(t), float(center[key]),
                      float(-lo_dev[key]) + 0.0, float(hi_dev[key]) + 0.0))
     rows.sort(key=lambda r: (r[0], r[1]))
-    return ErrorBarResult(tuple(rows), model.mc_samples, model.seed)
+    return ErrorBarResult(tuple(rows), error_model.mc_samples, error_model.seed)

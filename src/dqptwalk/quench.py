@@ -179,14 +179,10 @@ def _rowwise_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vecdot(np.conj(m), v)
 
 
-def overlaps(spec: QuenchSpec, grid: MomentumGrid | np.ndarray | None = None,
-             *, _rowwise: bool = False) -> SectorTable:
-    """Band-overlap data of the prepared state with the post-quench walk, on
-    a MomentumGrid or any momentum array."""
-    if grid is None:
-        grid = MomentumGrid()
-    ks = grid.samples if isinstance(grid, MomentumGrid) \
-        else np.atleast_1d(np.asarray(grid, dtype=float))
+def overlaps(spec: QuenchSpec, ks, *, _rowwise: bool = False) -> SectorTable:
+    """Band-overlap data of the prepared state with the post-quench walk at
+    the momenta ks, a scalar or any array."""
+    ks = np.atleast_1d(np.asarray(ks, dtype=float))
     es = eigensystem_arrays(spec.final_angles, spec.initial_loss, ks)
     psi0 = spec.prepared.kets[0]
     # A many-row @ rounds differently from a one-row @, and the polished
@@ -235,11 +231,8 @@ class LoschmidtField:
             for k, g in zip(_g12(self.k), rows)))
 
 
-def loschmidt_field(spec: QuenchSpec, grid: MomentumGrid | None = None,
-                    tgrid: TimeGrid | None = None) -> LoschmidtField:
-    grid = grid or MomentumGrid()
-    tgrid = tgrid or TimeGrid()
-    table = overlaps(spec, grid)
+def loschmidt_field(spec: QuenchSpec, grid: MomentumGrid, tgrid: TimeGrid) -> LoschmidtField:
+    table = overlaps(spec, grid.samples)
     times = tgrid.samples
     return LoschmidtField(table.k, times, table.loschmidt(times))
 

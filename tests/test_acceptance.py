@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import circular_match, record
+from conftest import circular_match, floquet_matrix, record
 
 from dqptwalk import analysis, floquet, measurement, quench
 from dqptwalk.analysis import QuenchAnalysis, dtop_trace, find_critical, find_fixed_points
@@ -24,7 +24,6 @@ from dqptwalk.errors import (
 from dqptwalk.floquet import (
     bloch_coefficients,
     eigensystem_arrays,
-    floquet_matrix,
     pt_classify,
     winding_global_berry,
     winding_unitary,
@@ -59,11 +58,12 @@ def _run(n, desc, body):
 
 def test_01_winding_numbers():
     def body():
+        g = MomentumGrid(2048)
         cases = [
-            (lambda: winding_unitary(CoinAngles(np.pi / 4, -np.pi / 2)), 0),
-            (lambda: winding_unitary(CoinAngles(-np.pi / 2, 3 * np.pi / 8)), -2),
-            (lambda: winding_unitary(CoinAngles(-np.pi / 16, -3 * np.pi / 16)), 0),
-            (lambda: winding_global_berry(CoinAngles(-np.pi / 3, np.pi / 5), 0.36), -2),
+            (lambda: winding_unitary(CoinAngles(np.pi / 4, -np.pi / 2), g), 0),
+            (lambda: winding_unitary(CoinAngles(-np.pi / 2, 3 * np.pi / 8), g), -2),
+            (lambda: winding_unitary(CoinAngles(-np.pi / 16, -3 * np.pi / 16), g), 0),
+            (lambda: winding_global_berry(CoinAngles(-np.pi / 3, np.pi / 5), 0.36, g), -2),
         ]
         got = []
         for fn, want in cases:
@@ -79,8 +79,8 @@ def test_01_winding_numbers():
 
 def test_02_critical_time_scales():
     def body():
-        t_a = find_critical(find_fixed_points(FIG2A)).time_scales
-        t_b = find_critical(find_fixed_points(FIG2B)).time_scales
+        t_a = find_critical(find_fixed_points(FIG2A, MomentumGrid(2048)), 7.0).time_scales
+        t_b = find_critical(find_fixed_points(FIG2B, MomentumGrid(2048)), 7.0).time_scales
         assert len(t_a) == 1 and abs(t_a[0] - 4.0) < 1e-9, t_a
         assert len(t_b) == 1 and abs(t_b[0] - 2.0) < 1e-9, t_b
         return f"t0 = {t_a[0]:.12f}, {t_b[0]:.12f}"
@@ -89,8 +89,8 @@ def test_02_critical_time_scales():
 
 def test_03_lossy_quench_caption_numbers():
     def body():
-        fps = find_fixed_points(FIG4A)
-        crit = find_critical(fps)
+        fps = find_fixed_points(FIG4A, MomentumGrid(2048))
+        crit = find_critical(fps, 7.0)
         bad = circular_match(fps.ks, np.array([-1.0094, -0.4470, -0.0094, 0.5530]) * np.pi,
                              1e-3 * np.pi)
         assert bad is None, f"fixed points: {bad}"
@@ -105,8 +105,8 @@ def test_03_lossy_quench_caption_numbers():
 
 def test_04_unitary_fixed_points_exact():
     def body():
-        fps = find_fixed_points(FIG2A)
-        crit = find_critical(fps)
+        fps = find_fixed_points(FIG2A, MomentumGrid(2048))
+        crit = find_critical(fps, 7.0)
         bad = circular_match(fps.ks, [-np.pi, -np.pi / 2, 0.0, np.pi / 2], 1e-9)
         assert bad is None, f"fixed points: {bad}"
         bad = circular_match(crit.ks, [np.pi / 4, -np.pi / 4, 3 * np.pi / 4,
@@ -120,7 +120,7 @@ def test_05_order_parameter_quantization():
     def body():
         times = np.round(np.arange(0.0, 7.0 + 1e-9, 0.05), 10)
         away = np.abs(times - 4.0) > 0.05
-        fps = find_fixed_points(FIG2A)
+        fps = find_fixed_points(FIG2A, MomentumGrid(2048))
         traces = [dtop_trace(fps, m, times).values for m in (1, 2, 3, 4)]
         for m, vals in enumerate(traces, start=1):
             v = vals[away]
@@ -140,12 +140,13 @@ def test_05_order_parameter_quantization():
 
 def test_06_mixed_states_shift_nothing_but_quantization():
     def body():
-        base = find_critical(find_fixed_points(FIG2A)).critical_times
+        grid = MomentumGrid(2048)
+        base = find_critical(find_fixed_points(FIG2A, grid), 7.0).critical_times
         hits = []
         for pid in ("mixed-p07", "mixed-p09"):
             spec = preset(pid)[0][1]
-            fps = find_fixed_points(spec)
-            times = find_critical(fps).critical_times
+            fps = find_fixed_points(spec, grid)
+            times = find_critical(fps, 7.0).critical_times
             assert np.allclose(times, base, atol=1e-9)
             tr = dtop_trace(fps, 1, np.arange(0.0, 7.0, 0.2))
             v = tr.values[np.isfinite(tr.values)]
@@ -158,11 +159,11 @@ def test_06_mixed_states_shift_nothing_but_quantization():
 
 def test_07_broken_symmetry_smooth():
     def body():
-        table = overlaps(FIG4B, MomentumGrid(256))
+        table = overlaps(FIG4B, MomentumGrid(256).samples)
         g = table.loschmidt(TimeGrid(7.0, 0.01).samples)
         gmin = float(np.abs(g).min())
         assert gmin > 0.05, f"min |G| = {gmin}"
-        assert find_fixed_points(FIG4B).points == ()
+        assert find_fixed_points(FIG4B, MomentumGrid(2048)).points == ()
         tr = QuenchAnalysis(FIG4B, MomentumGrid(256), TimeGrid(7.0, 0.01)).rate
         assert np.isfinite(tr.values).all()
         assert len(tr.kinks()) == 0
@@ -181,7 +182,7 @@ def test_08_position_fourier_oracle():
                 if key in seen:
                     continue
                 seen.add(key)
-                table = overlaps(spec, grid)
+                table = overlaps(spec, grid.samples)
                 pe = evolve_position(spec, 7)
                 for t in range(8):
                     g_cf = table.loschmidt(np.array([float(t)]))[:, 0]
@@ -215,11 +216,12 @@ def test_10_monte_carlo_error_model():
         t0 = time.perf_counter()
         spec = QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 2, 3 * np.pi / 8))
         em = ErrorModel()  # stock noise model, 1000 samples
-        bars = monte_carlo_errorbars(spec, "dtop", error_model=em)
+        bars = monte_carlo_errorbars(spec, "dtop", error_model=em, grid=MomentumGrid(256))
         by_t = {r[1]: r[3] + r[4] for r in bars.rows}
         ratio = by_t[4.0] / by_t[3.0]
         assert ratio > 5, f"bar ratio {ratio:.2f}"
-        rate = monte_carlo_errorbars(spec, "rate_function", error_model=em)
+        rate = monte_carlo_errorbars(spec, "rate_function", error_model=em,
+                                     grid=MomentumGrid(256))
         mx = max(r[3] + r[4] for r in rate.rows)
         assert any(abs(r[3] - r[4]) > 0.1 * mx for r in rate.rows), \
             "no asymmetric rate bar"

@@ -290,6 +290,31 @@ def test_error_mc_products(tmp_path):
     assert summary["headline"]["n_samples"] == 100
 
 
+@pytest.mark.parametrize("quantity, labels", [
+    ("pbar", {"re_pbar_x0", "im_pbar_x0"}),
+    ("rate_function", {"rate_function"}),
+])
+def test_error_mc_pbar_and_rate_products(tmp_path, quantity, labels):
+    out = tmp_path / "mc"
+    rc = run_main(["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                   "--set", f"quantity={quantity}", "--set", "mc_samples=100",
+                   "--set", "n_steps=2", "--out", out])
+    assert rc == 0
+    lines = (out / "errorbars.csv").read_text().splitlines()
+    assert lines[0] == "quantity,t,center,err_plus,err_minus,n_samples,seed"
+    rows = [line.split(",") for line in lines[1:]]
+    assert {r[0] for r in rows} == labels
+    # one row per label at each of the steps 0, 1, 2
+    assert sorted((r[0], float(r[1])) for r in rows) == \
+        sorted((q, float(t)) for q in labels for t in range(3))
+    headline = json.loads((out / "summary.json").read_text())["headline"]
+    assert set(headline) == {"quantity", "n_samples", "max_bar"}
+    assert headline["quantity"] == quantity and headline["n_samples"] == 100
+    bars = [float(x) for r in rows for x in r[3:5]]
+    assert headline["max_bar"] == pytest.approx(max(bars), rel=1e-11)
+    assert headline["max_bar"] > 0
+
+
 def test_phase_diagram_products(tmp_path):
     out = tmp_path / "pd"
     rc = run_main(["phase-diagram", "--set", "resolution=32",

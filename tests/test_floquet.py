@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import floquet_matrix
+
 from dqptwalk import floquet, roots
 from dqptwalk.errors import (
     ConfigError,
@@ -14,7 +16,6 @@ from dqptwalk.floquet import (
     alpha_beta,
     bloch_coefficients,
     eigensystem_arrays,
-    floquet_matrix,
     phase_diagram_scan,
     pt_classify,
     step_gamma,
@@ -135,9 +136,10 @@ def test_eigensystem_arrays_matches_pointwise():
 
 
 def test_winding_values():
-    assert winding_unitary(CoinAngles(np.pi / 4, -np.pi / 2)) == 0
-    assert winding_unitary(CoinAngles(-np.pi / 2, 3 * np.pi / 8)) == -2
-    assert winding_unitary(CoinAngles(-np.pi / 16, -3 * np.pi / 16)) == 0
+    g = MomentumGrid(2048)
+    assert winding_unitary(CoinAngles(np.pi / 4, -np.pi / 2), g) == 0
+    assert winding_unitary(CoinAngles(-np.pi / 2, 3 * np.pi / 8), g) == -2
+    assert winding_unitary(CoinAngles(-np.pi / 16, -3 * np.pi / 16), g) == 0
 
 
 def test_winding_grid_refinement_stable():
@@ -148,17 +150,18 @@ def test_winding_grid_refinement_stable():
 
 def test_winding_gapless_raises():
     with pytest.raises(TopologicalBoundaryError):
-        winding_unitary(CoinAngles(0.0, 0.0))
+        winding_unitary(CoinAngles(0.0, 0.0), MomentumGrid(2048))
 
 
 def test_berry_route_agrees_with_unitary_route():
+    g = MomentumGrid(2048)
     for t1, t2 in ((-np.pi / 2, 3 * np.pi / 8), (np.pi / 4, -np.pi / 2), (0.9, 2.1)):
         a = CoinAngles(t1, t2)
         try:
-            nu = winding_unitary(a)
+            nu = winding_unitary(a, g)
         except TopologicalBoundaryError:
             continue
-        assert winding_global_berry(a, 0.0) == nu
+        assert winding_global_berry(a, 0.0, g) == nu
 
 
 def test_pt_classification():
@@ -174,11 +177,11 @@ def test_pt_classification():
     assert peak == 1.009365294937453
     assert _reference_pt_classify(spec.final_angles, spec.loss)[1] == peak
     with pytest.raises(PTBrokenError):
-        winding_global_berry(spec.final_angles, spec.loss)
+        winding_global_berry(spec.final_angles, spec.loss, MomentumGrid(2048))
 
 
 def test_nonunitary_winding_value():
-    assert winding_global_berry(CoinAngles(-np.pi / 3, np.pi / 5), 0.36) == -2
+    assert winding_global_berry(CoinAngles(-np.pi / 3, np.pi / 5), 0.36, MomentumGrid(2048)) == -2
 
 
 def test_phase_diagram_scan_cells(tmp_path):
@@ -271,7 +274,7 @@ def test_phase_diagram_scan_equals_cell_reference(lo1, w1, lo2, w2, res, half_k,
         assert np.array_equal(got, expected, equal_nan=name == "winding"), name
 
 
-def _reference_pt_classify(angles, l, grid=MomentumGrid()):
+def _reference_pt_classify(angles, l, grid=MomentumGrid(2048)):
     """The former PT classification: max d0^2 over the grid samples, then a
     bounded search for the maximum around the largest one."""
     ks = grid.samples
@@ -322,9 +325,10 @@ def test_phase_diagram_resolution_cap(monkeypatch):
 
 
 def test_tuple_angles_accepted():
-    assert winding_unitary((np.pi / 4, -np.pi / 2)) == 0
+    assert winding_unitary((np.pi / 4, -np.pi / 2), MomentumGrid(2048)) == 0
     assert pt_classify((-np.pi / 3, np.pi / 5), 0.36)[0] == "unbroken"
-    m = floquet_matrix((0.3, 0.4), 0.0, 0.1)
+    d0, be, d2, d3 = bloch_coefficients((0.3, 0.4), 0.0, 0.1)
+    m = floquet._bloch_matrices(d0, 1j * be, d2, d3)
     assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
 
 

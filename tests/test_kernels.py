@@ -49,7 +49,7 @@ def _table(pid):
     momenta; for fig4b, whose spectrum is complex, its 128-momentum field."""
     spec = preset(pid)[0][1]
     if pid == "fig4b":
-        return overlaps(spec, MomentumGrid(128))
+        return overlaps(spec, MomentumGrid(128).samples)
     fps = analysis.find_fixed_points(spec, MomentumGrid(128))
     lo, hi = analysis._sector_bounds(fps, 1)
     return overlaps(spec, np.linspace(lo, hi, analysis.DTOP_RESOLUTION + 1))
@@ -116,7 +116,7 @@ def test_two_mode_table_matches(rng):
     for spec in (QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 2, 3 * np.pi / 8)),
                  QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 3, np.pi / 5),
                             loss=0.36, regime="nonunitary")):
-        table = overlaps(spec, MomentumGrid(32))
+        table = overlaps(spec, MomentumGrid(32).samples)
         g = two_mode_table(table.A, table.B, table.energy, times)
         assert g.shape == (32, 15)
         for j, k in enumerate(table.k):
@@ -139,7 +139,7 @@ def test_kernels_keep_the_large_table_bits():
         assert _same_bits(two_mode_table(sector.A, sector.B, energy, TIMES),
                           _reference_two_mode_table(sector.A, sector.B, energy, TIMES))
     for pid in ("fig4a", "fig4b"):
-        field = overlaps(preset(pid)[0][1], MomentumGrid(128))
+        field = overlaps(preset(pid)[0][1], MomentumGrid(128).samples)
         g = two_mode_table(field.A, field.B, field.energy, TIMES)
         assert g.nbytes >= ELISION_BYTES
         assert _same_bits(g, _reference_two_mode_table(field.A, field.B, field.energy, TIMES))

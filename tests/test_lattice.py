@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import loss_matrix, shift_matrix
+
 from dqptwalk.errors import ConfigError
 from dqptwalk.lattice import (
     MAX_MOMENTA,
@@ -9,9 +11,7 @@ from dqptwalk.lattice import (
     MomentumGrid,
     TimeGrid,
     coin_matrix,
-    loss_matrix,
     normalize_angle,
-    shift_matrix,
 )
 
 angles = st.floats(-20.0, 20.0, allow_nan=False)

@@ -47,12 +47,14 @@ class TestErrorModel:
             ErrorModel(total_coincidences=-5)
 
     def test_silent_strips_all_noise(self):
-        m = ErrorModel(seed=9).silent()
-        assert m.wp_angle_tol == 0
-        assert m.path_loss_tol == 0
-        assert m.total_coincidences == 0
-        assert m.dephasing_eta == 1.0
-        assert m.seed == 9
+        # zero tolerances and eta = 1 are valid; a draw is then the exact
+        # protocol: the nominal plate angles, no basis error, full transmission
+        m = ErrorModel(0.0, 0.0, 0, 1.0, seed=9)
+        run = perturb_protocol(SPEC, m, np.random.default_rng(m.seed), n_steps=3)
+        base = _step_params(SPEC.final_angles, SPEC.initial_loss)
+        assert np.array_equal(run.plate_angles, np.tile(base[:4], (3, 1)))
+        assert np.array_equal(run.basis_deltas, np.zeros(4))
+        assert np.array_equal(run.transmissions, np.ones(4))
 
 
 def test_dephase_scales_coherences():
@@ -125,23 +127,25 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ConfigError):
             monte_carlo_errorbars(SPEC, "rate_function",
-                                  error_model=ErrorModel(mc_samples=10))
+                                  error_model=ErrorModel(mc_samples=10), grid=MomentumGrid(256))
 
     def test_unknown_quantity(self):
         with pytest.raises(ConfigError):
             monte_carlo_errorbars(SPEC, "entropy",
-                                  error_model=ErrorModel(mc_samples=100))
+                                  error_model=ErrorModel(mc_samples=100), grid=MomentumGrid(256))
 
     def test_silent_model_gives_zero_bars(self):
-        em = ErrorModel(mc_samples=100).silent()
-        res = monte_carlo_errorbars(SPEC, "rate_function", error_model=em)
+        # every noise source off; a zero coincidence total is no shot noise
+        em = ErrorModel(0.0, 0.0, 0, 1.0, mc_samples=100)
+        res = monte_carlo_errorbars(SPEC, "rate_function", error_model=em, grid=MomentumGrid(256))
         for _, _, _, ep, en in res.rows:
             assert ep == 0 and en == 0
 
     def test_reproducible_and_sorted(self):
         em = ErrorModel(mc_samples=100, seed=17)
-        a = monte_carlo_errorbars(SPEC, "pbar", error_model=em, positions=(0, 2))
-        b = monte_carlo_errorbars(SPEC, "pbar", error_model=em, positions=(0, 2))
+        grid = MomentumGrid(256)
+        a = monte_carlo_errorbars(SPEC, "pbar", error_model=em, positions=(0, 2), grid=grid)
+        b = monte_carlo_errorbars(SPEC, "pbar", error_model=em, positions=(0, 2), grid=grid)
         assert a.rows == b.rows
         assert list(a.rows) == sorted(a.rows, key=lambda r: (r[0], r[1]))
         labels = {r[0] for r in a.rows}
@@ -149,7 +153,7 @@ class TestMonteCarlo:
 
     def test_csv_contract(self, tmp_path):
         em = ErrorModel(mc_samples=100, seed=2)
-        res = monte_carlo_errorbars(SPEC, "dtop", error_model=em)
+        res = monte_carlo_errorbars(SPEC, "dtop", error_model=em, grid=MomentumGrid(256))
         out = tmp_path / "bars.csv"
         res.write_csv(out)
         lines = out.read_text().splitlines()

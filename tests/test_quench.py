@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import floquet_matrix
+
 from dqptwalk import quench
 from dqptwalk.errors import (
     ConfigError,
     DegenerateSpectrumError,
     InvalidInitialProtocolError,
 )
-from dqptwalk.floquet import bloch_coefficients, floquet_matrix, pt_classify
+from dqptwalk.floquet import bloch_coefficients, pt_classify
 from dqptwalk.lattice import GAP_TOL, MomentumGrid
 from dqptwalk.quench import (
     QuenchSpec,
@@ -86,7 +88,7 @@ def test_prepared_state_is_kept_on_the_spec(monkeypatch):
         calls.clear()
         first = s.prepared
         assert s.prepared is first
-        overlaps(s, MomentumGrid(16))
+        overlaps(s, MomentumGrid(16).samples)
         evolve_position(s, 2)
         assert calls == [s]
         want = built(s)
@@ -129,7 +131,7 @@ def test_initial_state_mixed_weights():
 
 
 def test_overlap_table_pure_unitary(kgrid):
-    t = overlaps(spec_pure(), kgrid)
+    t = overlaps(spec_pure(), kgrid.samples)
     assert t.energy_is_real
     # band weights partition unity in the orthonormal unitary frame
     assert np.abs(t.A + t.B - 1).max() < 1e-12
@@ -140,12 +142,12 @@ def test_loschmidt_is_one_at_t_zero(kgrid):
     for s in (spec_pure(),
               QuenchSpec(FLAT, (0.3, 0.4), regime="mixed", mix_p=0.6),
               QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), regime="nonunitary", loss=0.36)):
-        g = overlaps(s, kgrid).loschmidt(np.array([0.0]))
+        g = overlaps(s, kgrid.samples).loschmidt(np.array([0.0]))
         assert np.abs(g - 1).max() < 1e-12
 
 
 def test_unitary_amplitude_bounded(kgrid):
-    g = overlaps(spec_pure(), kgrid).loschmidt(np.linspace(0, 7, 29))
+    g = overlaps(spec_pure(), kgrid.samples).loschmidt(np.linspace(0, 7, 29))
     assert np.abs(g).max() <= 1 + 1e-12
 
 
@@ -239,7 +241,7 @@ def test_field_csv_roundtrip(tmp_path, kgrid):
 def test_random_unitary_quench_amplitude_bound(t1, t2):
     try:
         s = QuenchSpec(FLAT, (t1, t2))
-        g = overlaps(s, MomentumGrid(32)).loschmidt(np.array([1.0, 2.5, 6.0]))
+        g = overlaps(s, MomentumGrid(32).samples).loschmidt(np.array([1.0, 2.5, 6.0]))
     except (ConfigError, DegenerateSpectrumError):
         return
     assert np.abs(g).max() <= 1 + 1e-9

@@ -288,7 +288,7 @@ def cmd_error_mc(config: RunConfig) -> dict:
     sector = _get(cfg, "sector", 1, int)
     positions = _get(cfg, "positions", (0,),
                      lambda v: tuple(int(p) for p in str(v).split(",")))
-    grid = MomentumGrid(_get(cfg, "kpoints", 256, int))
+    grid = None if quantity == "pbar" else MomentumGrid(_get(cfg, "kpoints", 256, int))
     result = monte_carlo_errorbars(spec, quantity, model, n_steps=n_steps,
                                    sector=sector, positions=positions, grid=grid)
     em = _Emitter(config.out_dir)

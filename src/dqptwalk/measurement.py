@@ -25,9 +25,11 @@ from .analysis import _rate, _sector_bounds, find_fixed_points
 U_CIRC = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 U_DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
-# Monte Carlo samples replayed together. Peak memory grows by about 85 KB
-# per sample in flight: 32 stays within 2 MB of a one-sample replay, while
-# 64 would run about 15 % faster for 3 MB more.
+# Monte Carlo samples replayed together. With the block arrays allocated
+# once per run, peak memory grows by about 55 KB per sample in flight: 32
+# stays within 1.5 MB of a one-sample replay, while 64 would run about 12 %
+# faster for 1.7 MB more (mc_errorbars wall_s 0.69-0.72 s against
+# 0.61-0.63 s on a 2-core VM).
 MC_BLOCK = 32
 # sector momenta of a replayed order parameter
 MC_DTOP_POINTS = 512
@@ -87,20 +89,24 @@ def perturb_protocol(spec: QuenchSpec, error_model: ErrorModel,
     return PerturbedRun(plates + d, basis, trans)
 
 
-def poisson_counts(probabilities, total_coincidences: int, rng):
+def poisson_counts(probabilities, total_coincidences: int, rng, out=None):
     """Replace each probability by a Poisson draw over the expected total.
 
     rng is one generator, or a sequence of generators with one per entry of
-    the leading axis, each drawing its own row in order.
+    the leading axis, each drawing its own row in order. Given out, the
+    expected counts and then the result are written to it, and it is
+    returned; it may be probabilities itself.
     """
     if total_coincidences <= 0:
         raise ConfigError("counting statistics need a positive total")
-    lam = np.clip(np.asarray(probabilities, dtype=float), 0.0, None) * total_coincidences
+    lam = np.clip(np.asarray(probabilities, dtype=float), 0.0, None, out=out)
+    lam = np.multiply(lam, total_coincidences, out=out)
     if isinstance(rng, np.random.Generator):
-        counts = rng.poisson(lam)
-    else:
-        counts = np.stack([g.poisson(row) for g, row in zip(rng, lam, strict=True)])
-    return counts / total_coincidences
+        return np.divide(rng.poisson(lam), total_coincidences, out=out)
+    # lam[:, None] yields each entry's row as a view, also for a 1-D lam
+    for g, row in zip(rng, lam[:, None], strict=True):
+        np.divide(g.poisson(row), total_coincidences, out=row)
+    return lam
 
 
 # The batched replay reproduces the per-sample arithmetic bit for bit.
@@ -222,24 +228,27 @@ def reconstruct_pbar(probs) -> np.ndarray:
             + (probs[:, 2] - p1 / 2 + probs[:, 6] - p2 / 2))
 
 
-def _counted(probs, total_coincidences: int, rngs) -> list:
+def _counted(probs, total_coincidences: int, rngs, out) -> list:
     """Poisson counts for every step's probabilities (S, 8, nx); each sample
-    draws all of its steps in step order from its own generator."""
-    flat = np.concatenate([p.reshape(len(rngs), -1) for p in probs], axis=1)
-    counts = poisson_counts(flat, total_coincidences, rngs)
+    draws all of its steps in step order from its own generator. The counts
+    are views into out, which has room for every step's entries side by side
+    in at least S rows."""
+    flat = np.concatenate([p.reshape(len(rngs), -1) for p in probs], axis=1,
+                          out=out[:len(rngs)])
+    poisson_counts(flat, total_coincidences, rngs, out=flat)
     ends = np.cumsum([p[0].size for p in probs])[:-1]
-    return [c.reshape(p.shape) for c, p in zip(np.split(counts, ends, axis=1), probs)]
+    return [c.reshape(p.shape) for c, p in zip(np.split(flat, ends, axis=1), probs)]
 
 
 def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorModel,
                           n_steps: int = 7, sector: int = 1, positions=(0,), *,
-                          grid: MomentumGrid) -> ErrorBarResult:
+                          grid: MomentumGrid | None = None) -> ErrorBarResult:
     """Error bars for a measured quantity over integer steps.
 
     quantity is one of "rate_function", "dtop" (one sector, labeled
     dtop_m<sector>), or "pbar" (labeled re/im_pbar_x<position>). The rate is
     transformed onto grid, and the fixed points that bound the dtop sector
-    are found on it; pbar does not use it. Each sample
+    are found on it; pbar does not read it and needs none. Each sample
     replays the full measurement with fresh apparatus draws and Poisson
     counting; lossy walks keep only the counting noise. Sample i draws from
     its own generator seeded with seed XOR i, so the result does not depend
@@ -250,6 +259,8 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
         raise ConfigError("mc_samples must be at least 100")
     if quantity not in ("rate_function", "dtop", "pbar"):
         raise ConfigError(f"unknown quantity {quantity!r}")
+    if grid is None and quantity != "pbar":
+        raise ConfigError(f"quantity {quantity!r} needs a momentum grid")
     poisson_only = spec.regime == "nonunitary"
     eta = error_model.dephasing_eta
 
@@ -267,27 +278,49 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
         fourier = [np.exp(-1j * np.outer(ks, x)) for x in sites]
         unwind = [np.exp(-1j * dyn_rate * t) for t in steps]
 
+    # the large arrays of a block, allocated once per run; a block of S
+    # samples writes the leading S rows
+    counted = np.empty((MC_BLOCK, sum(p[0].size for p in ref_probs)))
+    if quantity != "pbar":
+        n_k = len(fourier[0])
+        g_buf = np.empty((MC_BLOCK, n_k, 1), dtype=complex)
+    if quantity == "dtop":
+        z_buf = np.empty((MC_BLOCK, n_k), dtype=complex)
+        conj_buf = np.empty((MC_BLOCK, n_k - 1), dtype=complex)
+        step_buf = np.empty((MC_BLOCK, n_k - 1), dtype=complex)
+        angle_buf = np.empty((MC_BLOCK, n_k - 1))
+
     def measure(probs_by_step):
         """Quantity values keyed (label, t), one entry per sample. The
         momentum transform is one matrix-vector product per sample: a
         matrix-matrix product would round differently. A zero amplitude
-        makes the rate infinite."""
+        makes the rate infinite.
+
+        The large arrays go into the run's buffers because glibc returned
+        freshly allocated ones to the kernel after every block and faulted
+        them in again. With out= numpy elides no temporary, so each product
+        keeps the operand order written here, which the replayed bits
+        depend on."""
         vals = {}
         for t, probs in zip(steps, probs_by_step):
             pbar = reconstruct_pbar(probs)
+            n = len(pbar)
+            if quantity != "pbar":
+                g = np.matmul(fourier[t], pbar[:, :, None], out=g_buf[:n])[:, :, 0]
             if quantity == "rate_function":
-                g = np.matmul(fourier[t], pbar[:, :, None])[:, :, 0]
                 # g.T keeps each sample's momenta contiguous, so numpy sums
                 # them pairwise; the replayed bits depend on that order
                 vals[("rate_function", t)] = _rate(g.T)
             elif quantity == "dtop":
-                g = np.matmul(fourier[t], pbar[:, :, None])[:, :, 0]
-                z = g * unwind[t]
+                z = np.multiply(g, unwind[t], out=z_buf[:n])
                 # not floquet.phase_increments, whose first factor is
                 # conj(z[:-1]): on AVX-512 a complex product can change in the
                 # last bit when its operands swap, so that would move the
                 # Monte Carlo bytes; it waits for ROADMAP item 1
-                inc = np.angle(np.multiply(z[:, 1:], np.conj(z[:, :-1])))
+                step = np.multiply(z[:, 1:], np.conj(z[:, :-1], out=conj_buf[:n]),
+                                   out=step_buf[:n])
+                # np.angle(step), written into the run's buffer
+                inc = np.arctan2(step.imag, step.real, out=angle_buf[:n])
                 vals[(f"dtop_m{sector}", t)] = inc.sum(axis=1) / (2 * np.pi)
             else:
                 for x in positions:
@@ -312,7 +345,7 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
             evo = evolve_position(spec, n_steps, np.stack([r.plate_angles for r in runs]))
             probs = _setting_probs(evo, eta, runs)
         if error_model.total_coincidences > 0:
-            probs = _counted(probs, error_model.total_coincidences, rngs)
+            probs = _counted(probs, error_model.total_coincidences, rngs, counted)
         for key, v in measure(probs).items():
             d = v - center[key]
             d = d[np.isfinite(d)]

@@ -420,6 +420,24 @@ def test_error_mc_dtop_reads_kpoints(tmp_path, monkeypatch):
     assert [g.n_points for g in grids] == [64]
 
 
+@pytest.mark.parametrize("quantity, n_points", [
+    ("rate_function", 256), ("dtop", 256), ("pbar", None)])
+def test_error_mc_passes_a_grid_only_where_it_is_read(tmp_path, monkeypatch,
+                                                      quantity, n_points):
+    grids = []
+
+    def recording(*args, grid=None, **kwargs):
+        grids.append(grid)
+        return measurement.monte_carlo_errorbars(*args, grid=grid, **kwargs)
+
+    monkeypatch.setattr(cli, "monte_carlo_errorbars", recording)
+    rc = run_main(["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                   "--set", f"quantity={quantity}", "--set", "mc_samples=100",
+                   "--set", "n_steps=2", "--out", tmp_path / "mc"])
+    assert rc == 0
+    assert [g and g.n_points for g in grids] == [n_points]
+
+
 @pytest.mark.parametrize("quantity, unread", [
     ("rate_function", "sector=1"),
     ("rate_function", "positions=0"),

@@ -92,6 +92,12 @@ def test_perturb_protocol_reproducible():
     assert np.array_equal(a.transmissions, b.transmissions)
 
 
+def test_poisson_counts_of_a_scalar_is_a_scalar():
+    got = poisson_counts(0.3, 1000, np.random.default_rng(1))
+    assert np.ndim(got) == 0
+    assert got == np.random.default_rng(1).poisson(300.0) / 1000
+
+
 def test_poisson_counts_statistics(rng):
     p = np.array([0.1, 0.4, 0.0])
     draws = np.array([poisson_counts(p, 40000, rng) for _ in range(200)])
@@ -99,6 +105,27 @@ def test_poisson_counts_statistics(rng):
     assert np.all(draws[:, 2] == 0)
     with pytest.raises(ConfigError):
         poisson_counts(p, 0, rng)
+
+
+@pytest.mark.parametrize("shape, per_row", [((6,), False), ((6,), True),
+                                            ((4, 9), False), ((4, 9), True)])
+def test_poisson_counts_into_out_equals_a_fresh_result(shape, per_row):
+    """The same generator state draws the same bits into out, into the
+    probabilities themselves, and into a fresh array; out is returned."""
+    p = np.random.default_rng(5).uniform(-0.01, 0.3, shape)
+
+    def gens():
+        if per_row:
+            return [np.random.default_rng(40 + i) for i in range(shape[0])]
+        return np.random.default_rng(40)
+
+    want = poisson_counts(p, 40000, gens())
+    assert want is not p
+    buf = np.full(shape, np.nan)
+    assert poisson_counts(p, 40000, gens(), out=buf) is buf
+    same = p.copy()
+    assert poisson_counts(same, 40000, gens(), out=same) is same
+    assert buf.tobytes() == want.tobytes() == same.tobytes()
 
 
 def test_round_trip_reconstruction():
@@ -150,6 +177,33 @@ class TestMonteCarlo:
         assert list(a.rows) == sorted(a.rows, key=lambda r: (r[0], r[1]))
         labels = {r[0] for r in a.rows}
         assert labels == {"re_pbar_x0", "im_pbar_x0", "re_pbar_x2", "im_pbar_x2"}
+
+    def test_pbar_needs_no_grid(self):
+        em = ErrorModel(mc_samples=100, seed=4)
+        a = monte_carlo_errorbars(SPEC, "pbar", error_model=em, n_steps=2)
+        b = monte_carlo_errorbars(SPEC, "pbar", error_model=em, n_steps=2,
+                                  grid=MomentumGrid(64))
+        assert a.rows == b.rows
+
+    @pytest.mark.parametrize("quantity", ["rate_function", "dtop"])
+    def test_grid_required_where_read(self, quantity):
+        with pytest.raises(ConfigError, match="needs a momentum grid"):
+            monte_carlo_errorbars(SPEC, quantity, error_model=ErrorModel(mc_samples=100))
+
+    @pytest.mark.parametrize("counts", [0, 40000])
+    def test_no_state_leaks_between_runs_or_blocks(self, counts):
+        """Runs of every quantity in one process, each ending in a partial
+        block, leave the next run's rows unchanged."""
+        em = ErrorModel(total_coincidences=counts, mc_samples=3 * MC_BLOCK + 5, seed=6)
+        grid = MomentumGrid(64)
+
+        def run(quantity):
+            return monte_carlo_errorbars(SPEC, quantity, em, n_steps=3, grid=grid).rows
+
+        first = run("dtop")
+        run("rate_function")
+        run("pbar")
+        assert run("dtop") == first
 
     def test_csv_contract(self, tmp_path):
         em = ErrorModel(mc_samples=100, seed=2)

@@ -81,16 +81,20 @@ class RunConfig:
     figure: str | None = None
 
 
-def _get(cfg, key, default=None, cast=None):
+def _get(cfg, key, default, cast):
     if key not in cfg or cfg[key] in ("", None):
         return default
-    v = cfg[key]
-    if cast is None:
-        return v
     try:
-        return cast(v)
+        return cast(cfg[key])
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from None
+
+
+def _given(cfg, **casts) -> dict:
+    """Each key of casts that cfg sets, cast; the callee's signature keeps
+    the default of every key that cfg leaves out."""
+    values = {key: _get(cfg, key, None, cast) for key, cast in casts.items()}
+    return {key: v for key, v in values.items() if v is not None}
 
 
 def build_spec(cfg) -> QuenchSpec:
@@ -99,19 +103,12 @@ def build_spec(cfg) -> QuenchSpec:
     initial = (parse_pi_value(cfg.get("initial_theta1", "1/4")),
                parse_pi_value(cfg.get("initial_theta2", "-1/2")))
     final = (parse_pi_value(cfg["final_theta1"]), parse_pi_value(cfg["final_theta2"]))
-    loss = _get(cfg, "loss", 0.0, float)
-    mix_p = _get(cfg, "mix_p", None, float)
-    regime = cfg.get("regime")
-    if not regime:
-        regime = "nonunitary" if loss else ("mixed" if mix_p is not None else "pure")
-    return QuenchSpec(initial, final, loss=loss, regime=regime, mix_p=mix_p)
+    return QuenchSpec(initial, final, **_given(cfg, loss=float, mix_p=float))
 
 
 def _grids(cfg):
     n_k = _get(cfg, "kpoints", 128, int)
-    t_max = _get(cfg, "t_max", 7.0, float)
-    dt = _get(cfg, "dt", 0.01, float)
-    grid, tgrid = MomentumGrid(n_k), TimeGrid(t_max, dt)
+    grid, tgrid = MomentumGrid(n_k), TimeGrid(**_given(cfg, t_max=float, dt=float))
     n_t = len(tgrid.samples)
     if n_k * n_t > MAX_TABLE_ENTRIES:
         raise ConfigError(f"kpoints x time samples must be at most {MAX_TABLE_ENTRIES}, "
@@ -125,7 +122,7 @@ def _headline(qa: QuenchAnalysis) -> dict:
     spec = qa.spec
     out: dict = {}
     try:
-        if spec.is_unitary:
+        if spec.loss == 0:
             out["winding"] = winding_unitary(spec.final_angles, qa.grid)
         else:
             status, _ = pt_classify(spec.final_angles, spec.loss)
@@ -276,21 +273,13 @@ def cmd_error_mc(config: RunConfig) -> dict:
     quantity = cfg.get("quantity", "dtop")
     _refuse(f"error-mc quantity={quantity}", set(cfg) & set(_MC_UNREAD.get(quantity, ())))
     spec = build_spec(cfg)
-    model = ErrorModel(
-        wp_angle_tol=_get(cfg, "wp_angle_tol", np.deg2rad(0.1), float),
-        path_loss_tol=_get(cfg, "path_loss_tol", 0.02, float),
-        total_coincidences=_get(cfg, "total_coincidences", 40000, int),
-        dephasing_eta=_get(cfg, "dephasing_eta", 0.97, float),
-        mc_samples=_get(cfg, "mc_samples", 1000, int),
-        seed=config.seed,
-    )
-    n_steps = _get(cfg, "n_steps", 7, int)
-    sector = _get(cfg, "sector", 1, int)
-    positions = _get(cfg, "positions", (0,),
-                     lambda v: tuple(int(p) for p in str(v).split(",")))
+    model = ErrorModel(seed=config.seed, **_given(
+        cfg, wp_angle_tol=float, path_loss_tol=float, total_coincidences=int,
+        dephasing_eta=float, mc_samples=int))
     grid = None if quantity == "pbar" else MomentumGrid(_get(cfg, "kpoints", 256, int))
-    result = monte_carlo_errorbars(spec, quantity, model, n_steps=n_steps,
-                                   sector=sector, positions=positions, grid=grid)
+    result = monte_carlo_errorbars(spec, quantity, model, grid=grid, **_given(
+        cfg, n_steps=int, sector=int,
+        positions=lambda v: tuple(int(p) for p in str(v).split(","))))
     em = _Emitter(config.out_dir)
     result.write_csv(em.path("errorbars.csv"))
     first = result.rows[0][0] if result.rows else None
@@ -323,7 +312,7 @@ def cmd_reproduce(config: RunConfig) -> dict:
 
 
 _SPEC_KEYS = ("initial_theta1", "initial_theta2", "final_theta1", "final_theta2",
-              "loss", "mix_p", "regime")
+              "loss", "mix_p")
 _GRID_KEYS = ("kpoints", "t_max", "dt")
 
 # each command with the config keys it reads

@@ -77,11 +77,11 @@ def perturb_protocol(spec: QuenchSpec, error_model: ErrorModel,
     lossless walks have three plates per step, so the second mid column stays
     exact there. Draw order is fixed: plates, analyzer bases, transmissions.
     """
-    base = _step_params(spec.final_angles, spec.initial_loss)
+    base = _step_params(spec.final_angles, spec.loss)
     plates = np.tile(np.array(base[:4]), (n_steps, 1))
     d = rng.uniform(-error_model.wp_angle_tol, error_model.wp_angle_tol,
                     (n_steps, 4))
-    if spec.is_unitary:
+    if spec.loss == 0:
         d[:, 2] = 0.0
     basis = rng.uniform(-error_model.wp_angle_tol, error_model.wp_angle_tol, 4)
     trans = 1.0 + rng.uniform(-error_model.path_loss_tol,
@@ -261,7 +261,7 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
         raise ConfigError(f"unknown quantity {quantity!r}")
     if grid is None and quantity != "pbar":
         raise ConfigError(f"quantity {quantity!r} needs a momentum grid")
-    poisson_only = spec.regime == "nonunitary"
+    poisson_only = spec.loss > 0
     eta = error_model.dephasing_eta
 
     # momentum transforms, one matrix per step (and per winding sector)

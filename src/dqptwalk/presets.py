@@ -29,12 +29,11 @@ def _pure(final):
 
 
 def _mixed(final, p):
-    return QuenchSpec(FLAT_INITIAL, CoinAngles(*final), regime="mixed", mix_p=p)
+    return QuenchSpec(FLAT_INITIAL, CoinAngles(*final), mix_p=p)
 
 
 def _lossy(final):
-    return QuenchSpec(FLAT_INITIAL, CoinAngles(*final), loss=DEMO_LOSS,
-                      regime="nonunitary")
+    return QuenchSpec(FLAT_INITIAL, CoinAngles(*final), loss=DEMO_LOSS)
 
 
 def _build(pid: str):

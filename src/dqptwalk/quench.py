@@ -27,50 +27,40 @@ FLAT_BAND_TOL = 1e-10
 # 64 n^2 bytes per walk after n steps: 640 kB at this cap
 MAX_WALK_STEPS = 100
 
-_REGIMES = ("pure", "mixed", "nonunitary")
-
 
 @dataclass(frozen=True)
 class QuenchSpec:
-    """Preparation walk, evolution walk, and the preparation regime.
+    """Preparation walk, evolution walk, their shared loss, and the mixture
+    weight of the preparation; the regime follows from loss and mix_p.
 
-    regime "pure": single eigenstate of the lossless preparation walk.
-    regime "mixed": classical mixture of both preparation eigenstates with
-    weight mix_p on the lower band. regime "nonunitary": both walks carry the
-    same loss and the prepared state is the right eigenvector of the lossy
-    preparation walk.
+    A lossy spec (loss > 0) prepares the right eigenvector of the lossy
+    preparation walk. Otherwise mix_p, if set, is the weight of the lower
+    band in a classical mixture of both preparation eigenstates, and unset
+    it means one eigenstate of the lossless preparation walk.
     """
 
     initial_angles: CoinAngles
     final_angles: CoinAngles
     loss: float = 0.0
-    regime: str = "pure"
     mix_p: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "initial_angles", _as_coin_angles(self.initial_angles))
         object.__setattr__(self, "final_angles", _as_coin_angles(self.final_angles))
-        if self.regime not in _REGIMES:
-            raise ConfigError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
-        if self.regime == "nonunitary":
-            if not 0 < self.loss < 1:
-                raise ConfigError(f"nonunitary regime needs loss in (0, 1), got {self.loss}")
-        elif self.loss != 0:
-            raise ConfigError(f"{self.regime} regime is lossless, got loss {self.loss}")
-        if self.regime == "mixed":
-            if self.mix_p is None or not 0 <= self.mix_p <= 1:
-                raise ConfigError(f"mixed regime needs mix_p in [0, 1], got {self.mix_p}")
-        elif self.mix_p is not None:
-            raise ConfigError(f"mix_p only applies to the mixed regime")
-        _require_flat_band(self.initial_angles, self.initial_loss)
+        if not 0 <= self.loss < 1:
+            raise ConfigError(f"loss must be in [0, 1), got {self.loss}")
+        if self.mix_p is not None and (self.loss > 0 or not 0 <= self.mix_p <= 1):
+            raise ConfigError(f"mix_p needs a lossless walk and lies in [0, 1], "
+                              f"got mix_p {self.mix_p} at loss {self.loss}")
+        _require_flat_band(self.initial_angles, self.loss)
 
     @property
-    def initial_loss(self) -> float:
-        return self.loss if self.regime == "nonunitary" else 0.0
-
-    @property
-    def is_unitary(self) -> bool:
-        return self.regime != "nonunitary"
+    def regime(self) -> str:
+        """The regime: "nonunitary" for a lossy walk, "mixed" for a mixture,
+        else "pure"."""
+        if self.loss > 0:
+            return "nonunitary"
+        return "pure" if self.mix_p is None else "mixed"
 
     @cached_property
     def prepared(self) -> InitialState:
@@ -112,7 +102,7 @@ def initial_state(spec: QuenchSpec) -> InitialState:
     preparation walk (and the upper one for mixtures), momentum independent
     because the band is flat, so one momentum solve gives them. A closed
     preparation gap is refused."""
-    es = eigensystem_arrays(spec.initial_angles, spec.initial_loss, np.zeros(1))
+    es = eigensystem_arrays(spec.initial_angles, spec.loss, np.zeros(1))
     _require_gap(es["d0"])
     psi_m = _phase_fixed(es["psi_m"][0])
     if spec.regime == "mixed":
@@ -183,7 +173,7 @@ def overlaps(spec: QuenchSpec, ks, *, _rowwise: bool = False) -> SectorTable:
     """Band-overlap data of the prepared state with the post-quench walk at
     the momenta ks, a scalar or any array."""
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
-    es = eigensystem_arrays(spec.final_angles, spec.initial_loss, ks)
+    es = eigensystem_arrays(spec.final_angles, spec.loss, ks)
     psi0 = spec.prepared.kets[0]
     # A many-row @ rounds differently from a one-row @, and the polished
     # roots carry the one-row bits, so root polishing asks for the row-wise
@@ -343,7 +333,7 @@ def evolve_position(spec: QuenchSpec, n_steps: int,
     """
     if not 0 <= n_steps <= MAX_WALK_STEPS:
         raise ConfigError(f"step count must be in [0, {MAX_WALK_STEPS}], got {n_steps}")
-    base = _step_params(spec.final_angles, spec.initial_loss)
+    base = _step_params(spec.final_angles, spec.loss)
     init = spec.prepared
     lead = () if plate_angles is None else np.shape(plate_angles)[:-2]
     # the prepared kets walk side by side on axis -3

@@ -177,8 +177,7 @@ def test_08_position_fourier_oracle():
         seen, worst = set(), 0.0
         for pid in PRESET_IDS:
             for label, spec in preset(pid):
-                key = (spec.initial_angles, spec.final_angles, spec.loss,
-                       spec.regime, spec.mix_p)
+                key = (spec.initial_angles, spec.final_angles, spec.loss, spec.mix_p)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -200,8 +199,7 @@ def test_09_measurement_round_trip():
             if p == 1.0:
                 spec = QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 2, 3 * np.pi / 8))
             else:
-                spec = QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 2, 3 * np.pi / 8),
-                                  regime="mixed", mix_p=p)
+                spec = QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 2, 3 * np.pi / 8), mix_p=p)
             evo = evolve_position(spec, 7)
             for t, probs in enumerate(_setting_probs(evo, 1.0)):
                 rec = reconstruct_pbar(probs)[0]
@@ -253,8 +251,7 @@ def test_11_fixed_point_counting():
                 # occur in this family
                 if abs(winding_global_berry(final, loss, grid)) != 2:
                     continue
-                spec = QuenchSpec((th1i, s2 * np.pi / 2), final, loss=loss,
-                                  regime="nonunitary" if loss else "pure")
+                spec = QuenchSpec((th1i, s2 * np.pi / 2), final, loss=loss)
                 fps = find_fixed_points(spec, grid)
             except (TrivialQuenchError, PTBrokenError, TopologicalBoundaryError,
                     InsufficientResolutionError, DegenerateSpectrumError):

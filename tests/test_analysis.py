@@ -58,8 +58,7 @@ def test_dynamic_phase_linear_and_zero_at_half_mix(kgrid):
     assert ph.shape == (kgrid.n_points, 3)
     assert np.allclose(ph[:, 0], 0)
     assert np.allclose(ph[:, 2], 2 * ph[:, 1], atol=1e-12)
-    half = QuenchSpec(FIG2A.initial_angles, FIG2A.final_angles,
-                      regime="mixed", mix_p=0.5)
+    half = QuenchSpec(FIG2A.initial_angles, FIG2A.final_angles, mix_p=0.5)
     assert np.abs(dynamic_phase(overlaps(half, kgrid.samples), times)).max() < 1e-12
 
 
@@ -291,7 +290,7 @@ def test_lossless_geometry_equals_closed_form(theta1, theta2, mix_p):
     momentum, since |dE/dk| <= 2 for this walk (4.9e-13 at most)."""
     c1, s1, c2, s2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
     assume(min(abs(c2), abs(s1), abs(abs(c1 * s2) - abs(c2 * s1))) >= 0.05)
-    mixture = {} if mix_p is None else {"regime": "mixed", "mix_p": mix_p}
+    mixture = {} if mix_p is None else {"mix_p": mix_p}
     spec = QuenchSpec(FIG2A.initial_angles, (theta1, theta2), **mixture)
     fixed, kcs, energy = _lossless_geometry(theta1, theta2)
     crit = find_critical(find_fixed_points(spec, MomentumGrid(128)), 7.0)
@@ -378,8 +377,7 @@ def _reference_jumps(qa):
     return jumps
 
 
-_REGIMES = {"pure": {}, "mixed": {"regime": "mixed", "mix_p": 0.7},
-            "lossy": {"regime": "nonunitary", "loss": 0.36}}
+_REGIMES = {"pure": {}, "mixed": {"mix_p": 0.7}, "lossy": {"loss": 0.36}}
 
 
 @given(regime=st.sampled_from(sorted(_REGIMES)),
@@ -392,7 +390,7 @@ _REGIMES = {"pure": {}, "mixed": {"regime": "mixed", "mix_p": 0.7},
 def test_batched_jump_check_equals_per_time_dtop(regime, theta1, theta2):
     spec = QuenchSpec(FIG2A.initial_angles, (theta1, theta2), **_REGIMES[regime])
     grid = MomentumGrid(128)
-    d0 = bloch_coefficients(spec.final_angles, spec.initial_loss, grid.samples)[0]
+    d0 = bloch_coefficients(spec.final_angles, spec.loss, grid.samples)[0]
     if np.any(np.abs(np.abs(d0) - 1) < 1e-6):
         return  # a closed gap on the grid: the field is undefined there
     qa = QuenchAnalysis(spec, grid, TimeGrid(7.0, 0.05))
@@ -428,7 +426,7 @@ def test_resolution_refinement_stable_away_from_transition(regime, theta1, theta
     sector momenta resolve.
     """
     spec = QuenchSpec(FIG2A.initial_angles, (theta1, theta2), **_REGIMES[regime])
-    if pt_classify(spec.final_angles, spec.initial_loss)[1] > 0.99:
+    if pt_classify(spec.final_angles, spec.loss)[1] > 0.99:
         return
     tgrid = TimeGrid(7.0, 0.1)
     times = tgrid.samples
@@ -558,11 +556,9 @@ def _outcome(call):
 _quench = st.one_of(
     st.builds(lambda a, b: QuenchSpec(FIG2A.initial_angles, (a, b)),
               st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
-    st.builds(lambda a, b, p: QuenchSpec(FIG2A.initial_angles, (a, b),
-                                         regime="mixed", mix_p=p),
+    st.builds(lambda a, b, p: QuenchSpec(FIG2A.initial_angles, (a, b), mix_p=p),
               st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.floats(0, 1)),
-    st.builds(lambda a, b, l: QuenchSpec(FIG2A.initial_angles, (a, b),
-                                         regime="nonunitary", loss=l),
+    st.builds(lambda a, b, l: QuenchSpec(FIG2A.initial_angles, (a, b), loss=l),
               st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.floats(0.01, 0.9)))
 
 
@@ -599,7 +595,7 @@ def test_rowwise_overlaps_equal_one_momentum_calls(spec, ks):
     """The row-wise overlaps at n momenta equal n one-momentum calls bit for
     bit in every channel."""
     ks = np.array(ks)
-    d0 = bloch_coefficients(spec.final_angles, spec.initial_loss, ks)[0]
+    d0 = bloch_coefficients(spec.final_angles, spec.loss, ks)[0]
     if np.any(np.abs(np.abs(d0) - 1) < 1e-6):
         return  # a closed gap: no eigenbasis there
     rows = overlaps(spec, ks, _rowwise=True)

@@ -114,8 +114,7 @@ def test_phase_increments_match(rng):
 def test_two_mode_table_matches(rng):
     times = np.linspace(0, 7, 15)
     for spec in (QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 2, 3 * np.pi / 8)),
-                 QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 3, np.pi / 5),
-                            loss=0.36, regime="nonunitary")):
+                 QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 3, np.pi / 5), loss=0.36)):
         table = overlaps(spec, MomentumGrid(32).samples)
         g = two_mode_table(table.A, table.B, table.energy, times)
         assert g.shape == (32, 15)

@@ -51,7 +51,7 @@ class TestErrorModel:
         # protocol: the nominal plate angles, no basis error, full transmission
         m = ErrorModel(0.0, 0.0, 0, 1.0, seed=9)
         run = perturb_protocol(SPEC, m, np.random.default_rng(m.seed), n_steps=3)
-        base = _step_params(SPEC.final_angles, SPEC.initial_loss)
+        base = _step_params(SPEC.final_angles, SPEC.loss)
         assert np.array_equal(run.plate_angles, np.tile(base[:4], (3, 1)))
         assert np.array_equal(run.basis_deltas, np.zeros(4))
         assert np.array_equal(run.transmissions, np.ones(4))
@@ -130,8 +130,7 @@ def test_poisson_counts_into_out_equals_a_fresh_result(shape, per_row):
 
 def test_round_trip_reconstruction():
     for p in (0.7, 1.0):
-        s = SPEC if p == 1.0 else QuenchSpec(
-            FLAT, (-np.pi / 2, 3 * np.pi / 8), regime="mixed", mix_p=p)
+        s = SPEC if p == 1.0 else QuenchSpec(FLAT, (-np.pi / 2, 3 * np.pi / 8), mix_p=p)
         evo = evolve_position(s, 4)
         for t, probs in enumerate(_setting_probs(evo, 1.0)):
             assert probs.shape == (1, 8, evo.sites(t).size)
@@ -244,7 +243,7 @@ def _reference_probs(spec, n_steps, run, eta):
     """One replay's eight setting probabilities per step, one sample at a
     time: serial walks per ket, scalar analyzer vectors."""
     init = initial_state(spec)
-    base = _step_params(spec.final_angles, spec.initial_loss)
+    base = _step_params(spec.final_angles, spec.loss)
     hists = []
     for ket in init.kets:
         psi = ket.reshape(2, 1).astype(complex)
@@ -338,7 +337,7 @@ def _reference_errorbars(spec, quantity, model, n_steps, grid, positions):
     for i in range(model.mc_samples):
         rng = np.random.default_rng(model.seed ^ i)
         fields = ref
-        if spec.is_unitary:
+        if spec.loss == 0:
             run = perturb_protocol(spec, model, rng, n_steps)
             fields = _reference_probs(spec, n_steps, run, model.dephasing_eta)
         for key, v in measure(fields, rng).items():
@@ -352,8 +351,8 @@ def _reference_errorbars(spec, quantity, model, n_steps, grid, positions):
 
 _REGIMES = {
     "pure": {},
-    "mixed": {"regime": "mixed", "mix_p": 0.7},
-    "lossy": {"regime": "nonunitary", "loss": 0.36},
+    "mixed": {"mix_p": 0.7},
+    "lossy": {"loss": 0.36},
 }
 
 

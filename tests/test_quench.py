@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import floquet_matrix
 
-from dqptwalk import quench
+from dqptwalk import cli, quench
 from dqptwalk.errors import (
     ConfigError,
     DegenerateSpectrumError,
@@ -27,7 +29,7 @@ FLAT = (np.pi / 4, -np.pi / 2)
 def _reference_evolve(spec, k, n_steps):
     """Prepared ket(s) after n_steps steps of the post-quench walk at
     momentum k, by matrix powers of the one-step operator; shape (m, 2)."""
-    u = floquet_matrix(spec.final_angles, spec.initial_loss, k)
+    u = floquet_matrix(spec.final_angles, spec.loss, k)
     return spec.prepared.kets @ np.linalg.matrix_power(u, n_steps).T
 
 
@@ -48,23 +50,47 @@ def spec_pure(final=(-np.pi / 2, 3 * np.pi / 8)):
     return QuenchSpec(FLAT, final)
 
 
+def _old_regime(loss, mix_p):
+    """The regime the command line inferred from loss and mix_p when the spec
+    still took one, or None where the spec then refused the pair."""
+    regime = "nonunitary" if loss else ("mixed" if mix_p is not None else "pure")
+    if regime == "nonunitary":
+        return regime if 0 < loss < 1 and mix_p is None else None
+    if regime == "mixed":
+        return regime if 0 <= mix_p <= 1 else None
+    return regime
+
+
+_EDGES = [0.0, -0.0, 1.0, float("nan"), float("inf")]
+
+
 class TestSpecValidation:
-    def test_regime_rules(self):
-        QuenchSpec(FLAT, (0.3, 0.4))
-        QuenchSpec(FLAT, (0.3, 0.4), regime="mixed", mix_p=0.7)
-        QuenchSpec(FLAT, (0.3, 0.4), regime="nonunitary", loss=0.36)
-        with pytest.raises(ConfigError):
-            QuenchSpec(FLAT, (0.3, 0.4), regime="nonsense")
-        with pytest.raises(ConfigError):
-            QuenchSpec(FLAT, (0.3, 0.4), regime="nonunitary", loss=0.0)
-        with pytest.raises(ConfigError):
-            QuenchSpec(FLAT, (0.3, 0.4), regime="pure", loss=0.2)
-        with pytest.raises(ConfigError):
-            QuenchSpec(FLAT, (0.3, 0.4), regime="mixed")
-        with pytest.raises(ConfigError):
-            QuenchSpec(FLAT, (0.3, 0.4), regime="mixed", mix_p=1.3)
-        with pytest.raises(ConfigError):
-            QuenchSpec(FLAT, (0.3, 0.4), regime="pure", mix_p=0.5)
+    @given(loss=st.one_of(st.sampled_from(_EDGES), st.floats(-0.5, 1.5)),
+           mix_p=st.one_of(st.none(), st.sampled_from(_EDGES), st.floats(-0.5, 1.5)))
+    @example(loss=0.36, mix_p=None)
+    @example(loss=0.0, mix_p=0.7)
+    @example(loss=0.36, mix_p=0.7)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_regime_rules(self, tmp_path, loss, mix_p):
+        regime = _old_regime(loss, mix_p)
+        if regime is None:
+            with pytest.raises(ConfigError):
+                QuenchSpec(FLAT, (0.3, 0.4), loss=loss, mix_p=mix_p)
+        else:
+            s = QuenchSpec(FLAT, (0.3, 0.4), loss=loss, mix_p=mix_p)
+            assert s.regime == regime
+            assert [f.name for f in fields(s)] == ["initial_angles", "final_angles",
+                                                   "loss", "mix_p"]
+        with pytest.raises(TypeError):
+            QuenchSpec(FLAT, (0.3, 0.4), loss=loss, mix_p=mix_p, regime=regime)
+        # the command line refuses the key before it builds anything
+        out = tmp_path / "out"
+        sets = [f"regime={regime or 'mixed'}", "final_theta1=-1/2", "final_theta2=3/8",
+                f"loss={loss}"] + ([] if mix_p is None else [f"mix_p={mix_p}"])
+        assert cli.main(["quench", "--out", str(out),
+                         *(a for item in sets for a in ("--set", item))]) == 2
+        assert not out.exists()
 
     def test_initial_protocol_must_be_flat(self):
         with pytest.raises(InvalidInitialProtocolError):
@@ -73,7 +99,7 @@ class TestSpecValidation:
     def test_angle_coercion(self):
         s = QuenchSpec(FLAT, (0.3, 0.4))
         assert s.initial_angles.theta1 == pytest.approx(np.pi / 4)
-        assert s.is_unitary
+        assert s.loss == 0 and s.regime == "pure"
 
 
 def test_prepared_state_is_kept_on_the_spec(monkeypatch):
@@ -81,8 +107,8 @@ def test_prepared_state_is_kept_on_the_spec(monkeypatch):
     built = quench.initial_state
     monkeypatch.setattr(quench, "initial_state",
                         lambda spec: calls.append(spec) or built(spec))
-    for extra in ({}, {"regime": "mixed", "mix_p": 0.7},
-                  {"regime": "nonunitary", "loss": 0.36}):
+    for extra in ({}, {"mix_p": 0.7},
+                  {"loss": 0.36}):
         s = QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), **extra)
         twin = QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), **extra)
         calls.clear()
@@ -121,7 +147,7 @@ def test_closed_preparation_gap_refused():
 
 
 def test_initial_state_mixed_weights():
-    s = QuenchSpec(FLAT, (0.3, 0.4), regime="mixed", mix_p=0.7)
+    s = QuenchSpec(FLAT, (0.3, 0.4), mix_p=0.7)
     st0 = initial_state(s)
     assert st0.kets.shape == (2, 2)
     assert list(st0.weights) == pytest.approx([0.7, 0.3])
@@ -140,8 +166,8 @@ def test_overlap_table_pure_unitary(kgrid):
 
 def test_loschmidt_is_one_at_t_zero(kgrid):
     for s in (spec_pure(),
-              QuenchSpec(FLAT, (0.3, 0.4), regime="mixed", mix_p=0.6),
-              QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), regime="nonunitary", loss=0.36)):
+              QuenchSpec(FLAT, (0.3, 0.4), mix_p=0.6),
+              QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), loss=0.36)):
         g = overlaps(s, kgrid.samples).loschmidt(np.array([0.0]))
         assert np.abs(g - 1).max() < 1e-12
 
@@ -169,7 +195,7 @@ def test_direct_evolution_norm_preserved():
 
 
 def test_position_walk_record():
-    s = QuenchSpec(FLAT, (0.3, 0.4), regime="mixed", mix_p=0.7)
+    s = QuenchSpec(FLAT, (0.3, 0.4), mix_p=0.7)
     pe = evolve_position(s, 4)
     assert len(pe.states) == 5
     for t, st in enumerate(pe.states):
@@ -194,7 +220,7 @@ def test_position_walk_probability_conservation():
 def test_position_walk_rescaled_loss_near_unity():
     # the gamma rescale balances the partial measurement, so in the
     # real-spectrum regime the norm oscillates about 1 instead of decaying
-    s = QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), regime="nonunitary", loss=0.36)
+    s = QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), loss=0.36)
     pe = evolve_position(s, 5)
     probs = np.array([(np.abs(st[0]) ** 2).sum() for st in pe.states])
     assert probs[0] == pytest.approx(1.0)
@@ -211,11 +237,12 @@ def test_position_fourier_equals_momentum_product(t1, t2, regime, x, n_k):
     """The momentum transform of the position-space walk equals the two-mode
     G at integer t for pure, mixed and lossy PT-unbroken quenches."""
     extra = {"pure": {}, "mixed": {"mix_p": x}, "nonunitary": {"loss": x}}[regime]
-    s = QuenchSpec(FLAT, (t1, t2), regime=regime, **extra)
+    s = QuenchSpec(FLAT, (t1, t2), **extra)
+    assert s.regime == regime
     if regime == "nonunitary" and pt_classify(s.final_angles, s.loss)[1] > 1 - 1e-3:
         return  # broken or near the exceptional line: no real two-mode spectrum
     grid = MomentumGrid(n_k)
-    d0 = bloch_coefficients(s.final_angles, s.initial_loss, grid.samples)[0]
+    d0 = bloch_coefficients(s.final_angles, s.loss, grid.samples)[0]
     gapped = np.abs(np.abs(d0) - 1) >= GAP_TOL  # the sectors with an open gap
     table = overlaps(s, grid.samples[gapped])
     pe = evolve_position(s, 7)
@@ -255,10 +282,11 @@ def test_coefficient_path_equals_matrix_powers(t1, t2, regime, x, ks):
     """The two-mode coefficients of overlaps reproduce <psi|U^t|psi> at
     integer t for pure, mixed and lossy PT-unbroken quenches."""
     extra = {"pure": {}, "mixed": {"mix_p": x}, "nonunitary": {"loss": x}}[regime]
-    s = QuenchSpec(FLAT, (t1, t2), regime=regime, **extra)
+    s = QuenchSpec(FLAT, (t1, t2), **extra)
+    assert s.regime == regime
     if regime == "nonunitary" and pt_classify(s.final_angles, s.loss)[1] > 1 - 1e-3:
         return  # broken or near the exceptional line: no real two-mode spectrum
-    d0 = bloch_coefficients(s.final_angles, s.initial_loss, np.array(ks))[0]
+    d0 = bloch_coefficients(s.final_angles, s.loss, np.array(ks))[0]
     if np.any(np.abs(np.abs(d0) - 1) < GAP_TOL):
         return  # closed gap: no two-mode decomposition
     steps = np.arange(8)

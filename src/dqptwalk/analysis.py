@@ -9,6 +9,7 @@ quantized amount that jumps at the critical times.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -42,6 +43,11 @@ PHASE_JUMP_GUARD = np.pi - 0.1
 DTOP_REFINE_POINTS = 16
 DTOP_REFINE_DEPTH = 3
 DTOP_RESOLUTION = 256        # sector momenta of an order-parameter evaluation
+# time columns per block of an order-parameter trace. Small blocks keep
+# small the transients that each thread's glibc arena holds: quench_figures
+# peaked at 47.0 MB with 64 columns, 47.8 with 128 and 51.9 with two
+# whole-width halves (median of 4 benchmark runs each)
+DTOP_BLOCK = 64
 KINK_FACTOR = 10.0           # second differences this many medians out are kinks
 DIP_CUT = 0.05               # min_k |G| below this is a rate dip
 AGREEMENT_WINDOW = 0.05      # signals this close in time are one event
@@ -401,21 +407,15 @@ class DtopTrace:
         return bool(np.all(np.abs(v - np.round(v)) < 0.05))
 
 
-def dtop_trace(fps: FixedPointSet, sector: int, times,
-               resolution: int = DTOP_RESOLUTION) -> DtopTrace:
-    """Order-parameter trace over a time grid, NaN where G vanishes on the
-    sector.
+def _trace_block(spec: QuenchSpec, table: SectorTable, ks, times) -> np.ndarray:
+    """Order parameter at each of times from the sector table over ks, NaN
+    where G vanishes on the sector.
 
-    One momentum table serves all times, and each time's increments are
-    summed one momentum row at a time, so a time has the same bits in a
-    trace of any length. Only a time whose increments cross the jump guard
-    is refined, from its own column of the table.
+    Each time's increments are summed one momentum row at a time, so a time
+    has the same bits in a block of any width. Only a time whose increments
+    cross the jump guard is refined, from its own column of the table.
     """
-    spec = fps.spec
-    lo, hi = _sector_bounds(fps, sector)
-    times = np.asarray(times, dtype=float)
-    ks = np.linspace(lo, hi, resolution + 1)
-    z = _unwound(overlaps(spec, ks), times)
+    z = _unwound(table, times)
     inc = phase_increments(z)
     vals = reduce(np.add, inc) / (2 * np.pi)
     bad = np.abs(z).min(axis=0) < 1e-12
@@ -426,7 +426,51 @@ def dtop_trace(fps: FixedPointSet, sector: int, times,
             vals[j] = _refined(spec, ks, inc[:, j], times[j], 0) / (2 * np.pi)
         except IllDefinedPhaseError:
             vals[j] = np.nan
-    return DtopTrace(sector, times, vals)
+    return vals
+
+
+def dtop_trace(fps: FixedPointSet, sector: int, times,
+               resolution: int = DTOP_RESOLUTION) -> DtopTrace:
+    """Order-parameter trace over a time grid, NaN where G vanishes on the
+    sector.
+
+    One momentum table serves all times. The times run in blocks of
+    DTOP_BLOCK columns: the calling thread computes the even blocks and, if
+    there is more than one, one helper thread the odd ones. Columns are
+    independent, so the values do not depend on the blocks or the threads.
+    A failure raises the error of the earliest failing block, which is the
+    error a one-thread run meets first.
+    """
+    spec = fps.spec
+    lo, hi = _sector_bounds(fps, sector)
+    times = np.asarray(times, dtype=float)
+    ks = np.linspace(lo, hi, resolution + 1)
+    table = overlaps(spec, ks)
+    # an empty trace is one empty block
+    starts = range(0, max(times.size, 1), DTOP_BLOCK)
+    done = [None] * len(starts)     # each block's values, or its error
+
+    def run(first):
+        # a thread's blocks ascend, so it stops at its first failure
+        for b in range(first, len(starts), 2):
+            try:
+                done[b] = _trace_block(spec, table, ks, times[starts[b]:starts[b] + DTOP_BLOCK])
+            except Exception as err:  # raised by the caller below, in block order
+                done[b] = err
+                return
+
+    helper = threading.Thread(target=run, args=(1,)) if len(starts) > 1 else None
+    if helper is not None:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        if helper is not None:
+            helper.join()
+    for part in done:
+        if isinstance(part, Exception):
+            raise part
+    return DtopTrace(sector, times, np.concatenate(done))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -25,7 +27,7 @@ from dqptwalk.errors import (
 )
 from dqptwalk.floquet import bloch_coefficients, pt_classify
 from dqptwalk.lattice import MomentumGrid, TimeGrid, normalize_angle
-from dqptwalk.presets import preset
+from dqptwalk.presets import PRESET_IDS, preset
 from dqptwalk.quench import QuenchSpec, loschmidt_field, overlaps
 from test_roots import _reference_brentq, _reference_minimize_bounded
 
@@ -450,6 +452,102 @@ def test_resolution_refinement_stable_away_from_transition(regime, theta1, theta
     for m in range(1, len(fps.segments()) + 1):
         a, b = (dtop_trace(fps, m, times[away], n).values for n in (256, 512))
         assert np.abs(a - b).max() <= DTOP_REFINE_TOL, m
+
+
+def _sector_traces(fps, times, resolution=analysis.DTOP_RESOLUTION):
+    """Each sector's trace as raw bytes, so NaNs compare by their bits, or
+    the repr of its error."""
+    out = []
+    for m in range(1, len(fps.segments()) + 1):
+        try:
+            out.append(dtop_trace(fps, m, times, resolution).values.tobytes())
+        except PhysicsError as err:
+            out.append(repr(err))
+    return out
+
+
+def _one_block(fps, times, resolution=analysis.DTOP_RESOLUTION):
+    """_sector_traces with each trace in one block: no helper thread."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "DTOP_BLOCK", times.size)
+        return _sector_traces(fps, times, resolution)
+
+
+# fig4b and s3-b have no sectors; fig4a at resolution 64 refines one time
+# per sector
+_SECTOR_RUNS = [(label, spec, analysis.DTOP_RESOLUTION) for pid in PRESET_IDS
+                for label, spec in preset(pid) if label not in ("fig4b", "s3-b")]
+_SECTOR_RUNS.append(("fig4a", FIG4A, 64))
+
+
+@pytest.mark.parametrize("label, spec, resolution", _SECTOR_RUNS,
+                         ids=[f"{label}-{res}" for label, _, res in _SECTOR_RUNS])
+def test_preset_trace_bits_do_not_depend_on_the_threads(label, spec, resolution, monkeypatch):
+    """Every preset trace over the 701-sample grid, in blocks shared by the
+    caller and one helper thread, has the bits of the one-block trace that
+    the caller computes alone, NaNs and refined times included."""
+    fps = find_fixed_points(spec, MomentumGrid(128))
+    assert fps.segments()
+    times = TimeGrid(7.0, 0.01).samples
+    threads, refined = set(), []
+    block, refine = analysis._trace_block, analysis._refined
+
+    def block_spy(*args):
+        threads.add(threading.get_ident())
+        return block(*args)
+
+    def refine_spy(spec, ks, inc, t, depth):
+        if depth == 0:
+            refined.append(t)
+        return refine(spec, ks, inc, t, depth)
+
+    monkeypatch.setattr(analysis, "_trace_block", block_spy)
+    monkeypatch.setattr(analysis, "_refined", refine_spy)
+    blocked = _sector_traces(fps, times, resolution)
+    assert len(threads) == 2
+    if resolution == 64:
+        assert len(refined) == len(fps.segments())
+    threads.clear()
+    assert _one_block(fps, times, resolution) == blocked
+    assert threads == {threading.get_ident()}
+
+
+@given(regime=st.sampled_from(sorted(_REGIMES)),
+       theta1=st.floats(-np.pi, np.pi), theta2=st.floats(-np.pi, np.pi))
+@settings(max_examples=20, deadline=None)
+def test_random_trace_bits_do_not_depend_on_the_threads(regime, theta1, theta2):
+    """On random pure, mixed and PT-unbroken lossy quenches, each sector's
+    trace over the 701-sample grid has the bits of the one-block trace, or
+    raises the same error."""
+    spec = QuenchSpec(FIG2A.initial_angles, (theta1, theta2), **_REGIMES[regime])
+    assume(pt_classify(spec.final_angles, spec.loss)[0] == "unbroken")
+    try:
+        fps = find_fixed_points(spec, MomentumGrid(128))
+    except PhysicsError:
+        return
+    times = TimeGrid(7.0, 0.01).samples
+    assert _sector_traces(fps, times) == _one_block(fps, times)
+
+
+@pytest.mark.parametrize("start", [0, 180])
+def test_earliest_failing_block_raises(start, monkeypatch):
+    """Without refinement, fig4a's sector 1 at 32 momenta fails at t = 2.15
+    and at t = 6.54. From sample 0 the first failure falls in a helper block
+    (3) and the second in a caller block (10); from sample 180 the first
+    falls in the caller's block 0 and the second in helper block 7. Either
+    way the trace raises the earliest, as the one-block trace does, and the
+    helper is joined."""
+    fps = find_fixed_points(FIG4A, MomentumGrid(128))
+    times = TimeGrid().samples[start:]
+    monkeypatch.setattr(analysis, "DTOP_REFINE_DEPTH", 0)
+    running = threading.active_count()
+    with pytest.raises(UnresolvedPhaseJumpError, match=r"at t = 6\.54"):
+        dtop_trace(fps, 1, times[times > 3], 32)
+    for block in (analysis.DTOP_BLOCK, times.size):
+        monkeypatch.setattr(analysis, "DTOP_BLOCK", block)
+        with pytest.raises(UnresolvedPhaseJumpError, match=r"at t = 2\.15"):
+            dtop_trace(fps, 1, times, 32)
+        assert threading.active_count() == running
 
 
 def _reference_runs(values, gap):

@@ -9,7 +9,6 @@ quantized amount that jumps at the critical times.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -25,7 +24,8 @@ from .errors import (
     UnresolvedPhaseJumpError,
 )
 from .floquet import _cabs, phase_increments
-from .lattice import MomentumGrid, TimeGrid, normalize_angle
+from .lattice import MomentumGrid, TimeGrid, _run_blocks, normalize_angle
+from .lattice import BLOCK_COLUMNS as DTOP_BLOCK  # time columns per trace block
 from .quench import (
     LoschmidtField,
     QuenchSpec,
@@ -43,11 +43,6 @@ PHASE_JUMP_GUARD = np.pi - 0.1
 DTOP_REFINE_POINTS = 16
 DTOP_REFINE_DEPTH = 3
 DTOP_RESOLUTION = 256        # sector momenta of an order-parameter evaluation
-# time columns per block of an order-parameter trace. Small blocks keep
-# small the transients that each thread's glibc arena holds: quench_figures
-# peaked at 47.0 MB with 64 columns, 47.8 with 128 and 51.9 with two
-# whole-width halves (median of 4 benchmark runs each)
-DTOP_BLOCK = 64
 KINK_FACTOR = 10.0           # second differences this many medians out are kinks
 DIP_CUT = 0.05               # min_k |G| below this is a rate dip
 AGREEMENT_WINDOW = 0.05      # signals this close in time are one event
@@ -435,41 +430,17 @@ def dtop_trace(fps: FixedPointSet, sector: int, times,
     sector.
 
     One momentum table serves all times. The times run in blocks of
-    DTOP_BLOCK columns: the calling thread computes the even blocks and, if
-    there is more than one, one helper thread the odd ones. Columns are
-    independent, so the values do not depend on the blocks or the threads.
-    A failure raises the error of the earliest failing block, which is the
-    error a one-thread run meets first.
+    DTOP_BLOCK columns on the calling thread and one helper thread
+    (lattice._run_blocks). Columns are independent, so the values do not
+    depend on the blocks or the threads.
     """
     spec = fps.spec
     lo, hi = _sector_bounds(fps, sector)
     times = np.asarray(times, dtype=float)
     ks = np.linspace(lo, hi, resolution + 1)
     table = overlaps(spec, ks)
-    # an empty trace is one empty block
-    starts = range(0, max(times.size, 1), DTOP_BLOCK)
-    done = [None] * len(starts)     # each block's values, or its error
-
-    def run(first):
-        # a thread's blocks ascend, so it stops at its first failure
-        for b in range(first, len(starts), 2):
-            try:
-                done[b] = _trace_block(spec, table, ks, times[starts[b]:starts[b] + DTOP_BLOCK])
-            except Exception as err:  # raised by the caller below, in block order
-                done[b] = err
-                return
-
-    helper = threading.Thread(target=run, args=(1,)) if len(starts) > 1 else None
-    if helper is not None:
-        helper.start()
-    try:
-        run(0)
-    finally:
-        if helper is not None:
-            helper.join()
-    for part in done:
-        if isinstance(part, Exception):
-            raise part
+    done = _run_blocks(times.size, DTOP_BLOCK,
+                       lambda a, b, _: _trace_block(spec, table, ks, times[a:b]))
     return DtopTrace(sector, times, np.concatenate(done))
 
 

@@ -27,12 +27,14 @@ from .errors import (
     TopologicalBoundaryError,
 )
 from .lattice import (
+    BLOCK_COLUMNS,
     GAP_TOL,
     STRUCT_TOL,
     CoinAngles,
     MomentumGrid,
     _as_coin_angles,
     _g12,
+    _run_blocks,
     _shared_text,
     _wrap_angle,
     _write_csv,
@@ -189,20 +191,46 @@ def _gap_check(d0: np.ndarray) -> None:
         raise TopologicalBoundaryError("gap closes on the momentum grid; winding undefined")
 
 
-def phase_increments(z):
+def phase_increments(z, out=None):
     """Wrapped phase increments arg(z[i+1] * conj(z[i])) along axis 0, each
-    in (-pi, pi]."""
+    in (-pi, pi]. out, if given, is a (products, angles) pair of a complex
+    and a real array of z[1:]'s shape, and the angles array is returned."""
     z = np.asarray(z, dtype=complex)
-    w = np.conjugate(z[:-1])
+    w, a = (np.empty(z[1:].shape, complex), None) if out is None else out
+    np.conjugate(z[:-1], out=w)
     # the conjugate is the first operand, the order of the elided z[1:] * conj(...)
-    return np.angle(np.multiply(w, z[1:], out=w))
+    np.multiply(w, z[1:], out=w)
+    # np.angle's own arctan2
+    return np.arctan2(w.imag, w.real, out=a)
 
 
-def _loop_phase(d2, d3):
-    """Phase that -d3 + i d2 accumulates around the closed momentum loop on
-    axis 0, one value per loop."""
-    z = -d3 + 1j * d2
-    return phase_increments(np.concatenate([z, z[:1]])).sum(axis=0)
+def _loop_phase(x, y, out=None):
+    """Phase that x + i y accumulates around the closed momentum loop on
+    axis 0, one value per loop. The steps add up in momentum order, so a
+    loop has the same bits alone as in an array of any width.
+
+    out, if given, is a (loop, products, angles) triple of scratch arrays:
+    complex (n + 1, m), complex (n, m) and real (n, m) for n momenta and m
+    loops. The angles array may be y, and the result may be a view of it.
+    """
+    n = len(y)
+    if out is None:
+        out = (np.empty((n + 1,) + np.shape(y)[1:], complex), np.empty(np.shape(y), complex),
+               np.empty(np.shape(y)))
+    z, w, a = out
+    # x + 1j * y, each real operand cast as the ufuncs would cast it, but
+    # into these arrays rather than into casting buffers of their own
+    np.copyto(z[:n], y)
+    np.multiply(1j, z[:n], out=z[:n])
+    np.copyto(w, x)
+    np.add(w, z[:n], out=z[:n])
+    z[n] = z[0]
+    inc = phase_increments(z, out=(w, a))
+    # numpy sums the rows of a 2-D array in order, but a 1-D array or a lone
+    # column pairwise; accumulating keeps the order for those
+    if inc.ndim == 2 and inc.shape[1] > 1:
+        return inc.sum(axis=0)
+    return np.add.accumulate(inc, axis=0, out=inc)[-1]
 
 
 def _integer_from_phase(total: float, what: str) -> int:
@@ -221,7 +249,7 @@ def winding_unitary(angles: CoinAngles, grid: MomentumGrid) -> int:
     _gap_check(d0)
     if np.hypot(d2, d3).min() < 1e-14:
         raise TopologicalBoundaryError("Bloch vector touches the winding axis")
-    return _integer_from_phase(float(_loop_phase(d2, d3)), "winding")
+    return _integer_from_phase(float(_loop_phase(-d3, d2)), "winding")
 
 
 def winding_global_berry(angles: CoinAngles, l: float, grid: MomentumGrid) -> int:
@@ -236,7 +264,7 @@ def winding_global_berry(angles: CoinAngles, l: float, grid: MomentumGrid) -> in
 
     d0, _, d2, d3 = bloch_coefficients(angles, l, grid.samples)
     _gap_check(d0)
-    nu_polar = _integer_from_phase(float(_loop_phase(d2, d3)), "polar route")
+    nu_polar = _integer_from_phase(float(_loop_phase(-d3, d2)), "polar route")
 
     es = eigensystem_arrays(angles, l, grid.samples)
     total = 0.0
@@ -275,6 +303,53 @@ def _pt_status(max_sq):
     "broken" above, "boundary" within PT_TOL."""
     return np.where(max_sq < 1 - PT_TOL, "unbroken",
                     np.where(max_sq > 1 + PT_TOL, "broken", "boundary"))
+
+
+def _winding_map(t1s, t2s, ks, al) -> np.ndarray:
+    """Turns of (d2, d3) around the momentum loop ks, with theta1 on axis 0
+    and theta2 on axis 1; al is the loss's alpha.
+
+    The theta2 columns run in blocks of BLOCK_COLUMNS on the calling thread
+    and one helper thread (lattice._run_blocks). A block walks every theta1
+    row on its thread's (momenta, BLOCK_COLUMNS) buffers, so memory does not
+    grow with the resolution. Columns are independent, so the values do not
+    depend on the blocks or the threads.
+    """
+    c2k, s2k = np.cos(2 * ks), np.sin(2 * ks)
+    c1, s1 = np.cos(t1s), np.sin(t1s)
+    c2, s2 = np.cos(t2s), np.sin(t2s)
+    raw = np.empty((t1s.size, t2s.size))
+    n = ks.size
+
+    def scratch():
+        # -d3, cos2k, d2 (then the step angles), a broadcast row and the row
+        # itself; the closed loop and its step products
+        return ([np.empty(n * BLOCK_COLUMNS) for _ in range(4)] + [np.empty(BLOCK_COLUMNS)]
+                + [np.empty((n + 1) * BLOCK_COLUMNS, complex), np.empty(n * BLOCK_COLUMNS, complex)])
+
+    def block(lo, hi, buffers):
+        # contiguous (rows, hi - lo) views, and outer products as broadcast
+        # copies and same-shape ufuncs: a strided or broadcasting ufunc makes
+        # buffers of its own, which the helper's allocator arena keeps
+        m, cols = hi - lo, slice(lo, hi)
+        x, c, y, r, row, z, w = (b[:b.size // BLOCK_COLUMNS * m].reshape(-1, m) for b in buffers)
+        np.copyto(c, c2k[:, None])
+        # -d3, with d3 = -al * outer(s2k, c2)
+        np.copyto(x, s2k[:, None])
+        np.copyto(r, c2[cols])
+        np.multiply(-al, np.multiply(x, r, out=x), out=x)
+        np.negative(x, out=x)
+        for i in range(t1s.size):
+            # d2 = al * (outer(c2k, c2 * s1) + c1 * s2)
+            np.copyto(y, np.multiply(c2[cols], s1[i], out=row))
+            np.multiply(c, y, out=y)
+            np.copyto(r, np.multiply(c1[i], s2[cols], out=row))
+            np.add(y, r, out=y)
+            np.multiply(al, y, out=y)
+            np.divide(_loop_phase(x, y, out=(z, w, y)), 2 * np.pi, out=raw[i, cols])
+
+    _run_blocks(t2s.size, BLOCK_COLUMNS, block, scratch)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -329,20 +404,7 @@ def phase_diagram_scan(
                               f"[{start / np.pi:.6g}pi, {stop / np.pi:.6g}pi]")
     t1s = theta1_range[0] + (theta1_range[1] - theta1_range[0]) * np.arange(resolution) / resolution
     t2s = theta2_range[0] + (theta2_range[1] - theta2_range[0]) * np.arange(resolution) / resolution
-    ks = MomentumGrid(n_k).samples
-    c2k = np.cos(2 * ks)
-    s2k = np.sin(2 * ks)
-    al, _ = alpha_beta(l)
-    c1, s1 = np.cos(t1s)[:, None], np.sin(t1s)[:, None]
-    c2, s2 = np.cos(t2s), np.sin(t2s)
-
-    # winding of (d2, d3), one theta1 row at a time to bound memory; momentum
-    # on axis 0, theta2 on axis 1
-    raw = np.empty((resolution, resolution))
-    d3 = -al * np.outer(s2k, c2)
-    for i in range(resolution):
-        d2 = al * (np.outer(c2k, c2 * s1[i]) + c1[i] * s2)
-        raw[i] = _loop_phase(d2, d3) / (2 * np.pi)
+    raw = _winding_map(t1s, t2s, MomentumGrid(n_k).samples, alpha_beta(l)[0])
 
     lo, hi = _d0_range(t1s[:, None], t2s, l)
     crosses = ((lo <= 1) & (1 <= hi)) | ((lo <= -1) & (-1 <= hi))

@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -258,6 +261,9 @@ def _reference_scan(theta1_range, theta2_range, resolution, l, n_k):
 @example(-1.0, 2.0, -1.0, 2.0, 32, 32, 0.0)
 @example(-1.0, 2.0, -1.0, 2.0, 40, 64, 0.2)
 @example(-1.0, 2.0, -1.0, 2.0, 64, 256, 0.5)
+# two blocks, the second partial, and three blocks, the last one column wide
+@example(-1.0, 2.0, -1.0, 2.0, 100, 128, 0.5)
+@example(-1.0, 2.0, -1.0, 2.0, 129, 64, 0.0)
 def test_phase_diagram_scan_equals_cell_reference(lo1, w1, lo2, w2, res, half_k, l):
     """The array scan reproduces the cell-by-cell scan (windows and widths in
     units of pi). A zero winding may differ in sign: the loop phase sums the
@@ -272,6 +278,77 @@ def test_phase_diagram_scan_equals_cell_reference(lo1, w1, lo2, w2, res, half_k,
         got = getattr(pd, name)
         assert got.shape == expected.shape, name
         assert np.array_equal(got, expected, equal_nan=name == "winding"), name
+
+
+# the benchmark's phase_64 (one block, no helper) and phase_256_loss02 (two
+# threads), and a map whose third block is one column wide
+_SCAN_RUNS = [(64, 0.0, 1), (256, 0.2, 2), (129, 0.0, 2)]
+
+
+@pytest.mark.parametrize("resolution, l, n_threads", _SCAN_RUNS,
+                         ids=[f"{res}-loss{l}" for res, l, _ in _SCAN_RUNS])
+def test_scan_bits_do_not_depend_on_the_threads(resolution, l, n_threads, monkeypatch):
+    """The scan in BLOCK_COLUMNS blocks has the raw loop phases, windings and
+    gaps of the one-block scan that the caller runs alone, bit for bit, and
+    it joins its helper."""
+    maps, threads = [], set()
+    winding_map, loop_phase = floquet._winding_map, floquet._loop_phase
+
+    def map_spy(*args):
+        maps.append(winding_map(*args))
+        return maps[-1]
+
+    def loop_spy(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return loop_phase(*args, **kwargs)
+
+    monkeypatch.setattr(floquet, "_winding_map", map_spy)
+    monkeypatch.setattr(floquet, "_loop_phase", loop_spy)
+    running = threading.active_count()
+    window = (-np.pi, np.pi)
+    blocked = phase_diagram_scan(window, window, resolution, l, 256)
+    assert len(threads) == n_threads and threading.get_ident() in threads
+    assert threading.active_count() == running
+    threads.clear()
+    monkeypatch.setattr(floquet, "BLOCK_COLUMNS", resolution)
+    one = phase_diagram_scan(window, window, resolution, l, 256)
+    assert threads == {threading.get_ident()}
+    assert maps[0].tobytes() == maps[1].tobytes()
+    for name in ("winding", "min_gap"):
+        assert getattr(blocked, name).tobytes() == getattr(one, name).tobytes(), name
+
+
+def test_loop_phase_bits_do_not_depend_on_the_width(rng):
+    """Each loop has the same bits alone, as a lone column, in a wider array
+    and in caller buffers: the steps add up in momentum order, where numpy
+    would sum a 1-D array or a lone column pairwise."""
+    x, y = rng.uniform(-1, 1, (2, 256, 5))
+    full = floquet._loop_phase(x, y)
+    out = (np.empty((257, 5), complex), np.empty((256, 5), complex), y.copy())
+    assert floquet._loop_phase(x, out[2], out=out).tobytes() == full.tobytes()
+    for j in range(5):
+        assert floquet._loop_phase(x[:, j], y[:, j]) == full[j]
+        assert floquet._loop_phase(x[:, j:j + 1], y[:, j:j + 1])[0] == full[j]
+
+
+def test_scan_memory_does_not_grow_with_the_map():
+    """At resolution 256, going from 256 to 1024 momenta raises the scan's
+    traced peak by at most the two threads' block buffers at 1024 momenta:
+    2 threads x 64 columns x 1025 momenta x 64 bytes (four real and two
+    complex arrays), 8.4 MB. A scan that held (momenta, resolution) row
+    temporaries rose by 11.4 MB."""
+    window = (-np.pi, np.pi)
+
+    def peak(n_k):
+        tracemalloc.start()
+        try:
+            phase_diagram_scan(window, window, 256, 0.0, n_k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    buffers = 2 * floquet.BLOCK_COLUMNS * 1025 * (4 * 8 + 2 * 16)
+    assert peak(1024) - peak(256) <= buffers
 
 
 def _reference_pt_classify(angles, l, grid=MomentumGrid(2048)):

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .floquet import _cabs, phase_increments
 from .lattice import MomentumGrid, TimeGrid, _run_blocks, normalize_angle
-from .lattice import BLOCK_COLUMNS as DTOP_BLOCK  # time columns per trace block
 from .quench import (
     LoschmidtField,
     QuenchSpec,
@@ -43,6 +42,11 @@ PHASE_JUMP_GUARD = np.pi - 0.1
 DTOP_REFINE_POINTS = 16
 DTOP_REFINE_DEPTH = 3
 DTOP_RESOLUTION = 256        # sector momenta of an order-parameter evaluation
+# time columns per block of a two-thread trace (lattice._run_blocks). Small
+# blocks keep small the transients that each thread's glibc arena holds:
+# quench_figures peaked at 47.0 MB with 64 columns, 47.8 with 128 and 51.9
+# with two whole-width halves (median of 4 benchmark runs each)
+DTOP_BLOCK = 64
 KINK_FACTOR = 10.0           # second differences this many medians out are kinks
 DIP_CUT = 0.05               # min_k |G| below this is a rate dip
 AGREEMENT_WINDOW = 0.05      # signals this close in time are one event
@@ -440,7 +444,7 @@ def dtop_trace(fps: FixedPointSet, sector: int, times,
     ks = np.linspace(lo, hi, resolution + 1)
     table = overlaps(spec, ks)
     done = _run_blocks(times.size, DTOP_BLOCK,
-                       lambda a, b, _: _trace_block(spec, table, ks, times[a:b]))
+                       lambda a, b: _trace_block(spec, table, ks, times[a:b]))
     return DtopTrace(sector, times, np.concatenate(done))
 
 

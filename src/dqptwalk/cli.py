@@ -155,10 +155,9 @@ class _Emitter:
             "command": config.command,
             "seed": config.seed,
             # outputs do not depend on the thread count, although an
-            # order-parameter trace and a phase-diagram scan run on the
-            # caller and one helper thread; the key stays so that
-            # summary.json keeps its bytes until the next manifest
-            # regeneration drops it (ROADMAP item 1)
+            # order-parameter trace runs on the caller and one helper
+            # thread; the key stays so that summary.json keeps its bytes
+            # until the next manifest regeneration drops it (ROADMAP item 1)
             "threads": 1,
             "inputs": {k: str(v) for k, v in sorted(config.options.items())},
             "files": list(self.files),

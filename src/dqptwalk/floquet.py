@@ -27,14 +27,12 @@ from .errors import (
     TopologicalBoundaryError,
 )
 from .lattice import (
-    BLOCK_COLUMNS,
     GAP_TOL,
     STRUCT_TOL,
     CoinAngles,
     MomentumGrid,
     _as_coin_angles,
     _g12,
-    _run_blocks,
     _shared_text,
     _wrap_angle,
     _write_csv,
@@ -45,6 +43,9 @@ CLOSED_FORM_COS2OMEGA_MIN = 1e-6
 # integer extraction from accumulated phase
 WINDING_RESIDUAL_MAX = 0.01
 PT_TOL = 1e-9
+# phase-map cells with |margin| at most ELLIPSE_GUARD |c2| / n_k run the
+# numeric winding loop; the others take the ellipse's winding (_winding_map)
+ELLIPSE_GUARD = 8
 # most points per axis of a phase-diagram scan: 2^20 cells, whose status
 # array alone is 32 MB and whose SVG is about 100 MB
 MAX_RESOLUTION = 1024
@@ -191,46 +192,29 @@ def _gap_check(d0: np.ndarray) -> None:
         raise TopologicalBoundaryError("gap closes on the momentum grid; winding undefined")
 
 
-def phase_increments(z, out=None):
+def phase_increments(z):
     """Wrapped phase increments arg(z[i+1] * conj(z[i])) along axis 0, each
-    in (-pi, pi]. out, if given, is a (products, angles) pair of a complex
-    and a real array of z[1:]'s shape, and the angles array is returned."""
+    in (-pi, pi]."""
     z = np.asarray(z, dtype=complex)
-    w, a = (np.empty(z[1:].shape, complex), None) if out is None else out
-    np.conjugate(z[:-1], out=w)
-    # the conjugate is the first operand, the order of the elided z[1:] * conj(...)
+    w = np.conjugate(z[:-1])
+    # the conjugate is the first operand, the order of the elided z[1:] * conj(...);
+    # in place, so that a call holds one complex temporary
     np.multiply(w, z[1:], out=w)
     # np.angle's own arctan2
-    return np.arctan2(w.imag, w.real, out=a)
+    return np.arctan2(w.imag, w.real)
 
 
-def _loop_phase(x, y, out=None):
+def _loop_phase(x, y):
     """Phase that x + i y accumulates around the closed momentum loop on
     axis 0, one value per loop. The steps add up in momentum order, so a
-    loop has the same bits alone as in an array of any width.
-
-    out, if given, is a (loop, products, angles) triple of scratch arrays:
-    complex (n + 1, m), complex (n, m) and real (n, m) for n momenta and m
-    loops. The angles array may be y, and the result may be a view of it.
-    """
-    n = len(y)
-    if out is None:
-        out = (np.empty((n + 1,) + np.shape(y)[1:], complex), np.empty(np.shape(y), complex),
-               np.empty(np.shape(y)))
-    z, w, a = out
-    # x + 1j * y, each real operand cast as the ufuncs would cast it, but
-    # into these arrays rather than into casting buffers of their own
-    np.copyto(z[:n], y)
-    np.multiply(1j, z[:n], out=z[:n])
-    np.copyto(w, x)
-    np.add(w, z[:n], out=z[:n])
-    z[n] = z[0]
-    inc = phase_increments(z, out=(w, a))
+    loop has the same bits alone as in an array of any width."""
+    z = x + 1j * y
+    inc = phase_increments(np.concatenate((z, z[:1])))
     # numpy sums the rows of a 2-D array in order, but a 1-D array or a lone
     # column pairwise; accumulating keeps the order for those
     if inc.ndim == 2 and inc.shape[1] > 1:
         return inc.sum(axis=0)
-    return np.add.accumulate(inc, axis=0, out=inc)[-1]
+    return np.add.accumulate(inc, axis=0)[-1]
 
 
 def _integer_from_phase(total: float, what: str) -> int:
@@ -301,54 +285,38 @@ def pt_classify(angles: CoinAngles, l: float):
 def _pt_status(max_sq):
     """PT status from max_k d0^2, elementwise: "unbroken" below 1,
     "broken" above, "boundary" within PT_TOL."""
-    return np.where(max_sq < 1 - PT_TOL, "unbroken",
-                    np.where(max_sq > 1 + PT_TOL, "broken", "boundary"))
+    # filled in place: nested np.where would hold two such arrays at once
+    status = np.full(np.shape(max_sq), "boundary")
+    status[max_sq < 1 - PT_TOL] = "unbroken"
+    status[max_sq > 1 + PT_TOL] = "broken"
+    return status
 
 
 def _winding_map(t1s, t2s, ks, al) -> np.ndarray:
     """Turns of (d2, d3) around the momentum loop ks, with theta1 on axis 0
     and theta2 on axis 1; al is the loss's alpha.
 
-    The theta2 columns run in blocks of BLOCK_COLUMNS on the calling thread
-    and one helper thread (lattice._run_blocks). A block walks every theta1
-    row on its thread's (momenta, BLOCK_COLUMNS) buffers, so memory does not
-    grow with the resolution. Columns are independent, so the values do not
-    depend on the blocks or the threads.
+    (d2, d3) runs twice around an ellipse centred at (al c1 s2, 0), and the
+    origin sits on its minor axis, al |margin| from the loop, with margin =
+    |s1 c2| - |c1 s2|: inside where margin > 0, so the loop turns -2 sign(s1)
+    times there and 0 times elsewhere. One sample step is an arc of at most
+    2 al |c2| (2pi / n) for n momenta. Where |margin| exceeds
+    ELLIPSE_GUARD |c2| / n, each step turns by less than pi/2, so that
+    integer is the numeric loop's wrapped sum. Only the cells within the
+    guard run the numeric loop, one theta1 row at a time.
     """
-    c2k, s2k = np.cos(2 * ks), np.sin(2 * ks)
     c1, s1 = np.cos(t1s), np.sin(t1s)
     c2, s2 = np.cos(t2s), np.sin(t2s)
-    raw = np.empty((t1s.size, t2s.size))
-    n = ks.size
-
-    def scratch():
-        # -d3, cos2k, d2 (then the step angles), a broadcast row and the row
-        # itself; the closed loop and its step products
-        return ([np.empty(n * BLOCK_COLUMNS) for _ in range(4)] + [np.empty(BLOCK_COLUMNS)]
-                + [np.empty((n + 1) * BLOCK_COLUMNS, complex), np.empty(n * BLOCK_COLUMNS, complex)])
-
-    def block(lo, hi, buffers):
-        # contiguous (rows, hi - lo) views, and outer products as broadcast
-        # copies and same-shape ufuncs: a strided or broadcasting ufunc makes
-        # buffers of its own, which the helper's allocator arena keeps
-        m, cols = hi - lo, slice(lo, hi)
-        x, c, y, r, row, z, w = (b[:b.size // BLOCK_COLUMNS * m].reshape(-1, m) for b in buffers)
-        np.copyto(c, c2k[:, None])
-        # -d3, with d3 = -al * outer(s2k, c2)
-        np.copyto(x, s2k[:, None])
-        np.copyto(r, c2[cols])
-        np.multiply(-al, np.multiply(x, r, out=x), out=x)
-        np.negative(x, out=x)
-        for i in range(t1s.size):
-            # d2 = al * (outer(c2k, c2 * s1) + c1 * s2)
-            np.copyto(y, np.multiply(c2[cols], s1[i], out=row))
-            np.multiply(c, y, out=y)
-            np.copyto(r, np.multiply(c1[i], s2[cols], out=row))
-            np.add(y, r, out=y)
-            np.multiply(al, y, out=y)
-            np.divide(_loop_phase(x, y, out=(z, w, y)), 2 * np.pi, out=raw[i, cols])
-
-    _run_blocks(t2s.size, BLOCK_COLUMNS, block, scratch)
+    margin = np.abs(np.outer(s1, c2)) - np.abs(np.outer(c1, s2))
+    raw = np.where(margin > 0, -2 * np.sign(s1)[:, None], 0.0)
+    near = np.abs(margin) <= ELLIPSE_GUARD * np.abs(c2) / ks.size
+    c2k, s2k = np.cos(2 * ks), np.sin(2 * ks)
+    for i in np.flatnonzero(near.any(axis=1)):
+        j = np.flatnonzero(near[i])
+        # -d3 and d2, each product in the operand order the outputs were recorded with
+        x = -(-al * np.outer(s2k, c2[j]))
+        y = al * (np.outer(c2k, c2[j] * s1[i]) + c1[i] * s2[j])
+        raw[i, j] = _loop_phase(x, y) / (2 * np.pi)
     return raw
 
 
@@ -356,7 +324,8 @@ def _winding_map(t1s, t2s, ks, al) -> np.ndarray:
 class PhaseDiagram:
     """Winding/PT map as (resolution, resolution) arrays, row i at the i-th
     theta1 and column j at the j-th theta2 of the window; angles in (-pi, pi],
-    winding NaN where unlabeled."""
+    winding NaN where unlabeled. theta1 and theta2 are broadcast views of
+    the axes, not for writing."""
 
     theta1: np.ndarray
     theta2: np.ndarray
@@ -392,7 +361,9 @@ def phase_diagram_scan(
     """Winding/PT map over a coin-angle window of width at most 2pi per axis,
     sampled at resolution points from each lower edge.
 
-    Cells whose gap closes get no winding.
+    Cells whose gap closes get no winding. n_k momenta sample the winding
+    loop of the cells near the winding boundary, the only ones that run it
+    (_winding_map).
     """
     if not 32 <= resolution <= MAX_RESOLUTION:
         raise ConfigError(f"resolution must be in [32, {MAX_RESOLUTION}] per axis, "
@@ -416,5 +387,6 @@ def phase_diagram_scan(
     nu = np.rint(raw)
     winding = np.where((min_gap <= GAP_TOL) | (np.abs(raw - nu) >= WINDING_RESIDUAL_MAX),
                        np.nan, -nu)
-    theta1, theta2 = np.meshgrid(_wrap_angle(t1s), _wrap_angle(t2s), indexing="ij")
+    # views of the two axes, 1 MB less held through the emit at resolution 256
+    theta1, theta2 = np.meshgrid(_wrap_angle(t1s), _wrap_angle(t2s), indexing="ij", copy=False)
     return PhaseDiagram(theta1, theta2, winding, status, min_gap, l)

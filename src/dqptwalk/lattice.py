@@ -24,13 +24,6 @@ MAX_TIME_STEPS = 10**6
 MAX_MOMENTA = 2**14
 # most entries of one (momenta, times) table: the 184 MB above
 MAX_TABLE_ENTRIES = MAX_MOMENTA * 701
-# columns per block of the two-thread loops (_run_blocks). Small blocks keep
-# small the transients that each thread's glibc arena holds: quench_figures
-# peaked at 47.0 MB with 64 columns, 47.8 with 128 and 51.9 with two
-# whole-width halves (median of 4 benchmark runs each). The two phase_map
-# scans took 0.14-0.16 s with 64 columns, 0.12 s with 128 and 0.19-0.21 s
-# with 32, against 0.24 s one theta1 row at a time on one thread
-BLOCK_COLUMNS = 64
 
 
 def normalize_angle(a: float) -> float:
@@ -68,26 +61,22 @@ def _shared_text(values, fmt) -> np.ndarray:
     return text[idx.reshape(a.shape)]
 
 
-def _run_blocks(n, width, block, scratch=lambda: None) -> list:
-    """block(lo, hi, buffers) for each block [lo, hi) of width columns of
-    range(n), one empty block if n is 0, and the blocks' results in order.
+def _run_blocks(n, width, block) -> list:
+    """block(lo, hi) for each block [lo, hi) of width columns of range(n),
+    one empty block if n is 0, and the blocks' results in order.
 
     The calling thread runs the even blocks and, if there is more than one,
-    one helper thread the odd ones. Each thread's buffers are one scratch()
-    call, made here on the calling thread: buffers the helper made itself
-    would stay resident in its own allocator arena. A failure raises the
-    error of the earliest failing block, which is the error a one-thread run
-    meets first.
+    one helper thread the odd ones. A failure raises the error of the
+    earliest failing block, which is the error a one-thread run meets first.
     """
     starts = range(0, max(n, 1), width)
-    buffers = [scratch() for _ in starts[:2]]
     done = [None] * len(starts)     # each block's result, or its error
 
     def run(first):
         # a thread's blocks ascend, so it stops at its first failure
         for b in range(first, len(starts), 2):
             try:
-                done[b] = block(starts[b], min(starts[b] + width, n), buffers[first])
+                done[b] = block(starts[b], min(starts[b] + width, n))
             except Exception as err:  # raised by the caller below, in block order
                 done[b] = err
                 return

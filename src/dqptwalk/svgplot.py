@@ -26,11 +26,6 @@ def _ticks(lo, hi, n=6):
     return out
 
 
-def _fmt(v):
-    s = f"{v:.6g}"
-    return s
-
-
 class _Canvas:
     def __init__(self, title, xlabel, ylabel):
         self.parts = [
@@ -67,13 +62,13 @@ def _frame(cv, xlo, xhi, ylo, yhi):
         cv.parts.append(f'<line x1="{px:.1f}" y1="{H - MB}" x2="{px:.1f}" '
                         f'y2="{H - MB + 4}" stroke="#333"/>')
         cv.parts.append(f'<text x="{px:.1f}" y="{H - MB + 16}" text-anchor="middle" '
-                        f'font-family="sans-serif" font-size="10">{_fmt(t)}</text>')
+                        f'font-family="sans-serif" font-size="10">{t:.6g}</text>')
     for t in _ticks(ylo, yhi):
         py = sy(t)
         cv.parts.append(f'<line x1="{ML - 4}" y1="{py:.1f}" x2="{ML}" '
                         f'y2="{py:.1f}" stroke="#333"/>')
         cv.parts.append(f'<text x="{ML - 7}" y="{py + 3:.1f}" text-anchor="end" '
-                        f'font-family="sans-serif" font-size="10">{_fmt(t)}</text>')
+                        f'font-family="sans-serif" font-size="10">{t:.6g}</text>')
     return sx, sy
 
 

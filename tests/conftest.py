@@ -71,6 +71,22 @@ def floquet_matrix(angles, l, k):
     return step_gamma(l) * (outer @ s @ half @ loss_matrix(l) @ half @ s @ outer)
 
 
+def ellipse(theta1, theta2):
+    """Where the origin lies against the (d2, d3) loop of the Bloch form,
+    elementwise in the angles, in closed form.
+
+    (cos2k c2 s1 + c1 s2, -sin2k c2), in units of alpha (loss only rescales
+    it), runs twice across the zone around an ellipse centred at (c1 s2, 0),
+    with semi-axes |c2 s1| along d2, the minor one, and |c2| along d3. The
+    origin sits on the minor axis at distance |margin| from the loop, margin
+    = |s1 c2| - |c1 s2|, and inside it where margin > 0. Returns the margin
+    and the winding label: 2 sign(s1) inside, 0 outside, NaN on the loop.
+    """
+    c1, s1, c2, s2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
+    margin = np.abs(s1 * c2) - np.abs(c1 * s2)
+    return margin, np.where(margin > 0, 2 * np.sign(s1), np.where(margin < 0, 0.0, np.nan))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

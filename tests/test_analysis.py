@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import circular_match
+from conftest import circular_match, ellipse
 
 from dqptwalk import analysis
 from dqptwalk.analysis import (
@@ -261,12 +261,13 @@ def _lossless_geometry(theta1, theta2):
     The prepared ket's Bloch vector lies on the d2 axis. The fixed points are
     where the final Bloch vector is parallel to it (d3 = 0), the critical
     momenta where the two are orthogonal (d2 = 0, cos 2k = -c1 s2 / (c2 s1)),
-    and there cos E = d0 = -s2 / s1. Critical momenta exist only when
-    |c1 s2| < |c2 s1|; the quasienergy is None otherwise.
+    and there cos E = d0 = -s2 / s1. Critical momenta exist only when the
+    final ellipse's margin |c2 s1| - |c1 s2| is not negative; the
+    quasienergy is None otherwise.
     """
     c1, s1, c2, s2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
     fixed = [-np.pi / 2, 0.0, np.pi / 2, np.pi]
-    if abs(c1 * s2) > abs(c2 * s1):
+    if ellipse(theta1, theta2)[0] < 0:
         return fixed, [], None
     k = np.arccos(-c1 * s2 / (c2 * s1)) / 2
     return fixed, [k, -k, k - np.pi, np.pi - k], np.arccos(-s2 / s1)
@@ -290,8 +291,8 @@ def test_lossless_geometry_equals_closed_form(theta1, theta2, mix_p):
     near the boundary (up to 1.1e-12 in 12 of 4,000 draws within 0.003 of
     it), while the error of E is at most twice that of the critical
     momentum, since |dE/dk| <= 2 for this walk (4.9e-13 at most)."""
-    c1, s1, c2, s2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
-    assume(min(abs(c2), abs(s1), abs(abs(c1 * s2) - abs(c2 * s1))) >= 0.05)
+    margin = ellipse(theta1, theta2)[0]
+    assume(min(abs(np.cos(theta2)), abs(np.sin(theta1)), abs(margin)) >= 0.05)
     mixture = {} if mix_p is None else {"mix_p": mix_p}
     spec = QuenchSpec(FIG2A.initial_angles, (theta1, theta2), **mixture)
     fixed, kcs, energy = _lossless_geometry(theta1, theta2)

@@ -3,9 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import floquet_matrix
+from conftest import ellipse, floquet_matrix
 
 from dqptwalk import floquet, roots
 from dqptwalk.errors import (
@@ -280,52 +280,67 @@ def test_phase_diagram_scan_equals_cell_reference(lo1, w1, lo2, w2, res, half_k,
         assert np.array_equal(got, expected, equal_nan=name == "winding"), name
 
 
-# the benchmark's phase_64 (one block, no helper) and phase_256_loss02 (two
-# threads), and a map whose third block is one column wide
-_SCAN_RUNS = [(64, 0.0, 1), (256, 0.2, 2), (129, 0.0, 2)]
+# the benchmark's phase_64 and phase_256_loss02, and an odd resolution
+_SCAN_RUNS = [(64, 0.0), (256, 0.2), (129, 0.0)]
 
 
-@pytest.mark.parametrize("resolution, l, n_threads", _SCAN_RUNS,
-                         ids=[f"{res}-loss{l}" for res, l, _ in _SCAN_RUNS])
-def test_scan_bits_do_not_depend_on_the_threads(resolution, l, n_threads, monkeypatch):
-    """The scan in BLOCK_COLUMNS blocks has the raw loop phases, windings and
-    gaps of the one-block scan that the caller runs alone, bit for bit, and
-    it joins its helper."""
-    maps, threads = [], set()
+def _every_cell_turns(t1s, t2s, ks, al):
+    """Turns of every cell through _loop_phase, one whole theta1 row at a
+    time, in the scan's operand order and without blocks."""
+    c2k, s2k = np.cos(2 * ks), np.sin(2 * ks)
+    c1, s1, c2, s2 = np.cos(t1s), np.sin(t1s), np.cos(t2s), np.sin(t2s)
+    x = -(-al * np.outer(s2k, c2))
+    return np.array([floquet._loop_phase(x, al * (np.outer(c2k, c2 * s1[i]) + c1[i] * s2))
+                     for i in range(t1s.size)])
+
+
+@pytest.mark.parametrize("resolution, l", _SCAN_RUNS,
+                         ids=[f"{res}-loss{l}" for res, l in _SCAN_RUNS])
+def test_scan_loops_only_near_the_boundary(resolution, l, monkeypatch):
+    """The scan starts no thread, and only the cells within ELLIPSE_GUARD
+    |c2| / n_k of the ellipse reach _loop_phase, in row order. Their loop
+    phases have the bits of a numeric loop over every cell, and every other
+    cell's closed-form turns are that loop's integer."""
+    maps, phases = [], []
     winding_map, loop_phase = floquet._winding_map, floquet._loop_phase
 
     def map_spy(*args):
-        maps.append(winding_map(*args))
-        return maps[-1]
+        maps.append((args, winding_map(*args)))
+        return maps[-1][1]
 
-    def loop_spy(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return loop_phase(*args, **kwargs)
+    def loop_spy(*args):
+        phases.append(loop_phase(*args))
+        return phases[-1]
+
+    def no_thread(self):
+        raise AssertionError("the scan started a thread")
 
     monkeypatch.setattr(floquet, "_winding_map", map_spy)
     monkeypatch.setattr(floquet, "_loop_phase", loop_spy)
-    running = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     window = (-np.pi, np.pi)
-    blocked = phase_diagram_scan(window, window, resolution, l, 256)
-    assert len(threads) == n_threads and threading.get_ident() in threads
-    assert threading.active_count() == running
-    threads.clear()
-    monkeypatch.setattr(floquet, "BLOCK_COLUMNS", resolution)
-    one = phase_diagram_scan(window, window, resolution, l, 256)
-    assert threads == {threading.get_ident()}
-    assert maps[0].tobytes() == maps[1].tobytes()
-    for name in ("winding", "min_gap"):
-        assert getattr(blocked, name).tobytes() == getattr(one, name).tobytes(), name
+    pd = phase_diagram_scan(window, window, resolution, l, 256)
+    monkeypatch.undo()
+    ((t1s, t2s, ks, al), raw), = maps
+    margin = ellipse(t1s[:, None], t2s)[0]
+    near = np.abs(margin) <= floquet.ELLIPSE_GUARD * np.abs(np.cos(t2s)) / ks.size
+    assert 0 < near.sum() < near.size / 10
+    every = _every_cell_turns(t1s, t2s, ks, al)
+    assert np.concatenate(phases).tobytes() == every[near].tobytes()
+    assert raw[near].tobytes() == (every[near] / (2 * np.pi)).tobytes()
+    turns = every[~near] / (2 * np.pi)
+    assert np.array_equal(raw[~near], np.rint(turns))
+    assert np.abs(turns - raw[~near]).max() < floquet.WINDING_RESIDUAL_MAX
+    labeled = ~np.isnan(pd.winding)
+    assert np.array_equal(pd.winding[labeled & ~near], -raw[labeled & ~near])
 
 
 def test_loop_phase_bits_do_not_depend_on_the_width(rng):
-    """Each loop has the same bits alone, as a lone column, in a wider array
-    and in caller buffers: the steps add up in momentum order, where numpy
-    would sum a 1-D array or a lone column pairwise."""
+    """Each loop has the same bits alone, as a lone column and in a wider
+    array: the steps add up in momentum order, where numpy would sum a 1-D
+    array or a lone column pairwise."""
     x, y = rng.uniform(-1, 1, (2, 256, 5))
     full = floquet._loop_phase(x, y)
-    out = (np.empty((257, 5), complex), np.empty((256, 5), complex), y.copy())
-    assert floquet._loop_phase(x, out[2], out=out).tobytes() == full.tobytes()
     for j in range(5):
         assert floquet._loop_phase(x[:, j], y[:, j]) == full[j]
         assert floquet._loop_phase(x[:, j:j + 1], y[:, j:j + 1])[0] == full[j]
@@ -333,10 +348,11 @@ def test_loop_phase_bits_do_not_depend_on_the_width(rng):
 
 def test_scan_memory_does_not_grow_with_the_map():
     """At resolution 256, going from 256 to 1024 momenta raises the scan's
-    traced peak by at most the two threads' block buffers at 1024 momenta:
-    2 threads x 64 columns x 1025 momenta x 64 bytes (four real and two
-    complex arrays), 8.4 MB. A scan that held (momenta, resolution) row
-    temporaries rose by 11.4 MB."""
+    traced peak by at most 8.4 MB, the block buffers of the former two-thread
+    scan at 1024 momenta. The cells within the guard shrink as 1 / n_k while
+    each of their loops grows as n_k, so one theta1 row's loop arrays keep
+    about their size. A scan that held (momenta, resolution) row temporaries
+    rose by 11.4 MB."""
     window = (-np.pi, np.pi)
 
     def peak(n_k):
@@ -347,8 +363,48 @@ def test_scan_memory_does_not_grow_with_the_map():
         finally:
             tracemalloc.stop()
 
-    buffers = 2 * floquet.BLOCK_COLUMNS * 1025 * (4 * 8 + 2 * 16)
-    assert peak(1024) - peak(256) <= buffers
+    assert peak(1024) - peak(256) <= 8_396_800
+
+
+@given(angle, st.floats(0.0, 1.0, exclude_min=True), st.booleans(), st.integers(0, 3),
+       st.integers(8, 256), st.floats(0.0, 0.85))
+@settings(max_examples=200, deadline=None)
+@example(-1.2, 1e-6, True, 0, 8, 0.0)     # just outside the guard at 16 momenta
+@example(-1.2, 1e-6, False, 2, 8, 0.2)
+@example(1.1875, 0.25, True, 0, 8, 0.75)
+def test_scan_label_beyond_the_guard_equals_the_numeric_windings(t1, excess, inside,
+                                                                 quadrant, half_k, l):
+    """A scan cell just beyond the guard, where the scan takes the ellipse's
+    label without a loop, gets winding_unitary's winding on its own grid, and
+    for PT-unbroken angles winding_global_berry's on 2048 momenta. theta2 is
+    solved from theta1 for |margin| = (ELLIPSE_GUARD + excess) |c2| / n_k,
+    inside or outside the ellipse; cells whose gap closes are skipped."""
+    n_k = 2 * half_k
+    c1, s1 = np.cos(t1), np.sin(t1)
+    step = (floquet.ELLIPSE_GUARD + excess) / n_k
+    # margin = |c2| (|s1| - |c1| |tan t2|)
+    assume(c1 != 0)
+    tan2 = (abs(s1) - step if inside else abs(s1) + step) / abs(c1)
+    assume(tan2 > 0)
+    t2 = float(np.arctan(tan2))
+    t2 = (t2, -t2, np.pi - t2, t2 - np.pi)[quadrant]
+    margin, expected = ellipse(t1, t2)
+    assume(abs(margin) > floquet.ELLIPSE_GUARD * abs(np.cos(t2)) / n_k)
+    pd = phase_diagram_scan((t1, t1 + 1), (t2, t2 + 1), 32, l, n_k)
+    cell = CoinAngles(t1, t2)
+    assert (pd.theta1[0, 0], pd.theta2[0, 0]) == (cell.theta1, cell.theta2)
+    assume(pd.min_gap[0, 0] > GAP_TOL)
+    label = pd.winding[0, 0]
+    assert label == expected
+    grid = MomentumGrid(n_k)
+    try:
+        assert winding_unitary(cell, grid) == label
+    except TopologicalBoundaryError:
+        assume(False)  # the lossless gap closes on the grid
+    if pt_classify(cell, l)[0] == "unbroken":
+        # the Berry links need a finer grid than the loop: at 16 momenta the
+        # two routes disagree for (1.1875, 0.25, True, 0, 8, 0.75)
+        assert winding_global_berry(cell, l, MomentumGrid(2048)) == label
 
 
 def _reference_pt_classify(angles, l, grid=MomentumGrid(2048)):

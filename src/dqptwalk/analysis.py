@@ -10,7 +10,7 @@ quantized amount that jumps at the critical times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     UndefinedDynamicPhaseError,
     UnresolvedPhaseJumpError,
 )
-from .floquet import _cabs, phase_increments
+from .floquet import _cabs, _row_sum, phase_increments
 from .lattice import MomentumGrid, TimeGrid, _run_blocks, normalize_angle
 from .quench import (
     LoschmidtField,
@@ -410,13 +410,13 @@ def _trace_block(spec: QuenchSpec, table: SectorTable, ks, times) -> np.ndarray:
     """Order parameter at each of times from the sector table over ks, NaN
     where G vanishes on the sector.
 
-    Each time's increments are summed one momentum row at a time, so a time
-    has the same bits in a block of any width. Only a time whose increments
-    cross the jump guard is refined, from its own column of the table.
+    Each time's increments are summed in momentum order (_row_sum), so a
+    time has the same bits in a block of any width. Only a time whose
+    increments cross the jump guard is refined, from its own column.
     """
     z = _unwound(table, times)
     inc = phase_increments(z)
-    vals = reduce(np.add, inc) / (2 * np.pi)
+    vals = _row_sum(inc) / (2 * np.pi)
     bad = np.abs(z).min(axis=0) < 1e-12
     rough = (np.abs(inc).max(axis=0) > PHASE_JUMP_GUARD) & ~bad
     vals[bad] = np.nan

@@ -29,7 +29,7 @@ from .floquet import (
     winding_global_berry,
     winding_unitary,
 )
-from .lattice import MAX_TABLE_ENTRIES, MomentumGrid, TimeGrid, _g12, _write_csv
+from .lattice import MAX_TABLE_ENTRIES, MomentumGrid, TimeGrid, _write_csv
 from .measurement import ErrorModel, monte_carlo_errorbars
 from .presets import PRESET_IDS, preset
 from .quench import QuenchSpec, evolve_position
@@ -172,13 +172,14 @@ class _Emitter:
 
 
 def _write_rate_csv(path, trace):
-    _write_csv(path, ["t", "g"], [[_g12(trace.times), _g12(trace.values)]])
+    _write_csv(path, ["t", "g"], "%.12g,%.12g",
+               [zip(trace.times.tolist(), trace.values.tolist(), strict=True)])
 
 
 def _write_dtop_csv(path, traces):
-    _write_csv(path, ["m", "t", "value"], (
-        [[str(tr.sector)] * len(tr.times), _g12(tr.times),
-         ["" if not np.isfinite(v) else f"{v:.12g}" for v in tr.values.tolist()]]
+    _write_csv(path, ["m", "t", "value"], "%d,%.12g,%s", (
+        zip([tr.sector] * len(tr.times), tr.times.tolist(),
+            ["" if not np.isfinite(v) else f"{v:.12g}" for v in tr.values.tolist()], strict=True)
         for tr in traces))
 
 

@@ -32,7 +32,6 @@ from .lattice import (
     CoinAngles,
     MomentumGrid,
     _as_coin_angles,
-    _g12,
     _shared_text,
     _wrap_angle,
     _write_csv,
@@ -204,17 +203,20 @@ def phase_increments(z):
     return np.arctan2(w.imag, w.real)
 
 
-def _loop_phase(x, y):
-    """Phase that x + i y accumulates around the closed momentum loop on
-    axis 0, one value per loop. The steps add up in momentum order, so a
-    loop has the same bits alone as in an array of any width."""
-    z = x + 1j * y
-    inc = phase_increments(np.concatenate((z, z[:1])))
-    # numpy sums the rows of a 2-D array in order, but a 1-D array or a lone
-    # column pairwise; accumulating keeps the order for those
+def _row_sum(inc):
+    """Sum of inc over axis 0 in row order, so that a column has the same
+    bits alone as in an array of any width. numpy sums the rows of a 2-D
+    array in order, but a 1-D array or a lone column pairwise."""
     if inc.ndim == 2 and inc.shape[1] > 1:
         return inc.sum(axis=0)
     return np.add.accumulate(inc, axis=0)[-1]
+
+
+def _loop_phase(x, y):
+    """Phase that x + i y accumulates around the closed momentum loop on
+    axis 0, one value per loop, summed in momentum order (_row_sum)."""
+    z = x + 1j * y
+    return _row_sum(phase_increments(np.concatenate((z, z[:1]))))
 
 
 def _integer_from_phase(total: float, what: str) -> int:
@@ -339,15 +341,15 @@ class PhaseDiagram:
         return len(self.theta1)
 
     def write_csv(self, path) -> None:
-        # angles, loss and labels repeat across the map: each distinct one is
-        # formatted once, and the rows share the texts
+        # angles, loss and labels repeat: each distinct one is formatted once,
+        # the loss into the row template (a %.12g text holds no %)
         theta1 = _shared_text(self.theta1, "{:.12g}".format)
         theta2 = _shared_text(self.theta2, "{:.12g}".format)
         label = _shared_text(self.winding, lambda w: "" if np.isnan(w) else str(int(w)))
-        loss = _g12([self.loss]) * self.resolution
-        _write_csv(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"], (
-            [theta1[i].tolist(), theta2[i].tolist(), loss, label[i].tolist(),
-             self.pt_status[i].tolist(), _g12(self.min_gap[i])]
+        _write_csv(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"],
+                   f"%s,%s,{self.loss:.12g},%s,%s,%.12g", (
+            zip(theta1[i].tolist(), theta2[i].tolist(), label[i].tolist(),
+                self.pt_status[i].tolist(), self.min_gap[i].tolist(), strict=True)
             for i in range(self.resolution)))
 
 

@@ -45,20 +45,17 @@ def coin_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _g12(values) -> list:
-    """Each value of a real array as %.12g text."""
-    return [f"{x:.12g}" for x in np.asarray(values).tolist()]
-
-
 def _shared_text(values, fmt) -> np.ndarray:
     """fmt(x) of each element of a real array, as an object array of the
     array's shape. fmt runs once per distinct bit pattern, and elements with
     equal bits share its text: keyed by bits, -0.0 and 0.0 keep their own
     text and all NaNs of one pattern share one."""
-    a = np.asarray(values, dtype=float)
-    bits, idx = np.unique(a.view(np.int64), return_inverse=True)
+    keys = np.asarray(values, dtype=float).view(np.int64)
+    # the sorted distinct patterns, as np.unique without an inverse imports numpy.ma
+    bits = np.sort(keys, axis=None)
+    bits = bits[np.append(True, bits[1:] != bits[:-1])] if bits.size else bits
     text = np.array([fmt(x) for x in bits.view(float).tolist()], dtype=object)
-    return text[idx.reshape(a.shape)]
+    return text[np.searchsorted(bits, keys)]
 
 
 def _run_blocks(n, width, block) -> list:
@@ -95,14 +92,15 @@ def _run_blocks(n, width, block) -> list:
     return done
 
 
-def _write_csv(path, header, blocks) -> None:
+def _write_csv(path, header, row, blocks) -> None:
     """Write CSV rows with the CRLF line ends of csv.writer; no field needs
-    quoting. Each block is a list of equal-length text columns, written in
-    turn so that only one block of text is held at a time."""
+    quoting. row is the %-template of one row ("%s,%.12g", say), each block an
+    iterable of row tuples, and only one block of text is held at a time."""
+    line = (row + "\r\n").__mod__
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for columns in blocks:
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns, strict=True))
+        for rows in blocks:
+            fh.write("".join(map(line, rows)))
 
 
 @dataclass(frozen=True)

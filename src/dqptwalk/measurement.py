@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import MomentumGrid, _g12, _write_csv, coin_matrix
+from .lattice import MomentumGrid, _write_csv, coin_matrix
 from .quench import QuenchSpec, evolve_position, overlaps, _step_params
 from .analysis import _rate, _sector_bounds, find_fixed_points
 
@@ -212,11 +212,9 @@ class ErrorBarResult:
     seed: int
 
     def write_csv(self, path) -> None:
-        q, t, c, ep, em = zip(*self.rows) if self.rows else ((),) * 5
         _write_csv(path, ["quantity", "t", "center", "err_plus", "err_minus",
-                          "n_samples", "seed"],
-                   [[q, _g12(t), _g12(c), _g12(ep), _g12(em),
-                     [str(self.n_samples)] * len(q), [str(self.seed)] * len(q)]])
+                          "n_samples", "seed"], "%s,%.12g,%.12g,%.12g,%.12g,%s,%s",
+                   [(row + (self.n_samples, self.seed) for row in self.rows)])
 
 
 def reconstruct_pbar(probs) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInitialProtocolError
 from .floquet import _require_gap, bloch_coefficients, eigensystem_arrays, step_gamma
-from .lattice import CoinAngles, MomentumGrid, TimeGrid, _as_coin_angles, _g12, _write_csv
+from .lattice import CoinAngles, MomentumGrid, TimeGrid, _as_coin_angles, _write_csv
 
 FLAT_BAND_TOL = 1e-10
 # most steps of a position-space walk, whose history holds about
@@ -212,13 +212,13 @@ class LoschmidtField:
     values: np.ndarray  # (n_k, n_t)
 
     def write_csv(self, path) -> None:
-        # |G| one element at a time: a vectorized abs rounds differently
-        times = _g12(self.times)
-        rows = (row.tolist() for row in self.values)
-        _write_csv(path, ["k", "t", "re_G", "im_G", "abs_G"], (
-            [[k] * len(times), times, [f"{z.real:.12g}" for z in g],
-             [f"{z.imag:.12g}" for z in g], [f"{abs(z):.12g}" for z in g]]
-            for k, g in zip(_g12(self.k), rows)))
+        # k and t texts are formatted once; |G| per element: a vectorized abs rounds differently
+        times = [f"{t:.12g}" for t in self.times.tolist()]
+        _write_csv(path, ["k", "t", "re_G", "im_G", "abs_G"], "%s,%s,%.12g,%.12g,%.12g", (
+            zip([f"{k:.12g}"] * len(times), times, re.tolist(), im.tolist(), map(abs, g.tolist()),
+                strict=True)
+            for k, re, im, g in zip(self.k.tolist(), self.values.real, self.values.imag,
+                                    self.values, strict=True)))
 
 
 def loschmidt_field(spec: QuenchSpec, grid: MomentumGrid, tgrid: TimeGrid) -> LoschmidtField:
@@ -265,10 +265,10 @@ class PositionEvolution:
     def write_csv(self, path) -> None:
         # amplitudes of the primary (lower-branch) preparation; mixtures have
         # no single spinor field, their other branch only enters via pbar
-        _write_csv(path, ["t", "x", "re_H", "im_H", "re_V", "im_V"], (
-            [[str(t)] * st.shape[-1], [str(x) for x in self.sites(t).tolist()],
-             _g12(st[0, 0].real), _g12(st[0, 0].imag),
-             _g12(st[0, 1].real), _g12(st[0, 1].imag)]
+        _write_csv(path, ["t", "x", "re_H", "im_H", "re_V", "im_V"],
+                   "%d,%d,%.12g,%.12g,%.12g,%.12g", (
+            zip([t] * st.shape[-1], self.sites(t).tolist(),
+                *(part.tolist() for z in st[0] for part in (z.real, z.imag)), strict=True)
             for t, st in enumerate(self.states)))
 
 

@@ -167,9 +167,10 @@ def phase_map(path, diagram, title=""):
     head = np.array([f'<rect x="{ML + c * cw:.1f}" y="' for c in range(len(u1))], dtype=object)
     mid = np.array([f'{H - MB - (c + 1) * ch:.1f}" width="{cw + 0.5:.1f}" '
                     f'height="{ch + 0.5:.1f}" fill="' for c in range(len(u2))], dtype=object)
-    fill = np.where(diagram.pt_status == "boundary",
-                    _shared_text(diagram.winding, lambda w: f'{_winding_color(w, True)}"/>'),
-                    _shared_text(diagram.winding, lambda w: f'{_winding_color(w, False)}"/>'))
+    boundary = diagram.pt_status == "boundary"
+    fill = np.empty(boundary.shape, dtype=object)
+    for mask, flag in ((boundary, True), (~boundary, False)):
+        fill[mask] = _shared_text(diagram.winding[mask], lambda w: f'{_winding_color(w, flag)}"/>')
 
     def rows():
         # one string per theta1 row: few writes, and never the whole map at once

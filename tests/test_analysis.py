@@ -486,15 +486,22 @@ _SECTOR_RUNS.append(("fig4a", FIG4A, 64))
 def test_preset_trace_bits_do_not_depend_on_the_threads(label, spec, resolution, monkeypatch):
     """Every preset trace over the 701-sample grid, in blocks shared by the
     caller and one helper thread, has the bits of the one-block trace that
-    the caller computes alone, NaNs and refined times included."""
+    the caller computes alone, NaNs and refined times included.
+
+    The threads are counted per trace: each trace starts its own helper, and
+    a later helper may or may not reuse an earlier one's thread id."""
     fps = find_fixed_points(spec, MomentumGrid(128))
     assert fps.segments()
     times = TimeGrid(7.0, 0.01).samples
-    threads, refined = set(), []
-    block, refine = analysis._trace_block, analysis._refined
+    calls, refined = [], []     # the thread ids of each trace's blocks
+    run_blocks, block, refine = analysis._run_blocks, analysis._trace_block, analysis._refined
+
+    def run_spy(*args):
+        calls.append(set())
+        return run_blocks(*args)
 
     def block_spy(*args):
-        threads.add(threading.get_ident())
+        calls[-1].add(threading.get_ident())
         return block(*args)
 
     def refine_spy(spec, ks, inc, t, depth):
@@ -502,15 +509,17 @@ def test_preset_trace_bits_do_not_depend_on_the_threads(label, spec, resolution,
             refined.append(t)
         return refine(spec, ks, inc, t, depth)
 
+    monkeypatch.setattr(analysis, "_run_blocks", run_spy)
     monkeypatch.setattr(analysis, "_trace_block", block_spy)
     monkeypatch.setattr(analysis, "_refined", refine_spy)
     blocked = _sector_traces(fps, times, resolution)
-    assert len(threads) == 2
+    assert len(calls) == len(fps.segments())
+    assert all(len(ids) == 2 and threading.get_ident() in ids for ids in calls)
     if resolution == 64:
         assert len(refined) == len(fps.segments())
-    threads.clear()
+    calls.clear()
     assert _one_block(fps, times, resolution) == blocked
-    assert threads == {threading.get_ident()}
+    assert calls and all(ids == {threading.get_ident()} for ids in calls)
 
 
 @given(regime=st.sampled_from(sorted(_REGIMES)),

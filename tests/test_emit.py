@@ -1,27 +1,74 @@
-"""The phase-map CSV and SVG and the line chart against the per-element
-writers they replace: the same bytes for the same input. The references
-format every cell and point on its own, as the writers did before each
-distinct text was formatted once and shared."""
+"""Every CSV file, the phase-map SVG and the line chart against references
+that format each element on its own: the same bytes for the same input. The
+CSV references join per-element f"{x:.12g}" texts with "," and "\r\n" by
+hand; the SVG references format every cell and point on its own, as the
+writers did before each distinct text was formatted once and shared."""
 import tempfile
 from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from dqptwalk import svgplot
+from dqptwalk import cli, svgplot
+from dqptwalk.analysis import DtopTrace, RateTrace
 from dqptwalk.floquet import PhaseDiagram, phase_diagram_scan
-from dqptwalk.lattice import _g12, _write_csv
+from dqptwalk.measurement import ErrorBarResult
+from dqptwalk.quench import LoschmidtField, PositionEvolution
 from dqptwalk.svgplot import H, MB, ML, MR, MT, PALETTE, W, _Canvas, _finite_span, _frame
 
 NAN = float("nan")
 
 
+def _g(x):
+    return f"{x:.12g}"
+
+
+def _write_rows(path, header, rows):
+    """header and rows of cell texts, joined with "," and CRLF line ends."""
+    text = "".join(",".join(cells) + "\r\n" for cells in [header, *rows])
+    Path(path).write_bytes(text.encode())
+
+
 def _reference_write_csv(path, pd):
-    _write_csv(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"], (
-        [_g12(pd.theta1[i]), _g12(pd.theta2[i]), _g12([pd.loss] * pd.resolution),
-         ["" if np.isnan(w) else str(int(w)) for w in pd.winding[i].tolist()],
-         pd.pt_status[i].tolist(), _g12(pd.min_gap[i])]
-        for i in range(pd.resolution)))
+    rows = []
+    for t1, t2, w, status, gap in zip(*(np.ravel(a).tolist() for a in (
+            pd.theta1, pd.theta2, pd.winding, pd.pt_status, pd.min_gap))):
+        rows.append([_g(t1), _g(t2), _g(pd.loss), "" if np.isnan(w) else str(int(w)),
+                     status, _g(gap)])
+    _write_rows(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"], rows)
+
+
+def _reference_loschmidt_csv(path, field):
+    _write_rows(path, ["k", "t", "re_G", "im_G", "abs_G"], [
+        [_g(k), _g(t), _g(z.real), _g(z.imag), _g(abs(z))]
+        for k, g in zip(field.k.tolist(), field.values.tolist())
+        for t, z in zip(field.times.tolist(), g)])
+
+
+def _reference_field_csv(path, evo):
+    rows = []
+    for t, st_ in enumerate(evo.states):
+        h, v = st_[0].tolist()
+        rows += [[str(t), str(i - 2 * t), _g(a.real), _g(a.imag), _g(b.real), _g(b.imag)]
+                 for i, (a, b) in enumerate(zip(h, v))]
+    _write_rows(path, ["t", "x", "re_H", "im_H", "re_V", "im_V"], rows)
+
+
+def _reference_rate_csv(path, trace):
+    _write_rows(path, ["t", "g"], [[_g(t), _g(g)] for t, g in
+                                   zip(trace.times.tolist(), trace.values.tolist())])
+
+
+def _reference_dtop_csv(path, traces):
+    _write_rows(path, ["m", "t", "value"], [
+        [str(tr.sector), _g(t), _g(v) if np.isfinite(v) else ""]
+        for tr in traces for t, v in zip(tr.times.tolist(), tr.values.tolist())])
+
+
+def _reference_errorbars_csv(path, result):
+    _write_rows(path, ["quantity", "t", "center", "err_plus", "err_minus", "n_samples", "seed"],
+                [[q, _g(t), _g(c), _g(ep), _g(em), str(result.n_samples), str(result.seed)]
+                 for q, t, c, ep, em in result.rows])
 
 
 def _reference_color(w, status):
@@ -90,8 +137,8 @@ def _reference_line_chart(path, series, vlines=(), title="", xlabel="t", ylabel=
     cv.finish(path)
 
 
-def _write_csv_of(path, pd):
-    pd.write_csv(path)
+def _write(path, artifact):
+    artifact.write_csv(path)
 
 
 def _same_bytes(write, reference, *args, **kwargs):
@@ -143,7 +190,7 @@ SIGNED_ZEROS = _diagram([[0.0, -0.0], [-0.0, 0.0]], [[-0.0, 0.0], [0.0, -0.0]],
 @example(SIGNED_ZEROS)
 @settings(max_examples=200, deadline=None)
 def test_phase_diagram_csv_bytes(pd):
-    assert _same_bytes(_write_csv_of, _reference_write_csv, pd)
+    assert _same_bytes(_write, _reference_write_csv, pd)
 
 
 @given(diagrams(), st.sampled_from(["", "winding map, loss=0.2"]))
@@ -156,7 +203,7 @@ def test_phase_map_svg_bytes(pd, title):
 def test_scanned_map_bytes():
     pd = phase_diagram_scan((-np.pi, np.pi), (-np.pi / 2, np.pi / 2), resolution=32, l=0.2,
                             n_k=32)
-    assert _same_bytes(_write_csv_of, _reference_write_csv, pd)
+    assert _same_bytes(_write, _reference_write_csv, pd)
     assert _same_bytes(svgplot.phase_map, _reference_phase_map, pd, title="map")
 
 
@@ -185,3 +232,110 @@ T8 = np.linspace(0, 7, 8)
 def test_line_chart_bytes(series, vlines):
     assert _same_bytes(svgplot.line_chart, _reference_line_chart, series, vlines,
                        title="t", ylabel="g(t)")
+
+
+
+# both zeros, both infinities, NaN, a subnormal, a large and a small power of
+# ten, an exact 12-digit rounding tie each way, and a 17-digit value
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, NAN, 5e-324, 1e16, 1e-5,
+           123456789012.5, 123456789013.5, 0.1 + 0.2]
+SPECIALS = np.array(SPECIAL)
+VALUE = st.sampled_from(SPECIAL) | st.floats()
+# |G| of finite parts must not overflow: Python's abs raises there
+AMPLITUDE = st.sampled_from(SPECIAL) | st.floats(-1e300, 1e300)
+# 1-row blocks and blocks of many rows
+ROWS = st.integers(1, 12)
+
+
+def _table(draw, r, c, values=VALUE):
+    return np.array(draw(st.lists(values, min_size=r * c, max_size=r * c)),
+                    dtype=float).reshape(r, c)
+
+
+def _complex(re, im):
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+@st.composite
+def fields(draw):
+    n_k, n_t = draw(st.integers(1, 4)), draw(ROWS)
+    k, t = _table(draw, 1, n_k)[0], _table(draw, 1, n_t)[0]
+    return LoschmidtField(k, t, _complex(*_table(draw, 2 * n_k, n_t, AMPLITUDE).reshape(2, n_k, n_t)))
+
+
+@given(fields())
+# one momentum of many times, and many momenta of one time each
+@example(LoschmidtField(SPECIALS[:1], SPECIALS, _complex(SPECIALS[None], SPECIALS[None, ::-1])))
+@example(LoschmidtField(SPECIALS, SPECIALS[:1], _complex(SPECIALS[:, None], SPECIALS[::-1, None])))
+@settings(max_examples=50, deadline=None)
+def test_loschmidt_csv_bytes(field):
+    assert _same_bytes(_write, _reference_loschmidt_csv, field)
+
+
+@st.composite
+def walks(draw):
+    # states[t] is the (1, 2, 4t + 1) field; H and V each from a real and an imaginary row
+    return PositionEvolution(None, tuple(
+        _complex(*_table(draw, 4, 4 * t + 1).reshape(2, 2, 4 * t + 1))[None]
+        for t in range(draw(st.integers(1, 3)))))
+
+
+@given(walks())
+@example(PositionEvolution(None, (_complex(SPECIALS[:2, None], SPECIALS[2:4, None])[None],
+                                  _complex(np.resize(SPECIALS, (2, 5)),
+                                           np.resize(SPECIALS[::-1], (2, 5)))[None])))
+@settings(max_examples=50, deadline=None)
+def test_field_csv_bytes(evo):
+    assert _same_bytes(_write, _reference_field_csv, evo)
+
+
+@st.composite
+def rates(draw):
+    return RateTrace(*_table(draw, 2, draw(ROWS)))
+
+
+@given(rates())
+@example(RateTrace(SPECIALS, SPECIALS[::-1]))
+@example(RateTrace(np.array([0.0]), np.array([np.inf])))
+@settings(max_examples=50, deadline=None)
+def test_rate_csv_bytes(trace):
+    assert _same_bytes(cli._write_rate_csv, _reference_rate_csv, trace)
+
+
+@given(st.lists(rates(), min_size=1, max_size=4))
+@example([RateTrace(np.array([0.5]), np.array([NAN])), RateTrace(SPECIALS, SPECIALS[::-1])])
+@settings(max_examples=50, deadline=None)
+def test_dtop_csv_bytes(parts):
+    # a non-finite value writes an empty cell
+    traces = [DtopTrace(m + 1, tr.times, tr.values) for m, tr in enumerate(parts)]
+    assert _same_bytes(cli._write_dtop_csv, _reference_dtop_csv, traces)
+
+
+@st.composite
+def error_bars(draw):
+    cells = _table(draw, draw(st.integers(0, 12)), 4).tolist()
+    quantities = draw(st.lists(st.sampled_from(["dtop", "rate", "pbar"]),
+                               min_size=len(cells), max_size=len(cells)))
+    return ErrorBarResult(tuple(zip(quantities, *zip(*cells))) if cells else (),
+                          draw(st.integers(100, 10**6)), draw(st.integers(0, 2**63)))
+
+
+@given(error_bars())
+@example(ErrorBarResult(tuple(("dtop", *[x] * 4) for x in SPECIAL), 100, 0))
+@example(ErrorBarResult((("rate", *SPECIAL[4:8]),), 1000, 2**63 - 1))
+@settings(max_examples=50, deadline=None)
+def test_errorbars_csv_bytes(result):
+    assert _same_bytes(_write, _reference_errorbars_csv, result)
+
+
+@given(VALUE)
+def test_g12_template_equals_format(x):
+    """The writers' %-templates print each value as f"{x:.12g}" would."""
+    assert "%.12g" % x == f"{x:.12g}"
+
+
+@given(st.integers())
+def test_d_template_equals_str(n):
+    assert "%d" % n == str(n)

@@ -261,7 +261,7 @@ def _reference_scan(theta1_range, theta2_range, resolution, l, n_k):
 @example(-1.0, 2.0, -1.0, 2.0, 32, 32, 0.0)
 @example(-1.0, 2.0, -1.0, 2.0, 40, 64, 0.2)
 @example(-1.0, 2.0, -1.0, 2.0, 64, 256, 0.5)
-# two blocks, the second partial, and three blocks, the last one column wide
+# resolutions that are not a power of two, one of them odd
 @example(-1.0, 2.0, -1.0, 2.0, 100, 128, 0.5)
 @example(-1.0, 2.0, -1.0, 2.0, 129, 64, 0.0)
 def test_phase_diagram_scan_equals_cell_reference(lo1, w1, lo2, w2, res, half_k, l):

@@ -86,8 +86,17 @@ def _get(cfg, key, default, cast):
         return default
     try:
         return cast(cfg[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from None
+
+
+def _integer(value) -> int:
+    """The cast of every integer key: int(value), refusing a bool and a
+    number that int() would truncate, as a JSON config can give."""
+    n = int(value)
+    if isinstance(value, bool) or (not isinstance(value, str) and n != value):
+        raise ValueError(f"{value!r} is not an integer")
+    return n
 
 
 def _given(cfg, **casts) -> dict:
@@ -107,7 +116,7 @@ def build_spec(cfg) -> QuenchSpec:
 
 
 def _grids(cfg):
-    n_k = _get(cfg, "kpoints", 128, int)
+    n_k = _get(cfg, "kpoints", 128, _integer)
     grid, tgrid = MomentumGrid(n_k), TimeGrid(**_given(cfg, t_max=float, dt=float))
     n_t = len(tgrid.samples)
     if n_k * n_t > MAX_TABLE_ENTRIES:
@@ -207,13 +216,13 @@ def _quench_products(qa: QuenchAnalysis, em, label):
 
 def cmd_phase_diagram(config: RunConfig) -> dict:
     cfg = config.options
-    res = _get(cfg, "resolution", 64, int)
+    res = _get(cfg, "resolution", 64, _integer)
     loss = _get(cfg, "loss", 0.0, float)
     t1r = (parse_pi_value(cfg.get("theta1_min", "-1")),
            parse_pi_value(cfg.get("theta1_max", "1")))
     t2r = (parse_pi_value(cfg.get("theta2_min", "-1")),
            parse_pi_value(cfg.get("theta2_max", "1")))
-    n_k = _get(cfg, "kpoints", 256, int)
+    n_k = _get(cfg, "kpoints", 256, _integer)
     pd = phase_diagram_scan(t1r, t2r, res, loss, n_k)
     em = _Emitter(config.out_dir)
     pd.write_csv(em.path("phase_diagram.csv"))
@@ -277,12 +286,12 @@ def cmd_error_mc(config: RunConfig) -> dict:
     _refuse(f"error-mc quantity={quantity}", set(cfg) & set(_MC_UNREAD.get(quantity, ())))
     spec = build_spec(cfg)
     model = ErrorModel(seed=config.seed, **_given(
-        cfg, wp_angle_tol=float, path_loss_tol=float, total_coincidences=int,
-        dephasing_eta=float, mc_samples=int))
-    grid = None if quantity == "pbar" else MomentumGrid(_get(cfg, "kpoints", 256, int))
+        cfg, wp_angle_tol=float, path_loss_tol=float, total_coincidences=_integer,
+        dephasing_eta=float, mc_samples=_integer))
+    grid = None if quantity == "pbar" else MomentumGrid(_get(cfg, "kpoints", 256, _integer))
     result = monte_carlo_errorbars(spec, quantity, model, grid=grid, **_given(
-        cfg, n_steps=int, sector=int,
-        positions=lambda v: tuple(int(p) for p in str(v).split(","))))
+        cfg, n_steps=_integer, sector=_integer,
+        positions=lambda v: tuple(_integer(p) for p in str(v).split(","))))
     em = _Emitter(config.out_dir)
     result.write_csv(em.path("errorbars.csv"))
     first = result.rows[0][0] if result.rows else None

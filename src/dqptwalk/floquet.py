@@ -324,10 +324,10 @@ def _winding_map(t1s, t2s, ks, al) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseDiagram:
-    """Winding/PT map as (resolution, resolution) arrays, row i at the i-th
-    theta1 and column j at the j-th theta2 of the window; angles in (-pi, pi],
-    winding NaN where unlabeled. theta1 and theta2 are broadcast views of
-    the axes, not for writing."""
+    """Winding/PT map over the (resolution,) angle axes theta1 and theta2, in
+    (-pi, pi]: winding, pt_status and min_gap are (resolution, resolution)
+    arrays with row i at theta1[i] and column j at theta2[j], winding NaN
+    where unlabeled."""
 
     theta1: np.ndarray
     theta2: np.ndarray
@@ -341,16 +341,15 @@ class PhaseDiagram:
         return len(self.theta1)
 
     def write_csv(self, path) -> None:
-        # angles, loss and labels repeat: each distinct one is formatted once,
-        # the loss into the row template (a %.12g text holds no %)
-        theta1 = _shared_text(self.theta1, "{:.12g}".format)
-        theta2 = _shared_text(self.theta2, "{:.12g}".format)
+        # each axis value is formatted once, the loss into the row template (a
+        # %.12g text holds no %) and each distinct label once
+        theta2 = [f"{x:.12g}" for x in self.theta2.tolist()]
         label = _shared_text(self.winding, lambda w: "" if np.isnan(w) else str(int(w)))
         _write_csv(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"],
                    f"%s,%s,{self.loss:.12g},%s,%s,%.12g", (
-            zip(theta1[i].tolist(), theta2[i].tolist(), label[i].tolist(),
+            zip([f"{t1:.12g}"] * len(theta2), theta2, label[i].tolist(),
                 self.pt_status[i].tolist(), self.min_gap[i].tolist(), strict=True)
-            for i in range(self.resolution)))
+            for i, t1 in enumerate(self.theta1.tolist())))
 
 
 def phase_diagram_scan(
@@ -389,6 +388,4 @@ def phase_diagram_scan(
     nu = np.rint(raw)
     winding = np.where((min_gap <= GAP_TOL) | (np.abs(raw - nu) >= WINDING_RESIDUAL_MAX),
                        np.nan, -nu)
-    # views of the two axes, 1 MB less held through the emit at resolution 256
-    theta1, theta2 = np.meshgrid(_wrap_angle(t1s), _wrap_angle(t2s), indexing="ij", copy=False)
-    return PhaseDiagram(theta1, theta2, winding, status, min_gap, l)
+    return PhaseDiagram(_wrap_angle(t1s), _wrap_angle(t2s), winding, status, min_gap, l)

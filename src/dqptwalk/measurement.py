@@ -51,8 +51,11 @@ class ErrorModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.wp_angle_tol < 0 or self.path_loss_tol < 0:
-            raise ConfigError("tolerances must be nonnegative")
+        if not 0 <= self.wp_angle_tol <= np.pi:
+            raise ConfigError(f"wp_angle_tol must be in [0, pi], got {self.wp_angle_tol}")
+        # a transmission 1 + U(-tol, tol) must stay positive under its sqrt
+        if not 0 <= self.path_loss_tol < 1:
+            raise ConfigError(f"path_loss_tol must be in [0, 1), got {self.path_loss_tol}")
         if not 0 <= self.dephasing_eta <= 1:
             raise ConfigError(f"eta must be in [0, 1], got {self.dephasing_eta}")
         if self.total_coincidences < 0:

@@ -158,15 +158,15 @@ def phase_map(path, diagram, title=""):
     cw = (W - ML - MR) / res
     ch = (H - MT - MB) / res
     cv = _Canvas(title, "theta1", "theta2")
-    # column and row of each cell: rank of its angle among the distinct ones
-    u1, i1 = np.unique(diagram.theta1.ravel(), return_inverse=True)
-    u2, i2 = np.unique(diagram.theta2.ravel(), return_inverse=True)
     # a cell is head + mid + fill; each is formatted once: the x of each
     # column, the y of each row with the one size, the colour of each
-    # distinct (winding, boundary) pair
-    head = np.array([f'<rect x="{ML + c * cw:.1f}" y="' for c in range(len(u1))], dtype=object)
+    # distinct (winding, boundary) pair. theta1[i] sits in the column and
+    # theta2[j] in the row of its rank among its axis's distinct values.
+    u1, i1 = np.unique(diagram.theta1, return_inverse=True)
+    u2, i2 = np.unique(diagram.theta2, return_inverse=True)
+    head = np.array([f'<rect x="{ML + c * cw:.1f}" y="' for c in range(len(u1))], dtype=object)[i1]
     mid = np.array([f'{H - MB - (c + 1) * ch:.1f}" width="{cw + 0.5:.1f}" '
-                    f'height="{ch + 0.5:.1f}" fill="' for c in range(len(u2))], dtype=object)
+                    f'height="{ch + 0.5:.1f}" fill="' for c in range(len(u2))], dtype=object)[i2]
     boundary = diagram.pt_status == "boundary"
     fill = np.empty(boundary.shape, dtype=object)
     for mask, flag in ((boundary, True), (~boundary, False)):
@@ -174,8 +174,8 @@ def phase_map(path, diagram, title=""):
 
     def rows():
         # one string per theta1 row: few writes, and never the whole map at once
-        for a, b, f in zip(i1.reshape(res, res), i2.reshape(res, res), fill):
-            yield "\n".join((head[a] + mid[b] + f).tolist())
+        for h, f in zip(head.tolist(), fill):
+            yield "\n".join((h + mid + f).tolist())
         yield (f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
                f'height="{H - MT - MB}" fill="none" stroke="#333"/>')
 

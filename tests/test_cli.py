@@ -113,6 +113,50 @@ def test_unreadable_value_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "wp_angle_tol=nan", "wp_angle_tol=inf", "wp_angle_tol=4", "path_loss_tol=nan",
+    "path_loss_tol=1e308", "path_loss_tol=1", "path_loss_tol=1.5"])
+def test_unusable_noise_tolerance_is_usage_error(tmp_path, capsys, setting):
+    out = tmp_path / "mc"
+    rc = run_main(["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+                   "--set", "mc_samples=100", "--set", "n_steps=2", "--set", setting,
+                   "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {setting.split('=')[0]}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("dtop", "kpoints", 32.9), ("dtop", "kpoints", True), ("dtop", "kpoints", 1e400),
+    ("phase-diagram", "resolution", 32.5), ("phase-diagram", "kpoints", False),
+    ("error-mc", "mc_samples", 100.5), ("error-mc", "n_steps", 2.2),
+    ("error-mc", "sector", True), ("error-mc", "total_coincidences", 40000.5),
+])
+def test_non_integral_integer_key_is_usage_error(tmp_path, capsys, command, key, value):
+    """An integer key in a JSON config is refused unless it is a whole
+    number, where int() would truncate it, read true as 1 or overflow."""
+    cfg = {"final_theta1": "-1/2", "final_theta2": "3/8", "t_max": 2}
+    if command == "phase-diagram":
+        cfg = {"resolution": 32}
+    elif command == "error-mc":
+        cfg |= {"mc_samples": 100, "n_steps": 2}
+        del cfg["t_max"]
+    path = tmp_path / "cfg.json"
+    # json.dumps writes 1e400 as Infinity, which json.loads reads back
+    path.write_text(json.dumps(cfg | {key: value}))
+    out = tmp_path / "x"
+    assert run_main([command, "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: bad value for {key}")
+    assert not out.exists()
+
+
+def test_whole_number_integer_key_runs(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"final_theta1": "-1/2", "final_theta2": "3/8",
+                                "t_max": 2, "kpoints": 32.0}))
+    assert run_main(["dtop", "--config", path, "--out", tmp_path / "x"]) == 0
+
+
 @pytest.mark.parametrize("command", ["error-mc", "quench"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     out = tmp_path / "x"

@@ -189,11 +189,12 @@ def test_nonunitary_winding_value():
 
 def test_phase_diagram_scan_cells(tmp_path):
     pd = phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), resolution=32, n_k=64)
-    for values in (pd.theta1, pd.theta2, pd.winding, pd.pt_status, pd.min_gap):
+    assert pd.theta1.shape == pd.theta2.shape == (32,)
+    for values in (pd.winding, pd.pt_status, pd.min_gap):
         assert values.shape == (32, 32)
 
     def winding_at(t1, t2):
-        hit = (np.abs(pd.theta1 - t1) < 1e-9) & (np.abs(pd.theta2 - t2) < 1e-9)
+        hit = np.outer(np.abs(pd.theta1 - t1) < 1e-9, np.abs(pd.theta2 - t2) < 1e-9)
         assert hit.sum() == 1
         return pd.winding[hit][0]
 
@@ -274,8 +275,11 @@ def test_phase_diagram_scan_equals_cell_reference(lo1, w1, lo2, w2, res, half_k,
     pd = phase_diagram_scan(t1r, t2r, res, l, 2 * half_k)
     ref = _reference_scan(t1r, t2r, res, l, 2 * half_k)
     assert pd.loss == l and pd.resolution == res
-    for name, expected in zip(("theta1", "theta2", "winding", "pt_status", "min_gap"), ref):
-        got = getattr(pd, name)
+    assert pd.theta1.shape == pd.theta2.shape == (res,)
+    # each cell's angles, from the two axes
+    theta1, theta2 = np.meshgrid(pd.theta1, pd.theta2, indexing="ij")
+    for name, got, expected in zip(("theta1", "theta2", "winding", "pt_status", "min_gap"),
+                                   (theta1, theta2, pd.winding, pd.pt_status, pd.min_gap), ref):
         assert got.shape == expected.shape, name
         assert np.array_equal(got, expected, equal_nan=name == "winding"), name
 
@@ -392,7 +396,7 @@ def test_scan_label_beyond_the_guard_equals_the_numeric_windings(t1, excess, ins
     assume(abs(margin) > floquet.ELLIPSE_GUARD * abs(np.cos(t2)) / n_k)
     pd = phase_diagram_scan((t1, t1 + 1), (t2, t2 + 1), 32, l, n_k)
     cell = CoinAngles(t1, t2)
-    assert (pd.theta1[0, 0], pd.theta2[0, 0]) == (cell.theta1, cell.theta2)
+    assert (pd.theta1[0], pd.theta2[0]) == (cell.theta1, cell.theta2)
     assume(pd.min_gap[0, 0] > GAP_TOL)
     label = pd.winding[0, 0]
     assert label == expected
@@ -428,9 +432,9 @@ def test_pt_classify_equals_scan_status(lo1, w1, lo2, w2, l):
     widths in units of pi)."""
     pd = phase_diagram_scan((lo1 * np.pi, (lo1 + w1) * np.pi),
                             (lo2 * np.pi, (lo2 + w2) * np.pi), 32, l, 16)
-    for cell in np.ndindex(pd.theta1.shape):
-        angles = (pd.theta1[cell], pd.theta2[cell])
-        assert pt_classify(angles, l)[0] == pd.pt_status[cell], (angles, l)
+    for i, j in np.ndindex(pd.pt_status.shape):
+        angles = (pd.theta1[i], pd.theta2[j])
+        assert pt_classify(angles, l)[0] == pd.pt_status[i, j], (angles, l)
 
 
 @given(angle, angle, st.floats(0.0, 0.9, exclude_max=True))

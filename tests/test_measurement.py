@@ -46,6 +46,24 @@ class TestErrorModel:
         with pytest.raises(ConfigError):
             ErrorModel(total_coincidences=-5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("wp_angle_tol", np.nan), ("wp_angle_tol", np.inf), ("wp_angle_tol", -np.inf),
+        ("wp_angle_tol", np.nextafter(np.pi, 4)),
+        ("path_loss_tol", np.nan), ("path_loss_tol", np.inf), ("path_loss_tol", -0.1),
+        ("path_loss_tol", 1.0), ("path_loss_tol", 1.5), ("path_loss_tol", 1e308),
+    ])
+    def test_unusable_tolerance_refused(self, field, value):
+        # a non-finite tolerance overflows the uniform draw, and a transmission
+        # 1 + U(-tol, tol) that can reach 0 gives NaN click probabilities
+        with pytest.raises(ConfigError, match=field):
+            ErrorModel(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("wp_angle_tol", 0.0), ("wp_angle_tol", np.pi),
+        ("path_loss_tol", 0.0), ("path_loss_tol", np.nextafter(1.0, 0))])
+    def test_tolerance_range_ends_accepted(self, field, value):
+        assert getattr(ErrorModel(**{field: value}), field) == value
+
     def test_silent_strips_all_noise(self):
         # zero tolerances and eta = 1 are valid; a draw is then the exact
         # protocol: the nominal plate angles, no basis error, full transmission

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,17 +37,18 @@ from .quench import QuenchSpec, evolve_position
 
 
 def parse_pi_value(text) -> float:
-    """Angle as a multiple of pi; exact fractions preferred."""
-    if isinstance(text, (int, float)):
-        return float(text) * np.pi
-    s = str(text).strip()
+    """Angle as a multiple of pi; exact fractions preferred. A value too
+    large for a float is refused."""
     try:
-        return float(Fraction(s)) * np.pi
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
+        if isinstance(text, (int, float)):
+            return float(text) * np.pi
+        s = str(text).strip()
+        try:
+            return float(Fraction(s)) * np.pi
+        except (ValueError, ZeroDivisionError):
+            pass
         return float(s) * np.pi
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"cannot read {text!r} as a multiple of pi") from None
 
 
@@ -97,6 +99,15 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (not isinstance(value, str) and n != value):
         raise ValueError(f"{value!r} is not an integer")
     return n
+
+
+def _positions(value) -> tuple:
+    """error-mc sites: a list of integers, as a JSON config gives, or one
+    comma-separated string of them."""
+    items = value if isinstance(value, list) else str(value).split(",")
+    if not items:
+        raise ValueError("no positions")
+    return tuple(_integer(p) for p in items)
 
 
 def _given(cfg, **casts) -> dict:
@@ -188,7 +199,7 @@ def _write_rate_csv(path, trace):
 def _write_dtop_csv(path, traces):
     _write_csv(path, ["m", "t", "value"], "%d,%.12g,%s", (
         zip([tr.sector] * len(tr.times), tr.times.tolist(),
-            ["" if not np.isfinite(v) else f"{v:.12g}" for v in tr.values.tolist()], strict=True)
+            [f"{v:.12g}" if math.isfinite(v) else "" for v in tr.values.tolist()], strict=True)
         for tr in traces))
 
 
@@ -290,8 +301,7 @@ def cmd_error_mc(config: RunConfig) -> dict:
         dephasing_eta=float, mc_samples=_integer))
     grid = None if quantity == "pbar" else MomentumGrid(_get(cfg, "kpoints", 256, _integer))
     result = monte_carlo_errorbars(spec, quantity, model, grid=grid, **_given(
-        cfg, n_steps=_integer, sector=_integer,
-        positions=lambda v: tuple(_integer(p) for p in str(v).split(","))))
+        cfg, n_steps=_integer, sector=_integer, positions=_positions))
     em = _Emitter(config.out_dir)
     result.write_csv(em.path("errorbars.csv"))
     first = result.rows[0][0] if result.rows else None

@@ -18,18 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import MomentumGrid, _write_csv, coin_matrix
+from .lattice import MomentumGrid, _write_csv
 from .quench import QuenchSpec, evolve_position, overlaps, _step_params
 from .analysis import _rate, _sector_bounds, find_fixed_points
 
 U_CIRC = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 U_DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
-# Monte Carlo samples replayed together. With the block arrays allocated
-# once per run, peak memory grows by about 55 KB per sample in flight: 32
-# stays within 1.5 MB of a one-sample replay, while 64 would run about 12 %
-# faster for 1.7 MB more (mc_errorbars wall_s 0.69-0.72 s against
-# 0.61-0.63 s on a 2-core VM).
+# Monte Carlo samples replayed together. The traced peak of a dtop replay
+# grows by about 60 kB per sample in flight: 3.0 MB at 32 against 1.3 MB at
+# 1 and 4.9 MB at 64, while 64 would run the mc_errorbars calls about 7 %
+# faster (0.31 s against 0.34 s a pass, unprofiled, on a 2-core VM).
 MC_BLOCK = 32
 # sector momenta of a replayed order parameter
 MC_DTOP_POINTS = 512
@@ -62,34 +61,25 @@ class ErrorModel:
             raise ConfigError("coincidence total must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PerturbedRun:
-    """One noisy replay of the apparatus: per-step plate angles, analyzer
-    basis errors, and the four sub-arm transmissions."""
+def perturb_protocol(spec: QuenchSpec, error_model: ErrorModel, rngs,
+                     n_steps: int = 7):
+    """Draw one apparatus realization per generator of rngs.
 
-    plate_angles: np.ndarray      # (n_steps, 4) actual angles
-    basis_deltas: np.ndarray      # (4,) analyzer rotations: circ1, diag1, circ2, diag2
-    transmissions: np.ndarray     # (4,) evolved1, ref1, ref2, evolved2
-
-
-def perturb_protocol(spec: QuenchSpec, error_model: ErrorModel,
-                     rng: np.random.Generator, n_steps: int = 7) -> PerturbedRun:
-    """Draw one apparatus realization.
-
+    Returns the (S, n_steps, 4) actual plate angles, the (S, 4) analyzer
+    basis errors (circ1, diag1, circ2, diag2) and the (S, 4) sub-arm
+    transmissions (evolved1, ref1, ref2, evolved2), one sample per generator.
     Every half-wave-plate angle of every step gets its own uniform error;
     lossless walks have three plates per step, so the second mid column stays
-    exact there. Draw order is fixed: plates, analyzer bases, transmissions.
+    exact there. Each generator makes one draw with per-entry bounds, in the
+    order plates, analyzer bases, transmissions: the same bits and the same
+    stream position as one draw per group.
     """
-    base = _step_params(spec.final_angles, spec.loss)
-    plates = np.tile(np.array(base[:4]), (n_steps, 1))
-    d = rng.uniform(-error_model.wp_angle_tol, error_model.wp_angle_tol,
-                    (n_steps, 4))
-    if spec.loss == 0:
-        d[:, 2] = 0.0
-    basis = rng.uniform(-error_model.wp_angle_tol, error_model.wp_angle_tol, 4)
-    trans = 1.0 + rng.uniform(-error_model.path_loss_tol,
-                              error_model.path_loss_tol, 4)
-    return PerturbedRun(plates + d, basis, trans)
+    tol, loss_tol = error_model.wp_angle_tol, error_model.path_loss_tol
+    plate_tol = [tol, tol, tol if spec.loss else 0.0, tol]
+    hi = np.array(plate_tol * n_steps + [tol] * 4 + [loss_tol] * 4)
+    d = np.array([g.uniform(-hi, hi) for g in rngs]).reshape(-1, n_steps + 2, 4)
+    plates = np.add(_step_params(spec.final_angles, spec.loss)[:4], d[:, :n_steps])
+    return plates, d[:, n_steps], 1.0 + d[:, n_steps + 1]
 
 
 def poisson_counts(probabilities, total_coincidences: int, rng, out=None):
@@ -112,94 +102,121 @@ def poisson_counts(probabilities, total_coincidences: int, rng, out=None):
     return lam
 
 
-# The batched replay reproduces the per-sample arithmetic bit for bit.
-# Complex products with a temporary right factor are spelled np.multiply:
-# for large temporaries `a * b` computes b * a in place, and complex
-# multiplication is not bitwise commutative.
+# The batched replay reproduces the per-sample arithmetic bit for bit. Each
+# complex product keeps the operand order of the per-sample formula, since
+# complex multiplication is not bitwise commutative, and is written with
+# out=: numpy elides no temporary there, where for a large temporary `a * b`
+# would compute b * a in place.
 
-_SETTING_BASES = (U_CIRC, U_DIAG, U_CIRC, U_DIAG)
+_SETTING_BASES = np.array([U_CIRC, U_DIAG, U_CIRC, U_DIAG])
 
 
-def _analyzer(runs):
-    """Per-sample sub-arm transmissions (S, 4) and, per analyzer setting
-    (circ1, diag1, circ2, diag2), the projector terms |u0|^2, |u1|^2 and
-    conj(u0) u1, each (S, 4). runs None is the ideal apparatus as one sample.
+def _analyzer(deltas):
+    """Projector terms |u0|^2, |u1|^2 and conj(u0) u1 of each sample's four
+    analyzer vectors (circ1, diag1, circ2, diag2), each (S, 4), for the basis
+    rotations deltas (S, 4); deltas None is the ideal analyzer, one sample.
 
-    The terms are formed one sample at a time from numpy scalars: array
-    products round differently, and the replayed values keep this rounding.
+    The terms keep the bits of scalar numpy arithmetic on one vector at a
+    time: float_power calls libm pow as a scalar ** 2 does, where an array
+    ** 2 squares, and the cross term is spelled in real parts, as the scalar
+    complex product forms it.
     """
-    if runs is None:
-        trans = np.ones((1, 4))
-        bases = [_SETTING_BASES]
+    if deltas is None:
+        u = _SETTING_BASES[None]
     else:
-        trans = np.stack([r.transmissions for r in runs])
-        bases = [[coin_matrix(d) @ u for d, u in zip(r.basis_deltas, _SETTING_BASES)]
-                 for r in runs]
-    uu0 = np.array([[np.abs(u[0]) ** 2 for u in b] for b in bases])
-    uu1 = np.array([[np.abs(u[1]) ** 2 for u in b] for b in bases])
-    cross = np.array([[np.conj(u[0]) * u[1] for u in b] for b in bases], dtype=complex)
-    return trans, (uu0, uu1, cross)
+        # each sample's coin_matrix(delta) @ u, stacked
+        c, s = np.cos(deltas), np.sin(deltas)
+        rot = np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2))
+        u = np.matmul(rot.astype(complex), _SETTING_BASES[:, :, None])[..., 0]
+    u0, u1 = np.conj(u[..., 0]), u[..., 1]
+    cross = np.empty(u0.shape, dtype=complex)
+    cross.real = u0.real * u1.real - u0.imag * u1.imag
+    cross.imag = u0.real * u1.imag + u0.imag * u1.real
+    return np.float_power(np.abs(u0), 2.0), np.float_power(np.abs(u1), 2.0), cross
 
 
-def _projected(r11, r22, r12, terms, setting) -> np.ndarray:
-    """<u| rho |u> per sample and site for 2x2 arm matrices given by entries."""
-    uu0, uu1, cross = (a[:, setting, None] for a in terms)
-    return (uu0 * r11 + uu1 * r22
-            + 2 * np.real(cross * r12))
+def _step_views(flat, n_steps: int) -> list:
+    """The per-step (S, 8, 4t + 1) views, t = 0 .. n_steps, of rows flat
+    that hold every step's setting probabilities (or counts) in step order."""
+    nx = 4 * np.arange(n_steps + 1) + 1
+    return [b.reshape(len(flat), 8, -1)
+            for b in np.split(flat, np.cumsum(8 * nx)[:-1], axis=1)]
 
 
-def _setting_probs(evo, eta: float, runs=None):
+def _setting_probs(evo, eta: float, deltas=None, trans=None, out=None) -> list:
     """Per time step, the eight outcome probabilities of the four analyzer
     settings, vectorized over samples and lattice sites.
 
-    runs holds one PerturbedRun per sample, matching the leading axis of the
-    walk evo; runs None is the ideal apparatus on an unbatched walk, returned
-    as one sample. Returns [probs (S, 8, nx) for each of evo.states], sites as
-    in evo.sites(t), rows ordered (p11, p11', p12, p12', p21, p21', p22, p22').
+    deltas (S, 4) and trans (S, 4) are each sample's analyzer basis errors
+    and sub-arm transmissions, as drawn by perturb_protocol, matching the
+    leading axis of the walk evo; None is the ideal apparatus on an unbatched
+    walk, as one sample. All steps' sites are laid side by side and computed
+    in one pass, and each outcome row goes straight into its columns of out
+    (S, 8 * sum(4t + 1)), laid out as _step_views reads it: the order in
+    which a sample draws its counts. Returns the per-step (S, 8, nx) views of
+    out, sites as in evo.sites(t), rows ordered (p11, p11', p12, p12', p21,
+    p21', p22, p22').
     """
-    trans, terms = _analyzer(runs)
+    uu0, uu1, cross = _analyzer(deltas)
+    if trans is None:
+        trans = np.ones((1, 4))
+    n_s, n_steps = len(trans), len(evo.states) - 1
+    amp = np.concatenate(evo.states, axis=-1)
+    amp = amp.reshape((-1,) + amp.shape[-3:])
+    shape = (n_s, amp.shape[-1])
+    if out is None:
+        out = np.empty((n_s, 8 * shape[1]))
+    # per outcome, the column of out of each side-by-side site
+    cols = np.concatenate(_step_views(np.arange(out.shape[1])[None], n_steps), axis=-1)[0]
+
     root = np.sqrt(trans)
     norm1 = ((trans[:, 0] + trans[:, 1]) / 2)[:, None]
     norm2 = ((trans[:, 2] + trans[:, 3]) / 2)[:, None]
     coh = 2 * eta - 1
-
     init = evo.spec.prepared
-    out = []
-    for t, st in enumerate(evo.states):
-        sites = evo.sites(t)
-        shape = (len(trans), sites.size)
-        # weighted arm matrices; path 1 interferes the evolved H component
-        # with the reference H amplitude, path 2 the reference V with the
-        # evolved V (the reference copy is flat across the window)
-        a11 = np.zeros(shape)
-        a22 = np.zeros(shape)
-        a12 = np.zeros(shape, dtype=complex)
-        b11 = np.zeros(shape)
-        b22 = np.zeros(shape)
-        b12 = np.zeros(shape, dtype=complex)
-        for j, (w, ket) in enumerate(zip(init.weights, init.kets)):
-            amp = st[..., j, :, :].reshape(-1, 2, sites.size)
-            v1 = root[:, 0, None] * amp[:, 0]
-            v2 = (root[:, 1] * ket[0])[:, None] * np.ones(shape, dtype=complex)
-            a11 += w * np.abs(v1) ** 2
-            a22 += w * np.abs(v2) ** 2
-            a12 += np.multiply(w * v1, np.conj(v2))
-            w1 = (root[:, 2] * ket[1])[:, None] * np.ones(shape, dtype=complex)
-            w2 = root[:, 3, None] * amp[:, 1]
-            b11 += w * np.abs(w1) ** 2
-            b22 += w * np.abs(w2) ** 2
-            b12 += np.multiply(w * w1, np.conj(w2))
-        a11, a22, a12 = a11 / norm1, a22 / norm1, coh * a12 / norm1
-        b11, b22, b12 = b11 / norm2, b22 / norm2, coh * b12 / norm2
-        p1_tot = a11 + a22
-        p2_tot = b11 + b22
-        p11 = _projected(a11, a22, a12, terms, 0)
-        p12 = _projected(a11, a22, a12, terms, 1)
-        p21 = _projected(b11, b22, b12, terms, 2)
-        p22 = _projected(b11, b22, b12, terms, 3)
-        out.append(np.stack([p11, p1_tot - p11, p12, p1_tot - p12,
-                             p21, p2_tot - p21, p22, p2_tot - p22], axis=1))
-    return out
+    # weighted arm matrices; path 1 interferes the evolved H component with
+    # the reference H amplitude, path 2 the reference V with the evolved V.
+    # The reference copy is flat across the window, so its terms are one
+    # column per sample.
+    a11, b22 = np.zeros(shape), np.zeros(shape)
+    a12, b12 = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    tmp, p, v = np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex)
+    a22 = b11 = 0.0
+    # times a complex one, as the per-site reference copy is formed
+    ones = np.ones((n_s, 1), dtype=complex)
+    for j, (w, ket) in enumerate(zip(init.weights, init.kets)):
+        ref1 = (root[:, 1] * ket[0])[:, None] * ones
+        ref2 = (root[:, 2] * ket[1])[:, None] * ones
+        a22 = a22 + w * np.abs(ref1) ** 2
+        b11 = b11 + w * np.abs(ref2) ** 2
+        # path 1: w |v1|^2 and (w v1) conj(ref1), v1 the evolved H
+        np.multiply(root[:, 0, None], amp[:, j, 0], out=v)
+        np.add(a11, np.multiply(w, np.square(np.abs(v, out=tmp), out=tmp), out=tmp), out=a11)
+        np.multiply(np.multiply(w, v, out=v), np.conj(ref1), out=v)
+        np.add(a12, v, out=a12)
+        # path 2: w |w2|^2 and (w ref2) conj(w2), w2 the evolved V
+        np.multiply(root[:, 3, None], amp[:, j, 1], out=v)
+        np.add(b22, np.multiply(w, np.square(np.abs(v, out=tmp), out=tmp), out=tmp), out=b22)
+        np.multiply(w * ref2, np.conj(v, out=v), out=v)
+        np.add(b12, v, out=b12)
+    np.divide(a11, norm1, out=a11)
+    np.divide(b22, norm2, out=b22)
+    a22, b11 = a22 / norm1, b11 / norm2
+    np.divide(np.multiply(coh, a12, out=a12), norm1, out=a12)
+    np.divide(np.multiply(coh, b12, out=b12), norm2, out=b12)
+
+    # <u| rho |u> = |u0|^2 r11 + |u1|^2 r22 + 2 Re(conj(u0) u1 r12) per
+    # setting, its complement the path total minus it
+    for setting, (r11, r22, r12) in enumerate(((a11, a22, a12), (a11, a22, a12),
+                                              (b11, b22, b12), (b11, b22, b12))):
+        np.multiply(uu0[:, setting, None], r11, out=p)
+        np.add(p, np.multiply(uu1[:, setting, None], r22, out=v.real), out=p)
+        np.multiply(cross[:, setting, None], r12, out=v)
+        np.add(p, np.multiply(2, v.real, out=v.real), out=p)
+        out[:, cols[2 * setting]] = p
+        np.subtract(np.add(r11, r22, out=tmp), p, out=p)
+        out[:, cols[2 * setting + 1]] = p
+    return _step_views(out, n_steps)
 
 
 @dataclass(frozen=True)
@@ -229,18 +246,6 @@ def reconstruct_pbar(probs) -> np.ndarray:
             + (probs[:, 2] - p1 / 2 + probs[:, 6] - p2 / 2))
 
 
-def _counted(probs, total_coincidences: int, rngs, out) -> list:
-    """Poisson counts for every step's probabilities (S, 8, nx); each sample
-    draws all of its steps in step order from its own generator. The counts
-    are views into out, which has room for every step's entries side by side
-    in at least S rows."""
-    flat = np.concatenate([p.reshape(len(rngs), -1) for p in probs], axis=1,
-                          out=out[:len(rngs)])
-    poisson_counts(flat, total_coincidences, rngs, out=flat)
-    ends = np.cumsum([p[0].size for p in probs])[:-1]
-    return [c.reshape(p.shape) for c, p in zip(np.split(flat, ends, axis=1), probs)]
-
-
 def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorModel,
                           n_steps: int = 7, sector: int = 1, positions=(0,), *,
                           grid: MomentumGrid | None = None) -> ErrorBarResult:
@@ -268,8 +273,12 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
     # momentum transforms, one matrix per step (and per winding sector)
     steps = range(n_steps + 1)
     ref_evo = evolve_position(spec, n_steps)
-    ref_probs = _setting_probs(ref_evo, 1.0)
     sites = [ref_evo.sites(t) for t in steps]
+    # a block's count buffer: its leading S rows hold each sample's setting
+    # probabilities, then its counts, every step's entries side by side
+    counted = np.empty((MC_BLOCK, 8 * sum(x.size for x in sites)))
+    ref_flat = np.empty((1, counted.shape[1]))
+    ref_probs = _setting_probs(ref_evo, 1.0, out=ref_flat)
     if quantity == "rate_function":
         fourier = [np.exp(-1j * np.outer(grid.samples, x)) for x in sites]
     elif quantity == "dtop":
@@ -281,14 +290,12 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
 
     # the large arrays of a block, allocated once per run; a block of S
     # samples writes the leading S rows
-    counted = np.empty((MC_BLOCK, sum(p[0].size for p in ref_probs)))
     if quantity != "pbar":
         n_k = len(fourier[0])
         g_buf = np.empty((MC_BLOCK, n_k, 1), dtype=complex)
     if quantity == "dtop":
         z_buf = np.empty((MC_BLOCK, n_k), dtype=complex)
         conj_buf = np.empty((MC_BLOCK, n_k - 1), dtype=complex)
-        step_buf = np.empty((MC_BLOCK, n_k - 1), dtype=complex)
         angle_buf = np.empty((MC_BLOCK, n_k - 1))
 
     def measure(probs_by_step):
@@ -317,9 +324,10 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
                 # not floquet.phase_increments, whose first factor is
                 # conj(z[:-1]): on AVX-512 a complex product can change in the
                 # last bit when its operands swap, so that would move the
-                # Monte Carlo bytes; it waits for ROADMAP item 1
+                # Monte Carlo bytes; it waits for ROADMAP item 1. The product
+                # overwrites its conj factor, which numpy does elementwise
                 step = np.multiply(z[:, 1:], np.conj(z[:, :-1], out=conj_buf[:n]),
-                                   out=step_buf[:n])
+                                   out=conj_buf[:n])
                 # np.angle(step), written into the run's buffer
                 inc = np.arctan2(step.imag, step.real, out=angle_buf[:n])
                 vals[(f"dtop_m{sector}", t)] = inc.sum(axis=1) / (2 * np.pi)
@@ -338,16 +346,18 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
     for start in range(0, error_model.mc_samples, MC_BLOCK):
         rngs = [np.random.default_rng(error_model.seed ^ i)
                 for i in range(start, min(start + MC_BLOCK, error_model.mc_samples))]
+        block = counted[:len(rngs)]
         if poisson_only:
-            probs = [np.broadcast_to(p, (len(rngs),) + p.shape[1:])
-                     for p in ref_probs]
+            block[:] = ref_flat
         else:
-            runs = [perturb_protocol(spec, error_model, rng, n_steps) for rng in rngs]
-            evo = evolve_position(spec, n_steps, np.stack([r.plate_angles for r in runs]))
-            probs = _setting_probs(evo, eta, runs)
+            plates, deltas, trans = perturb_protocol(spec, error_model, rngs, n_steps)
+            _setting_probs(evolve_position(spec, n_steps, plates), eta, deltas, trans,
+                           out=block)
         if error_model.total_coincidences > 0:
-            probs = _counted(probs, error_model.total_coincidences, rngs, counted)
-        for key, v in measure(probs).items():
+            # each sample draws all of its steps' counts, in step order, from
+            # its own generator
+            poisson_counts(block, error_model.total_coincidences, rngs, out=block)
+        for key, v in measure(_step_views(block, n_steps)).items():
             d = v - center[key]
             d = d[np.isfinite(d)]
             if d.size:

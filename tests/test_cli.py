@@ -24,6 +24,10 @@ def test_parse_pi_value():
         cli.parse_pi_value("a lot")
     with pytest.raises(ConfigError):
         cli.parse_pi_value("1/0")
+    # values no float holds
+    for text in ("1e400", "1" + "0" * 400 + "/3", 10 ** 400):
+        with pytest.raises(ConfigError, match="as a multiple of pi"):
+            cli.parse_pi_value(text)
 
 
 def test_load_config_json(tmp_path):
@@ -94,6 +98,16 @@ def test_unreadable_angle_is_usage_error(capsys):
                    "--set", "final_theta2=1/4"])
     assert rc == 2
     assert "error: config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("angle", ["1e400", "1" + "0" * 400 + "/3"])
+def test_angle_too_large_for_a_float_is_usage_error(tmp_path, capsys, angle):
+    out = tmp_path / "x"
+    rc = run_main(["quench", "--set", f"final_theta1={angle}",
+                   "--set", "final_theta2=1/4", "--out", out])
+    assert rc == 2
+    assert "error: config:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,4 +510,28 @@ def test_error_mc_refuses_keys_its_quantity_ignores(tmp_path, capsys, quantity, 
                    "--set", "mc_samples=100", "--set", "n_steps=2", "--out", out])
     assert rc == 2
     assert f"does not read config key(s) {unread.split('=')[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("positions", [[0, 2], "0,2"])
+def test_error_mc_positions_as_json_list_or_string(tmp_path, positions):
+    cfg = {"final_theta1": "-1/2", "final_theta2": "3/8", "quantity": "pbar",
+           "mc_samples": 100, "n_steps": 2, "positions": positions}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_main(["error-mc", "--config", path, "--out", tmp_path / "mc"]) == 0
+    labels = {row.split(",")[0] for row in
+              (tmp_path / "mc" / "errorbars.csv").read_text().splitlines()[1:]}
+    assert labels == {"re_pbar_x0", "im_pbar_x0", "re_pbar_x2", "im_pbar_x2"}
+
+
+@pytest.mark.parametrize("positions", [[], [0, 2.5], [0, True], [[0]]])
+def test_error_mc_unreadable_positions_is_usage_error(tmp_path, capsys, positions):
+    cfg = {"final_theta1": "-1/2", "final_theta2": "3/8", "quantity": "pbar",
+           "mc_samples": 100, "n_steps": 2, "positions": positions}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "mc"
+    assert run_main(["error-mc", "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: config: bad value for positions")
     assert not out.exists()

@@ -10,6 +10,7 @@ from dqptwalk.measurement import (
     U_CIRC,
     U_DIAG,
     ErrorModel,
+    _analyzer,
     _setting_probs,
     monte_carlo_errorbars,
     perturb_protocol,
@@ -68,11 +69,12 @@ class TestErrorModel:
         # zero tolerances and eta = 1 are valid; a draw is then the exact
         # protocol: the nominal plate angles, no basis error, full transmission
         m = ErrorModel(0.0, 0.0, 0, 1.0, seed=9)
-        run = perturb_protocol(SPEC, m, np.random.default_rng(m.seed), n_steps=3)
+        plates, deltas, trans = perturb_protocol(SPEC, m, [np.random.default_rng(m.seed)],
+                                                 n_steps=3)
         base = _step_params(SPEC.final_angles, SPEC.loss)
-        assert np.array_equal(run.plate_angles, np.tile(base[:4], (3, 1)))
-        assert np.array_equal(run.basis_deltas, np.zeros(4))
-        assert np.array_equal(run.transmissions, np.ones(4))
+        assert np.array_equal(plates, np.tile(base[:4], (1, 3, 1)))
+        assert np.array_equal(deltas, np.zeros((1, 4)))
+        assert np.array_equal(trans, np.ones((1, 4)))
 
 
 def test_dephase_scales_coherences():
@@ -92,22 +94,22 @@ def test_dephase_scales_coherences():
 
 def test_perturb_protocol_shapes_and_bounds(rng):
     em = ErrorModel()
-    run = perturb_protocol(SPEC, em, rng, n_steps=7)
-    assert run.plate_angles.shape == (7, 4)
-    assert run.basis_deltas.shape == (4,)
-    assert run.transmissions.shape == (4,)
+    plates, deltas, trans = perturb_protocol(SPEC, em, rng.spawn(5), n_steps=7)
+    assert plates.shape == (5, 7, 4)
+    assert deltas.shape == (5, 4)
+    assert trans.shape == (5, 4)
     # unitary protocol has no partial-measurement stage to misalign
-    assert np.all(run.plate_angles[:, 2] == 0)
-    assert np.abs(run.basis_deltas).max() <= em.wp_angle_tol
-    assert np.abs(run.transmissions - 1).max() <= em.path_loss_tol
+    assert np.all(plates[..., 2] == 0)
+    assert np.abs(deltas).max() <= em.wp_angle_tol
+    assert np.abs(trans - 1).max() <= em.path_loss_tol
 
 
 def test_perturb_protocol_reproducible():
     em = ErrorModel()
-    a = perturb_protocol(SPEC, em, np.random.default_rng(3), n_steps=5)
-    b = perturb_protocol(SPEC, em, np.random.default_rng(3), n_steps=5)
-    assert np.array_equal(a.plate_angles, b.plate_angles)
-    assert np.array_equal(a.transmissions, b.transmissions)
+    a = perturb_protocol(SPEC, em, [np.random.default_rng(3)], n_steps=5)
+    b = perturb_protocol(SPEC, em, [np.random.default_rng(3)], n_steps=5)
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x, y)
 
 
 def test_poisson_counts_of_a_scalar_is_a_scalar():
@@ -257,9 +259,88 @@ def test_rate_of_transposed_samples_equals_former_formula(samples, n_k, zeros, s
     assert np.array_equal(np.isposinf(got), (g == 0).any(axis=1))
 
 
+def _reference_draw(spec, model, rng, n_steps):
+    """One sample's apparatus draw, one call per group: the plate angles, the
+    analyzer basis errors and the transmissions."""
+    base = _step_params(spec.final_angles, spec.loss)
+    tol, loss_tol = model.wp_angle_tol, model.path_loss_tol
+    d = rng.uniform(-tol, tol, (n_steps, 4))
+    if spec.loss == 0:
+        d[:, 2] = 0.0
+    deltas = rng.uniform(-tol, tol, 4)
+    trans = 1.0 + rng.uniform(-loss_tol, loss_tol, 4)
+    return np.tile(np.array(base[:4]), (n_steps, 1)) + d, deltas, trans
+
+
+@given(seed=st.integers(0, 2 ** 63 - 1), n_steps=st.integers(0, 9),
+       loss=st.sampled_from([0.0, 0.36]), tol=st.sampled_from([0.0, np.deg2rad(0.1), np.pi]),
+       loss_tol=st.sampled_from([0.0, 0.02, np.nextafter(1.0, 0)]))
+@settings(max_examples=60, deadline=None)
+def test_one_call_draw_equals_per_group_draws(seed, n_steps, loss, tol, loss_tol):
+    """perturb_protocol's one draw per generator has the bits of one draw
+    per group and leaves each generator's stream at the same point."""
+    spec = SPEC if loss == 0 else QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), loss=loss)
+    model = ErrorModel(tol, loss_tol)
+    block = [np.random.default_rng(seed + i) for i in range(3)]
+    serial = [np.random.default_rng(seed + i) for i in range(3)]
+    got = perturb_protocol(spec, model, block, n_steps)
+    for i, g in enumerate(serial):
+        for part, want in zip(got, _reference_draw(spec, model, g, n_steps), strict=True):
+            assert part[i].tobytes() == want.tobytes()
+    assert [g.bit_generator.state for g in block] == [g.bit_generator.state for g in serial]
+
+
+_DELTAS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.deg2rad(0.1), -np.deg2rad(0.1), np.pi, -np.pi]),
+    st.floats(-np.pi, np.pi))
+
+
+def _scalar_analyzer_terms(delta, u):
+    """|u0|^2, |u1|^2 and conj(u0) u1 of one rotated analyzer vector, in
+    numpy scalar arithmetic."""
+    v = coin_matrix(delta) @ u
+    return np.abs(v[0]) ** 2, np.abs(v[1]) ** 2, np.conj(v[0]) * v[1]
+
+
+@given(deltas=st.lists(st.tuples(*[_DELTAS] * 4), min_size=1, max_size=12))
+@example([(0.0, 0.0, 0.0, 0.0)])
+@example([(np.pi, -np.pi, np.deg2rad(0.1), -np.deg2rad(0.1))])
+# diagonal-setting rotations whose |u0|^2 or |u1|^2 an array square rounds
+# differently from pow
+@example([(0.0, 0.0012157656680298232, 0.0, -0.0016962537868609798),
+          (0.0, 2.4164903160695124, 0.0, 1.2168183586489034)])
+@settings(max_examples=60, deadline=None)
+def test_block_analyzer_equals_scalar_vectors(deltas):
+    deltas = np.array(deltas)
+    terms = _analyzer(deltas)
+    for i, row in enumerate(deltas):
+        for k, (d, u) in enumerate(zip(row, (U_CIRC, U_DIAG, U_CIRC, U_DIAG))):
+            want = _scalar_analyzer_terms(d, u)
+            assert [t[i, k].tobytes() for t in terms] == [w.tobytes() for w in want]
+    ideal = _analyzer(None)
+    for k, u in enumerate((U_CIRC, U_DIAG, U_CIRC, U_DIAG)):
+        # the replay stores the real product of the real U_DIAG as complex
+        want = (np.abs(u[0]) ** 2, np.abs(u[1]) ** 2, np.complex128(np.conj(u[0]) * u[1]))
+        assert [t[0, k].tobytes() for t in ideal] == [w.tobytes() for w in want]
+
+
+@given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                  max_size=64))
+@example([1e-200, 3.0, 1.0000000000000002, 1e154, 1.3407807929942596e154])
+@settings(max_examples=80, deadline=None)
+def test_float_power_squares_as_scalar_pow(x):
+    """np.float_power(x, 2.0) on an array has the bits of np.float64 ** 2,
+    which calls libm pow; an array ** 2 squares and may differ."""
+    with np.errstate(over="ignore"):
+        got = np.float_power(np.array(x), 2.0)
+        want = [np.float64(v) ** 2 for v in x]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def _reference_probs(spec, n_steps, run, eta):
     """One replay's eight setting probabilities per step, one sample at a
-    time: serial walks per ket, scalar analyzer vectors."""
+    time: serial walks per ket, scalar analyzer vectors. run is a
+    _reference_draw, None the ideal apparatus."""
     init = initial_state(spec)
     base = _step_params(spec.final_angles, spec.loss)
     hists = []
@@ -267,7 +348,7 @@ def _reference_probs(spec, n_steps, run, eta):
         psi = ket.reshape(2, 1).astype(complex)
         hist = [psi]
         for s in range(n_steps):
-            angles = base[:4] if run is None else run.plate_angles[s]
+            angles = base[:4] if run is None else run[0][s]
             psi = walk_step(psi, *angles, base[4], base[5])
             hist.append(psi)
         hists.append(hist)
@@ -275,9 +356,8 @@ def _reference_probs(spec, n_steps, run, eta):
         t_ev1 = t_rf1 = t_rf2 = t_ev2 = 1.0
         us = (U_CIRC, U_DIAG, U_CIRC, U_DIAG)
     else:
-        t_ev1, t_rf1, t_rf2, t_ev2 = run.transmissions
-        us = [coin_matrix(d) @ u for d, u in
-              zip(run.basis_deltas, (U_CIRC, U_DIAG, U_CIRC, U_DIAG))]
+        t_ev1, t_rf1, t_rf2, t_ev2 = run[2]
+        us = [coin_matrix(d) @ u for d, u in zip(run[1], (U_CIRC, U_DIAG, U_CIRC, U_DIAG))]
 
     def project(r11, r22, r12, u):
         return (np.abs(u[0]) ** 2 * r11 + np.abs(u[1]) ** 2 * r22
@@ -356,7 +436,7 @@ def _reference_errorbars(spec, quantity, model, n_steps, grid, positions):
         rng = np.random.default_rng(model.seed ^ i)
         fields = ref
         if spec.loss == 0:
-            run = perturb_protocol(spec, model, rng, n_steps)
+            run = _reference_draw(spec, model, rng, n_steps)
             fields = _reference_probs(spec, n_steps, run, model.dephasing_eta)
         for key, v in measure(fields, rng).items():
             d = v - center[key]

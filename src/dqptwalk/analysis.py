@@ -378,8 +378,7 @@ def _sector_bounds(fps: FixedPointSet, sector: int) -> tuple:
     return segs[sector - 1]
 
 
-def dtop(fps: FixedPointSet, t: float, sector: int = 1,
-         resolution: int = DTOP_RESOLUTION) -> float:
+def dtop(fps: FixedPointSet, t: float, sector: int = 1) -> float:
     """Geometric-phase winding across one fixed-point sector at time t: the
     one-time dtop_trace.
 
@@ -387,7 +386,7 @@ def dtop(fps: FixedPointSet, t: float, sector: int = 1,
     consecutive fixed points and the phase at the ends is pinned, so for pure
     preparations the value is an integer away from critical times.
     """
-    value = dtop_trace(fps, sector, [t], resolution).values[0]
+    value = dtop_trace(fps, sector, [t]).values[0]
     if np.isnan(value):
         raise IllDefinedPhaseError(
             f"G vanishes on the sector at t = {t}; phase winding undefined")
@@ -428,20 +427,19 @@ def _trace_block(spec: QuenchSpec, table: SectorTable, ks, times) -> np.ndarray:
     return vals
 
 
-def dtop_trace(fps: FixedPointSet, sector: int, times,
-               resolution: int = DTOP_RESOLUTION) -> DtopTrace:
+def dtop_trace(fps: FixedPointSet, sector: int, times) -> DtopTrace:
     """Order-parameter trace over a time grid, NaN where G vanishes on the
     sector.
 
-    One momentum table serves all times. The times run in blocks of
-    DTOP_BLOCK columns on the calling thread and one helper thread
-    (lattice._run_blocks). Columns are independent, so the values do not
-    depend on the blocks or the threads.
+    One momentum table of DTOP_RESOLUTION + 1 sector momenta serves all
+    times. The times run in blocks of DTOP_BLOCK columns on the calling
+    thread and one helper thread (lattice._run_blocks). Columns are
+    independent, so the values do not depend on the blocks or the threads.
     """
     spec = fps.spec
     lo, hi = _sector_bounds(fps, sector)
     times = np.asarray(times, dtype=float)
-    ks = np.linspace(lo, hi, resolution + 1)
+    ks = np.linspace(lo, hi, DTOP_RESOLUTION + 1)
     table = overlaps(spec, ks)
     done = _run_blocks(times.size, DTOP_BLOCK,
                        lambda a, b: _trace_block(spec, table, ks, times[a:b]))

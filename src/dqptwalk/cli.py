@@ -84,19 +84,24 @@ class RunConfig:
 
 
 def _get(cfg, key, default, cast):
+    """cfg[key] cast, or default where cfg leaves key out or empty. No key
+    takes a bool, which a JSON config can give and every cast would read
+    as 0 or 1 (or pi)."""
     if key not in cfg or cfg[key] in ("", None):
         return default
     try:
+        if isinstance(cfg[key], bool):
+            raise TypeError
         return cast(cfg[key])
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from None
 
 
 def _integer(value) -> int:
-    """The cast of every integer key: int(value), refusing a bool and a
-    number that int() would truncate, as a JSON config can give."""
+    """The cast of every integer key: int(value), refusing a number that
+    int() would truncate, as a JSON config can give."""
     n = int(value)
-    if isinstance(value, bool) or (not isinstance(value, str) and n != value):
+    if not isinstance(value, str) and n != value:
         raise ValueError(f"{value!r} is not an integer")
     return n
 
@@ -105,8 +110,8 @@ def _positions(value) -> tuple:
     """error-mc sites: a list of integers, as a JSON config gives, or one
     comma-separated string of them."""
     items = value if isinstance(value, list) else str(value).split(",")
-    if not items:
-        raise ValueError("no positions")
+    if not items or any(isinstance(p, bool) for p in items):
+        raise ValueError("no positions, or a bool among them")
     return tuple(_integer(p) for p in items)
 
 
@@ -118,11 +123,11 @@ def _given(cfg, **casts) -> dict:
 
 
 def build_spec(cfg) -> QuenchSpec:
-    if "final_theta1" not in cfg or "final_theta2" not in cfg:
+    final = tuple(_get(cfg, key, None, parse_pi_value) for key in ("final_theta1", "final_theta2"))
+    if None in final:
         raise ConfigError("final_theta1 and final_theta2 are required")
-    initial = (parse_pi_value(cfg.get("initial_theta1", "1/4")),
-               parse_pi_value(cfg.get("initial_theta2", "-1/2")))
-    final = (parse_pi_value(cfg["final_theta1"]), parse_pi_value(cfg["final_theta2"]))
+    initial = (_get(cfg, "initial_theta1", np.pi / 4, parse_pi_value),
+               _get(cfg, "initial_theta2", -np.pi / 2, parse_pi_value))
     return QuenchSpec(initial, final, **_given(cfg, loss=float, mix_p=float))
 
 
@@ -229,10 +234,10 @@ def cmd_phase_diagram(config: RunConfig) -> dict:
     cfg = config.options
     res = _get(cfg, "resolution", 64, _integer)
     loss = _get(cfg, "loss", 0.0, float)
-    t1r = (parse_pi_value(cfg.get("theta1_min", "-1")),
-           parse_pi_value(cfg.get("theta1_max", "1")))
-    t2r = (parse_pi_value(cfg.get("theta2_min", "-1")),
-           parse_pi_value(cfg.get("theta2_max", "1")))
+    t1r = (_get(cfg, "theta1_min", -np.pi, parse_pi_value),
+           _get(cfg, "theta1_max", np.pi, parse_pi_value))
+    t2r = (_get(cfg, "theta2_min", -np.pi, parse_pi_value),
+           _get(cfg, "theta2_max", np.pi, parse_pi_value))
     n_k = _get(cfg, "kpoints", 256, _integer)
     pd = phase_diagram_scan(t1r, t2r, res, loss, n_k)
     em = _Emitter(config.out_dir)

@@ -352,13 +352,8 @@ class PhaseDiagram:
             for i, t1 in enumerate(self.theta1.tolist())))
 
 
-def phase_diagram_scan(
-    theta1_range=(-np.pi, np.pi),
-    theta2_range=(-np.pi, np.pi),
-    resolution: int = 64,
-    l: float = 0.0,
-    n_k: int = 256,
-) -> PhaseDiagram:
+def phase_diagram_scan(theta1_range, theta2_range, resolution: int, l: float,
+                       n_k: int) -> PhaseDiagram:
     """Winding/PT map over a coin-angle window of width at most 2pi per axis,
     sampled at resolution points from each lower edge.
 

@@ -61,8 +61,7 @@ class ErrorModel:
             raise ConfigError("coincidence total must be nonnegative")
 
 
-def perturb_protocol(spec: QuenchSpec, error_model: ErrorModel, rngs,
-                     n_steps: int = 7):
+def perturb_protocol(spec: QuenchSpec, error_model: ErrorModel, rngs, n_steps: int):
     """Draw one apparatus realization per generator of rngs.
 
     Returns the (S, n_steps, 4) actual plate angles, the (S, 4) analyzer
@@ -82,24 +81,20 @@ def perturb_protocol(spec: QuenchSpec, error_model: ErrorModel, rngs,
     return plates, d[:, n_steps], 1.0 + d[:, n_steps + 1]
 
 
-def poisson_counts(probabilities, total_coincidences: int, rng, out=None):
-    """Replace each probability by a Poisson draw over the expected total.
-
-    rng is one generator, or a sequence of generators with one per entry of
-    the leading axis, each drawing its own row in order. Given out, the
-    expected counts and then the result are written to it, and it is
-    returned; it may be probabilities itself.
-    """
+def poisson_counts(block, total_coincidences: int, rngs) -> None:
+    """Replace each probability of block (S, n) in place by a Poisson draw
+    over the expected total, row i from rngs[i]. Expected counts that numpy
+    cannot draw are refused."""
     if total_coincidences <= 0:
         raise ConfigError("counting statistics need a positive total")
-    lam = np.clip(np.asarray(probabilities, dtype=float), 0.0, None, out=out)
-    lam = np.multiply(lam, total_coincidences, out=out)
-    if isinstance(rng, np.random.Generator):
-        return np.divide(rng.poisson(lam), total_coincidences, out=out)
-    # lam[:, None] yields each entry's row as a view, also for a 1-D lam
-    for g, row in zip(rng, lam[:, None], strict=True):
-        np.divide(g.poisson(row), total_coincidences, out=row)
-    return lam
+    np.multiply(np.clip(block, 0.0, None, out=block), total_coincidences, out=block)
+    try:
+        for g, row in zip(rngs, block, strict=True):
+            np.divide(g.poisson(row), total_coincidences, out=row)
+    except ValueError:
+        # numpy draws no count past its int64 range, nor an infinite or NaN one
+        raise ConfigError("expected counts too large to draw: lower "
+                          "total_coincidences or n_steps") from None
 
 
 # The batched replay reproduces the per-sample arithmetic bit for bit. Each
@@ -114,20 +109,17 @@ _SETTING_BASES = np.array([U_CIRC, U_DIAG, U_CIRC, U_DIAG])
 def _analyzer(deltas):
     """Projector terms |u0|^2, |u1|^2 and conj(u0) u1 of each sample's four
     analyzer vectors (circ1, diag1, circ2, diag2), each (S, 4), for the basis
-    rotations deltas (S, 4); deltas None is the ideal analyzer, one sample.
+    rotations deltas (S, 4).
 
     The terms keep the bits of scalar numpy arithmetic on one vector at a
     time: float_power calls libm pow as a scalar ** 2 does, where an array
     ** 2 squares, and the cross term is spelled in real parts, as the scalar
     complex product forms it.
     """
-    if deltas is None:
-        u = _SETTING_BASES[None]
-    else:
-        # each sample's coin_matrix(delta) @ u, stacked
-        c, s = np.cos(deltas), np.sin(deltas)
-        rot = np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2))
-        u = np.matmul(rot.astype(complex), _SETTING_BASES[:, :, None])[..., 0]
+    # each sample's coin_matrix(delta) @ u, stacked
+    c, s = np.cos(deltas), np.sin(deltas)
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2))
+    u = np.matmul(rot.astype(complex), _SETTING_BASES[:, :, None])[..., 0]
     u0, u1 = np.conj(u[..., 0]), u[..., 1]
     cross = np.empty(u0.shape, dtype=complex)
     cross.real = u0.real * u1.real - u0.imag * u1.imag
@@ -143,14 +135,14 @@ def _step_views(flat, n_steps: int) -> list:
             for b in np.split(flat, np.cumsum(8 * nx)[:-1], axis=1)]
 
 
-def _setting_probs(evo, eta: float, deltas=None, trans=None, out=None) -> list:
+def _setting_probs(evo, eta: float, deltas, trans, out) -> list:
     """Per time step, the eight outcome probabilities of the four analyzer
     settings, vectorized over samples and lattice sites.
 
     deltas (S, 4) and trans (S, 4) are each sample's analyzer basis errors
     and sub-arm transmissions, as drawn by perturb_protocol, matching the
-    leading axis of the walk evo; None is the ideal apparatus on an unbatched
-    walk, as one sample. All steps' sites are laid side by side and computed
+    leading axis of the walk evo; zero errors and unit transmissions are the
+    ideal apparatus. All steps' sites are laid side by side and computed
     in one pass, and each outcome row goes straight into its columns of out
     (S, 8 * sum(4t + 1)), laid out as _step_views reads it: the order in
     which a sample draws its counts. Returns the per-step (S, 8, nx) views of
@@ -158,14 +150,10 @@ def _setting_probs(evo, eta: float, deltas=None, trans=None, out=None) -> list:
     p21', p22, p22').
     """
     uu0, uu1, cross = _analyzer(deltas)
-    if trans is None:
-        trans = np.ones((1, 4))
     n_s, n_steps = len(trans), len(evo.states) - 1
     amp = np.concatenate(evo.states, axis=-1)
     amp = amp.reshape((-1,) + amp.shape[-3:])
     shape = (n_s, amp.shape[-1])
-    if out is None:
-        out = np.empty((n_s, 8 * shape[1]))
     # per outcome, the column of out of each side-by-side site
     cols = np.concatenate(_step_views(np.arange(out.shape[1])[None], n_steps), axis=-1)[0]
 
@@ -278,7 +266,8 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
     # probabilities, then its counts, every step's entries side by side
     counted = np.empty((MC_BLOCK, 8 * sum(x.size for x in sites)))
     ref_flat = np.empty((1, counted.shape[1]))
-    ref_probs = _setting_probs(ref_evo, 1.0, out=ref_flat)
+    # the noiseless center: the ideal apparatus, as one sample
+    ref_probs = _setting_probs(ref_evo, 1.0, np.zeros((1, 4)), np.ones((1, 4)), ref_flat)
     if quantity == "rate_function":
         fourier = [np.exp(-1j * np.outer(grid.samples, x)) for x in sites]
     elif quantity == "dtop":
@@ -351,12 +340,11 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
             block[:] = ref_flat
         else:
             plates, deltas, trans = perturb_protocol(spec, error_model, rngs, n_steps)
-            _setting_probs(evolve_position(spec, n_steps, plates), eta, deltas, trans,
-                           out=block)
+            _setting_probs(evolve_position(spec, n_steps, plates), eta, deltas, trans, block)
         if error_model.total_coincidences > 0:
             # each sample draws all of its steps' counts, in step order, from
             # its own generator
-            poisson_counts(block, error_model.total_coincidences, rngs, out=block)
+            poisson_counts(block, error_model.total_coincidences, rngs)
         for key, v in measure(_step_views(block, n_steps)).items():
             d = v - center[key]
             d = d[np.isfinite(d)]

@@ -44,8 +44,9 @@ def _args(args, shape) -> list:
     return [np.broadcast_to(np.asarray(v), shape).ravel() for v in args]
 
 
-def _values(f, x, args, fx=None) -> np.ndarray:
-    fx = np.asarray(f(x, *args) if fx is None else fx, dtype=float)
+def _values(x, fx) -> np.ndarray:
+    """The values fx of f at the points x, refused if one is NaN."""
+    fx = np.asarray(fx, dtype=float)
     nan = np.isnan(fx)
     if nan.any():
         raise ValueError(f"The function value at x={x[nan.argmax()]} is NaN; "
@@ -57,12 +58,12 @@ def _keep(mask, arrays) -> list:
     return [a[mask] for a in arrays]
 
 
-def brentq(f, a, b, xtol: float, args=(), ends=None):
+def brentq(f, a, b, xtol: float, ends, args=()):
     """A root of f in each sign-changing bracket [a, b] by Brent's method.
 
     SciPy's ``brentq`` with rtol 4*eps and at most 100 iterations, step for
     step: the same interpolation, extrapolation and bisection choices and
-    the same arithmetic; ``ends`` are f(a) and f(b) if the caller has them.
+    the same arithmetic. ``ends`` are f(a) and f(b), which every caller has.
     Returns the roots in the broadcast shape of a and b. Raises ValueError
     if f(a) and f(b) of some element have the same sign or f returns NaN,
     and RuntimeError if some element does not converge.
@@ -73,9 +74,8 @@ def brentq(f, a, b, xtol: float, args=(), ends=None):
     (xpre, xcur), shape = _batch(a, b)
     args = _args(args, shape)
     out = np.empty(xpre.size)
-    fpre, fcur = np.split(_values(f, np.concatenate([xpre, xcur]),
-                                  [np.concatenate([v, v]) for v in args],
-                                  None if ends is None else np.concatenate(_args(ends, shape))), 2)
+    fpre, fcur = np.split(_values(np.concatenate([xpre, xcur]),
+                                  np.concatenate(_args(ends, shape))), 2)
     end = (fpre == 0) | (fcur == 0)
     out[end] = np.where(fpre == 0, xpre, xcur)[end]
     if (np.signbit(fpre) == np.signbit(fcur))[~end].any():
@@ -124,7 +124,7 @@ def brentq(f, a, b, xtol: float, args=(), ends=None):
         xpre, fpre = xcur, fcur
         xcur = np.where(np.abs(scur) > delta, xcur + scur,
                         xcur + np.where(sbis > 0, delta, -delta))
-        fcur = _values(f, xcur, args)
+        fcur = _values(xcur, f(xcur, *args))
     else:
         raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations.")
     return out.reshape(shape)[()]

@@ -11,10 +11,10 @@ W, H = 720, 420
 ML, MR, MT, MB = 62, 16, 34, 46
 
 
-def _ticks(lo, hi, n=6):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 6
     mag = 10 ** np.floor(np.log10(raw))
     step = min(s * mag for s in (1, 2, 2.5, 5, 10) if s * mag >= raw)
     t0 = np.ceil(lo / step) * step
@@ -72,25 +72,25 @@ def _frame(cv, xlo, xhi, ylo, yhi):
     return sx, sy
 
 
-def _finite_span(arrs, fallback=(0.0, 1.0)):
+def _finite_span(arrs):
     vals = np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrs]) \
         if arrs else np.array([])
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
-        return fallback
+        return 0.0, 1.0
     lo, hi = float(vals.min()), float(vals.max())
     pad = 0.05 * (hi - lo) or 0.5
     return lo - pad, hi + pad
 
 
-def line_chart(path, series, vlines=(), title="", xlabel="t", ylabel=""):
+def line_chart(path, series, vlines, title, ylabel):
     """series: iterable of (label, x, y). Non-finite y breaks the line;
     vlines draw dashed event markers."""
     series = [(lab, np.asarray(x, float), np.asarray(y, float))
               for lab, x, y in series]
     xlo, xhi = _finite_span([x for _, x, _ in series])
     ylo, yhi = _finite_span([y for _, _, y in series])
-    cv = _Canvas(title, xlabel, ylabel)
+    cv = _Canvas(title, "t", ylabel)
     sx, sy = _frame(cv, xlo, xhi, ylo, yhi)
     for v in vlines:
         if xlo <= v <= xhi:
@@ -118,7 +118,7 @@ def line_chart(path, series, vlines=(), title="", xlabel="t", ylabel=""):
     cv.finish(path)
 
 
-def errorbar_chart(path, rows, title="", xlabel="t", ylabel=""):
+def errorbar_chart(path, rows, title, ylabel):
     """rows: (t, center, err_plus, err_minus) tuples for one quantity."""
     rows = sorted(rows)
     ts = np.array([r[0] for r in rows])
@@ -127,7 +127,7 @@ def errorbar_chart(path, rows, title="", xlabel="t", ylabel=""):
     dn = cs - np.array([r[3] for r in rows])
     xlo, xhi = _finite_span([ts])
     ylo, yhi = _finite_span([cs, up, dn])
-    cv = _Canvas(title, xlabel, ylabel)
+    cv = _Canvas(title, "t", ylabel)
     sx, sy = _frame(cv, xlo, xhi, ylo, yhi)
     color = PALETTE[0]
     for t, c, u, d in zip(ts, cs, up, dn):
@@ -152,7 +152,7 @@ def _winding_color(w, boundary):
     return table.get(int(w), "#caa0d0")
 
 
-def phase_map(path, diagram, title=""):
+def phase_map(path, diagram, title):
     """Winding heat map of a PhaseDiagram; boundary cells gray."""
     res = diagram.resolution
     cw = (W - ML - MR) / res

@@ -201,7 +201,10 @@ def test_09_measurement_round_trip():
             else:
                 spec = QuenchSpec((np.pi / 4, -np.pi / 2), (-np.pi / 2, 3 * np.pi / 8), mix_p=p)
             evo = evolve_position(spec, 7)
-            for t, probs in enumerate(_setting_probs(evo, 1.0)):
+            # the ideal apparatus, as one sample
+            flat = np.empty((1, 8 * sum(evo.sites(t).size for t in range(8))))
+            for t, probs in enumerate(_setting_probs(evo, 1.0, np.zeros((1, 4)),
+                                                     np.ones((1, 4)), flat)):
                 rec = reconstruct_pbar(probs)[0]
                 worst = max(worst, float(np.abs(rec - evo.pbar(t)).max()))
         assert worst < 1e-12, worst

@@ -38,6 +38,13 @@ FIG4A = preset("fig4a")[0][1]
 FIG4B = preset("fig4b")[0][1]
 
 
+def _trace_at(fps, sector, times, resolution):
+    """dtop_trace with DTOP_RESOLUTION set to resolution for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "DTOP_RESOLUTION", resolution)
+        return dtop_trace(fps, sector, times)
+
+
 def test_rate_function_kink_at_first_critical_time(kgrid):
     tr = QuenchAnalysis(FIG2A, kgrid, TimeGrid(7.0, 0.01)).rate
     assert np.isfinite(tr.values).all()
@@ -138,7 +145,7 @@ def test_refinement_reuses_the_sector_table(monkeypatch):
         return real(spec, ks, **kwargs)
 
     monkeypatch.setattr(analysis, "overlaps", spy)
-    dtop_trace(fps, 1, TimeGrid(7.0, 0.01).samples, resolution=32)
+    _trace_at(fps, 1, TimeGrid(7.0, 0.01).samples, 32)
     assert sizes.count(33) == 1
     assert sizes.count(analysis.DTOP_REFINE_POINTS + 1) == 6
     assert len(sizes) == 7
@@ -247,11 +254,11 @@ def test_unresolved_phase_jump_raises(monkeypatch):
     times = TimeGrid().samples
     at = np.isclose(times, 2.15)
     assert at.sum() == 1
-    assert np.isfinite(dtop_trace(fps, 1, times, 32).values[at]).all()
+    assert np.isfinite(_trace_at(fps, 1, times, 32).values[at]).all()
     monkeypatch.setattr(analysis, "DTOP_REFINE_DEPTH", 0)
     with pytest.raises(UnresolvedPhaseJumpError,
                        match=r"phase step 3\.056 rad persists after refinement at t = 2\.15"):
-        dtop_trace(fps, 1, times, 32)
+        _trace_at(fps, 1, times, 32)
 
 
 def _lossless_geometry(theta1, theta2):
@@ -451,23 +458,23 @@ def test_resolution_refinement_stable_away_from_transition(regime, theta1, theta
     if isinstance(fps, PhysicsError):
         return
     for m in range(1, len(fps.segments()) + 1):
-        a, b = (dtop_trace(fps, m, times[away], n).values for n in (256, 512))
+        a, b = (_trace_at(fps, m, times[away], n).values for n in (256, 512))
         assert np.abs(a - b).max() <= DTOP_REFINE_TOL, m
 
 
-def _sector_traces(fps, times, resolution=analysis.DTOP_RESOLUTION):
+def _sector_traces(fps, times, resolution):
     """Each sector's trace as raw bytes, so NaNs compare by their bits, or
     the repr of its error."""
     out = []
     for m in range(1, len(fps.segments()) + 1):
         try:
-            out.append(dtop_trace(fps, m, times, resolution).values.tobytes())
+            out.append(_trace_at(fps, m, times, resolution).values.tobytes())
         except PhysicsError as err:
             out.append(repr(err))
     return out
 
 
-def _one_block(fps, times, resolution=analysis.DTOP_RESOLUTION):
+def _one_block(fps, times, resolution):
     """_sector_traces with each trace in one block: no helper thread."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "DTOP_BLOCK", times.size)
@@ -536,7 +543,8 @@ def test_random_trace_bits_do_not_depend_on_the_threads(regime, theta1, theta2):
     except PhysicsError:
         return
     times = TimeGrid(7.0, 0.01).samples
-    assert _sector_traces(fps, times) == _one_block(fps, times)
+    resolution = analysis.DTOP_RESOLUTION
+    assert _sector_traces(fps, times, resolution) == _one_block(fps, times, resolution)
 
 
 @pytest.mark.parametrize("start", [0, 180])
@@ -552,11 +560,11 @@ def test_earliest_failing_block_raises(start, monkeypatch):
     monkeypatch.setattr(analysis, "DTOP_REFINE_DEPTH", 0)
     running = threading.active_count()
     with pytest.raises(UnresolvedPhaseJumpError, match=r"at t = 6\.54"):
-        dtop_trace(fps, 1, times[times > 3], 32)
+        _trace_at(fps, 1, times[times > 3], 32)
     for block in (analysis.DTOP_BLOCK, times.size):
         monkeypatch.setattr(analysis, "DTOP_BLOCK", block)
         with pytest.raises(UnresolvedPhaseJumpError, match=r"at t = 2\.15"):
-            dtop_trace(fps, 1, times, 32)
+            _trace_at(fps, 1, times, 32)
         assert threading.active_count() == running
 
 

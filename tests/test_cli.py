@@ -164,6 +164,57 @@ def test_non_integral_integer_key_is_usage_error(tmp_path, capsys, command, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    ("dtop", "mix_p"), ("dtop", "t_max"), ("dtop", "final_theta1"),
+    ("phase-diagram", "loss"), ("phase-diagram", "theta1_min"),
+    ("phase-diagram", "resolution"),
+    ("error-mc", "wp_angle_tol"), ("error-mc", "initial_theta1"), ("error-mc", "mc_samples"),
+])
+def test_boolean_value_is_usage_error(tmp_path, capsys, command, key):
+    """No config key takes a JSON true, which a float key would read as 1
+    and an angle key as pi."""
+    cfg = {"final_theta1": "-1/2", "final_theta2": "3/8", "t_max": 2}
+    if command == "phase-diagram":
+        cfg = {"resolution": 32}
+    elif command == "error-mc":
+        cfg = {"final_theta1": "-1/2", "final_theta2": "3/8", "mc_samples": 100,
+               "n_steps": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg | {key: True}))
+    out = tmp_path / "x"
+    assert run_main([command, "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: bad value for {key}: True")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    ["final_theta2=3/8", "n_steps=2", "total_coincidences=10000000000000000000"],
+    # a PT-broken lossy walk, whose unnormalized probabilities grow with the steps
+    ["final_theta2=0.45", "loss=0.9", "n_steps=40"],
+])
+def test_counts_numpy_cannot_draw_are_usage_error(tmp_path, capsys, settings):
+    out = tmp_path / "mc"
+    argv = ["error-mc", "--set", "final_theta1=-1/2", "--set", "quantity=pbar",
+            "--set", "mc_samples=100", "--out", out]
+    for item in settings:
+        argv += ["--set", item]
+    with np.errstate(all="ignore"):
+        assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "total_coincidences" in err and "n_steps" in err
+    assert not out.exists()
+
+
+def test_empty_angle_is_unset():
+    """An empty angle value takes the default, as any empty key does."""
+    assert cli.build_spec({"final_theta1": "-1/2", "final_theta2": "3/8",
+                           "initial_theta1": ""}) == cli.build_spec(
+        {"final_theta1": "-1/2", "final_theta2": "3/8"})
+    with pytest.raises(ConfigError, match="required"):
+        cli.build_spec({"final_theta1": "-1/2", "final_theta2": ""})
+
+
 def test_whole_number_integer_key_runs(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"final_theta1": "-1/2", "final_theta2": "3/8",

@@ -188,7 +188,7 @@ def test_nonunitary_winding_value():
 
 
 def test_phase_diagram_scan_cells(tmp_path):
-    pd = phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), resolution=32, n_k=64)
+    pd = phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), 32, 0.0, 64)
     assert pd.theta1.shape == pd.theta2.shape == (32,)
     for values in (pd.winding, pd.pt_status, pd.min_gap):
         assert values.shape == (32, 32)
@@ -448,7 +448,7 @@ def test_pt_classify_equals_grid_search(t1, t2, l):
 
 def test_phase_diagram_resolution_floor():
     with pytest.raises(ConfigError):
-        phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), resolution=16)
+        phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), 16, 0.0, 256)
 
 
 def test_phase_diagram_resolution_cap(monkeypatch):
@@ -458,7 +458,7 @@ def test_phase_diagram_resolution_cap(monkeypatch):
     # refused by the check alone: a scan that got past it fails at once
     monkeypatch.setattr(floquet, "MomentumGrid", started)
     with pytest.raises(ConfigError, match="resolution"):
-        phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), resolution=MAX_RESOLUTION + 1)
+        phase_diagram_scan((-np.pi, np.pi), (-np.pi, np.pi), MAX_RESOLUTION + 1, 0.0, 256)
 
 
 def test_tuple_angles_accepted():

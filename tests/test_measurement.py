@@ -30,6 +30,13 @@ FLAT = (np.pi / 4, -np.pi / 2)
 SPEC = QuenchSpec(FLAT, (-np.pi / 2, 3 * np.pi / 8))
 
 
+def _ideal_probs(evo, eta):
+    """_setting_probs of an unbatched walk under the ideal apparatus: zero
+    analyzer errors, unit transmissions, one sample's count buffer."""
+    flat = np.empty((1, 8 * sum(evo.sites(t).size for t in range(len(evo.states)))))
+    return _setting_probs(evo, eta, np.zeros((1, 4)), np.ones((1, 4)), flat)
+
+
 class TestErrorModel:
     def test_defaults(self):
         m = ErrorModel()
@@ -82,9 +89,9 @@ def test_dephase_scales_coherences():
     # and scales only the interference term, by 2 eta - 1; eta = 1/2 is the
     # fully scrambled analyzer
     evo = evolve_position(SPEC, 4)
-    ideal = _setting_probs(evo, 1.0)
+    ideal = _ideal_probs(evo, 1.0)
     for eta in (0.75, 0.5):
-        for probs, ref in zip(_setting_probs(evo, eta), ideal):
+        for probs, ref in zip(_ideal_probs(evo, eta), ideal):
             for path in (slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8)):
                 totals = probs[:, path].sum(axis=1) - ref[:, path].sum(axis=1)
                 assert np.abs(totals).max() <= 1e-15
@@ -112,47 +119,40 @@ def test_perturb_protocol_reproducible():
         assert np.array_equal(x, y)
 
 
-def test_poisson_counts_of_a_scalar_is_a_scalar():
-    got = poisson_counts(0.3, 1000, np.random.default_rng(1))
-    assert np.ndim(got) == 0
-    assert got == np.random.default_rng(1).poisson(300.0) / 1000
-
-
 def test_poisson_counts_statistics(rng):
     p = np.array([0.1, 0.4, 0.0])
-    draws = np.array([poisson_counts(p, 40000, rng) for _ in range(200)])
+    draws = np.tile(p, (200, 1))
+    poisson_counts(draws, 40000, rng.spawn(200))
     assert np.abs(draws.mean(axis=0) - p).max() < 0.01
     assert np.all(draws[:, 2] == 0)
     with pytest.raises(ConfigError):
-        poisson_counts(p, 0, rng)
+        poisson_counts(p[None].copy(), 0, [rng])
 
 
-@pytest.mark.parametrize("shape, per_row", [((6,), False), ((6,), True),
+@pytest.mark.parametrize("shape, leading", [((1, 6), False), ((1, 6), True),
                                             ((4, 9), False), ((4, 9), True)])
-def test_poisson_counts_into_out_equals_a_fresh_result(shape, per_row):
-    """The same generator state draws the same bits into out, into the
-    probabilities themselves, and into a fresh array; out is returned."""
+def test_poisson_counts_into_out_equals_a_fresh_result(shape, leading):
+    """Counting in place, into a whole buffer or into its leading rows as
+    the replay does, gives each row the bits of a fresh draw from its own
+    generator and leaves each generator where that draw leaves it."""
     p = np.random.default_rng(5).uniform(-0.01, 0.3, shape)
-
-    def gens():
-        if per_row:
-            return [np.random.default_rng(40 + i) for i in range(shape[0])]
-        return np.random.default_rng(40)
-
-    want = poisson_counts(p, 40000, gens())
-    assert want is not p
-    buf = np.full(shape, np.nan)
-    assert poisson_counts(p, 40000, gens(), out=buf) is buf
-    same = p.copy()
-    assert poisson_counts(same, 40000, gens(), out=same) is same
-    assert buf.tobytes() == want.tobytes() == same.tobytes()
+    gens = [np.random.default_rng(40 + i) for i in range(shape[0])]
+    fresh = [np.random.default_rng(40 + i) for i in range(shape[0])]
+    buf = np.full((shape[0] + 3 * leading, shape[1]), np.nan)
+    block = buf[:shape[0]]
+    block[:] = p
+    poisson_counts(block, 40000, gens)
+    want = [g.poisson(np.clip(row, 0.0, None) * 40000) / 40000 for g, row in zip(fresh, p)]
+    assert block.tobytes() == np.array(want).tobytes()
+    assert np.isnan(buf[shape[0]:]).all()
+    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in fresh]
 
 
 def test_round_trip_reconstruction():
     for p in (0.7, 1.0):
         s = SPEC if p == 1.0 else QuenchSpec(FLAT, (-np.pi / 2, 3 * np.pi / 8), mix_p=p)
         evo = evolve_position(s, 4)
-        for t, probs in enumerate(_setting_probs(evo, 1.0)):
+        for t, probs in enumerate(_ideal_probs(evo, 1.0)):
             assert probs.shape == (1, 8, evo.sites(t).size)
             assert np.abs(reconstruct_pbar(probs)[0] - evo.pbar(t)).max() <= 1e-12
 
@@ -163,8 +163,8 @@ def test_dephasing_shrinks_interference():
     em = ErrorModel()
     evo = evolve_position(SPEC, 4)
     site = np.nonzero(evo.sites(4) == -2)[0][0]
-    ideal = reconstruct_pbar(_setting_probs(evo, 1.0)[4])[0, site]
-    fuzzy = reconstruct_pbar(_setting_probs(evo, em.dephasing_eta)[4])[0, site]
+    ideal = reconstruct_pbar(_ideal_probs(evo, 1.0)[4])[0, site]
+    fuzzy = reconstruct_pbar(_ideal_probs(evo, em.dephasing_eta)[4])[0, site]
     assert abs(ideal) > 0.4
     assert fuzzy == pytest.approx((2 * 0.97 - 1) * ideal, abs=1e-9)
 
@@ -317,11 +317,6 @@ def test_block_analyzer_equals_scalar_vectors(deltas):
         for k, (d, u) in enumerate(zip(row, (U_CIRC, U_DIAG, U_CIRC, U_DIAG))):
             want = _scalar_analyzer_terms(d, u)
             assert [t[i, k].tobytes() for t in terms] == [w.tobytes() for w in want]
-    ideal = _analyzer(None)
-    for k, u in enumerate((U_CIRC, U_DIAG, U_CIRC, U_DIAG)):
-        # the replay stores the real product of the real U_DIAG as complex
-        want = (np.abs(u[0]) ** 2, np.abs(u[1]) ** 2, np.complex128(np.conj(u[0]) * u[1]))
-        assert [t[0, k].tobytes() for t in ideal] == [w.tobytes() for w in want]
 
 
 @given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
@@ -407,8 +402,9 @@ def _reference_errorbars(spec, quantity, model, n_steps, grid, positions):
     def measure(fields, rng):
         vals = {}
         for t, probs in enumerate(fields):
-            if rng is not None and model.total_coincidences > 0:
-                probs = poisson_counts(probs, model.total_coincidences, rng)
+            total = model.total_coincidences
+            if rng is not None and total > 0:
+                probs = rng.poisson(np.clip(probs, 0.0, None) * total) / total
             p1, p2 = probs[0] + probs[1], probs[4] + probs[5]
             pbar = (1j * (probs[0] - p1 / 2 - probs[4] + p2 / 2)
                     + (probs[2] - p1 / 2 + probs[6] - p2 / 2))
@@ -452,6 +448,21 @@ _REGIMES = {
     "mixed": {"mix_p": 0.7},
     "lossy": {"loss": 0.36},
 }
+
+
+@given(theta1=st.floats(-np.pi, np.pi), theta2=st.sampled_from([-np.pi / 2, np.pi / 2]),
+       final=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+       regime=st.sampled_from(sorted(_REGIMES)), n_steps=st.integers(0, 7))
+@example(*FLAT, (-np.pi / 2, 3 * np.pi / 8), "pure", 7)
+@settings(max_examples=60, deadline=None)
+def test_ideal_apparatus_equals_reference_probs(theta1, theta2, final, regime, n_steps):
+    """The noiseless center's apparatus, zero analyzer errors and unit
+    transmissions, gives every flat preparation the setting probabilities
+    of the per-sample oracle's ideal apparatus, bit for bit."""
+    spec = QuenchSpec((theta1, theta2), final, **_REGIMES[regime])
+    got = _ideal_probs(evolve_position(spec, n_steps), 1.0)
+    want = _reference_probs(spec, n_steps, None, 1.0)
+    assert [g[0].tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 @given(regime=st.sampled_from(sorted(_REGIMES)),

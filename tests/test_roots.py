@@ -35,6 +35,13 @@ def _elementwise(f):
     return lambda xs: np.array([f(x) for x in xs], dtype=float)
 
 
+def _brentq(f, a, b, xtol):
+    """brentq on a scalar f, given f at both bracket ends from its
+    elementwise form, as every caller passes them."""
+    g = _elementwise(f)
+    return brentq(g, a, b, xtol, ends=(g([a])[0], g([b])[0]))
+
+
 def _per_element(fs):
     """One batched function that applies fs[i] to the element with index i."""
     return lambda xs, i: np.array([fs[j](x) for x, j in zip(xs, i)], dtype=float)
@@ -201,12 +208,12 @@ def test_brentq_matches_scipy(family, c, r, lo_exp, hi_exp, xtol):
     f = FAMILIES[family](c, r)
     a, b = r - 10 ** lo_exp, r + 10 ** hi_exp
     want = _outcome(lambda: optimize.brentq(f, a, b, xtol=xtol))
-    got = _outcome(lambda: brentq(_elementwise(f), a, b, xtol))
+    got = _outcome(lambda: _brentq(f, a, b, xtol))
     assert got[1] == want[1]
     if want[1] is None:
         assert _same(got[0], want[0])
         # reversed bracket too
-        assert _same(brentq(_elementwise(f), b, a, xtol), optimize.brentq(f, b, a, xtol=xtol))
+        assert _same(_brentq(f, b, a, xtol), optimize.brentq(f, b, a, xtol=xtol))
 
 
 def test_brentq_errors_match_scipy():
@@ -217,10 +224,10 @@ def test_brentq_errors_match_scipy():
         with pytest.raises((ValueError, RuntimeError)) as want:
             optimize.brentq(f, a, b, xtol=xtol)
         with pytest.raises(want.type):
-            brentq(_elementwise(f), a, b, xtol)
+            _brentq(f, a, b, xtol)
     # an exact zero at an end is returned at once
-    assert brentq(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
-    assert brentq(lambda x: np.where(x < 0.5, -0.0, 1.0), 0.0, 1.0, 1e-12) == 0.0
+    assert _brentq(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
+    assert _brentq(lambda x: np.where(x < 0.5, -0.0, 1.0), 0.0, 1.0, 1e-12) == 0.0
 
 
 @given(st.sampled_from(sorted(FAMILIES)), st.tuples(coef, coef, coef), coef,
@@ -277,30 +284,29 @@ def test_batched_brentq_equals_scalar_port(elements, xtol):
         fs.append(f)
         lo.append(a)
         hi.append(b)
-    want = [_outcome(lambda: _reference_brentq(f, a, b, xtol)) for f, a, b in zip(fs, lo, hi)]
+    calls = []     # the scalar ports' evaluations, then the batch's points
+
+    def counted(f):
+        return lambda x: calls.append(1) or f(x)
+
+    want = [_outcome(lambda: _reference_brentq(counted(f), a, b, xtol))
+            for f, a, b in zip(fs, lo, hi)]
+    scalar_calls = len(calls)
     batch_f, index = _per_element(fs), np.arange(len(fs))
-    points = {None: [], "ends": []}
-
-    def counted(key):
-        return lambda xs, i: points[key].append(xs.size) or batch_f(xs, i)
-
-    got = _outcome(lambda: brentq(counted(None), np.array(lo), np.array(hi), xtol,
-                                  args=(index,)))
-    # given f at the bracket ends, the search skips only their evaluation
     ends = tuple(batch_f(np.array(x), index) for x in (lo, hi))
-    known = _outcome(lambda: brentq(counted("ends"), np.array(lo), np.array(hi), xtol,
-                                    args=(index,), ends=ends))
-    assert known[1] == got[1]
+    got = _outcome(lambda: brentq(lambda xs, i: calls.append(xs.size) or batch_f(xs, i),
+                                  np.array(lo), np.array(hi), xtol, ends=ends, args=(index,)))
     errors = {err for _, err in want if err is not None}
     if errors:
         assert got[1] in errors
     else:
         assert got[1] is None and got[0].shape == (len(fs),)
         assert all(_same(g, w) for g, (w, _) in zip(got[0], want))
-        assert all(_same(g, w) for g, w in zip(known[0], got[0]))
-        assert sum(points["ends"]) == sum(points[None]) - 2 * len(fs)
+        # given f at the bracket ends, the batch evaluates each element where
+        # its scalar search does, except at the two ends
+        assert sum(calls[scalar_calls:]) == scalar_calls - 2 * len(fs)
     for f, a, b, w in zip(fs, lo, hi, want):
-        one = _outcome(lambda: brentq(_elementwise(f), a, b, xtol))
+        one = _outcome(lambda: _brentq(f, a, b, xtol))
         assert one[1] == w[1]
         if w[1] is None:
             assert _same(one[0], w[0])

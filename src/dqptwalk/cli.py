@@ -298,7 +298,7 @@ _MC_UNREAD = {"rate_function": ("sector", "positions"), "dtop": ("positions",),
 
 def cmd_error_mc(config: RunConfig) -> dict:
     cfg = config.options
-    quantity = cfg.get("quantity", "dtop")
+    quantity = _get(cfg, "quantity", "dtop", str)
     _refuse(f"error-mc quantity={quantity}", set(cfg) & set(_MC_UNREAD.get(quantity, ())))
     spec = build_spec(cfg)
     model = ErrorModel(seed=config.seed, **_given(

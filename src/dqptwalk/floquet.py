@@ -32,9 +32,8 @@ from .lattice import (
     CoinAngles,
     MomentumGrid,
     _as_coin_angles,
-    _shared_text,
+    _TextIds,
     _wrap_angle,
-    _write_csv,
 )
 
 # closed-form eigenvectors degenerate as cos(2*Omega) -> 0
@@ -45,9 +44,14 @@ PT_TOL = 1e-9
 # phase-map cells with |margin| at most ELLIPSE_GUARD |c2| / n_k run the
 # numeric winding loop; the others take the ellipse's winding (_winding_map)
 ELLIPSE_GUARD = 8
+# most (momenta + 1) x cells in one batch of _winding_map's numeric loop:
+# 127 cells at 256 momenta, 15 at 2048
+LOOP_ENTRIES = 2**15
 # most points per axis of a phase-diagram scan: 2^20 cells, whose status
 # array alone is 32 MB and whose SVG is about 100 MB
 MAX_RESOLUTION = 1024
+# the values of a pt_status map, in the order of their codes (_pt_status)
+PT_STATUS = np.array(["unbroken", "broken", "boundary"], dtype=object)
 
 _SQ2 = np.sqrt(2.0)
 
@@ -286,12 +290,12 @@ def pt_classify(angles: CoinAngles, l: float):
 
 def _pt_status(max_sq):
     """PT status from max_k d0^2, elementwise: "unbroken" below 1,
-    "broken" above, "boundary" within PT_TOL."""
-    # filled in place: nested np.where would hold two such arrays at once
-    status = np.full(np.shape(max_sq), "boundary")
-    status[max_sq < 1 - PT_TOL] = "unbroken"
-    status[max_sq > 1 + PT_TOL] = "broken"
-    return status
+    "broken" above, "boundary" within PT_TOL. An array's cells are the three
+    shared strings of PT_STATUS, picked by a uint8 code: 8 bytes a cell."""
+    code = np.full(np.shape(max_sq), 2, dtype=np.uint8)
+    code[max_sq < 1 - PT_TOL] = 0
+    code[max_sq > 1 + PT_TOL] = 1
+    return PT_STATUS[code]
 
 
 def _winding_map(t1s, t2s, ks, al) -> np.ndarray:
@@ -305,7 +309,8 @@ def _winding_map(t1s, t2s, ks, al) -> np.ndarray:
     2 al |c2| (2pi / n) for n momenta. Where |margin| exceeds
     ELLIPSE_GUARD |c2| / n, each step turns by less than pi/2, so that
     integer is the numeric loop's wrapped sum. Only the cells within the
-    guard run the numeric loop, one theta1 row at a time.
+    guard run the numeric loop, in batches of at most LOOP_ENTRIES momenta x
+    cells; a cell's sum has the same bits in any batch (_row_sum).
     """
     c1, s1 = np.cos(t1s), np.sin(t1s)
     c2, s2 = np.cos(t2s), np.sin(t2s)
@@ -313,8 +318,10 @@ def _winding_map(t1s, t2s, ks, al) -> np.ndarray:
     raw = np.where(margin > 0, -2 * np.sign(s1)[:, None], 0.0)
     near = np.abs(margin) <= ELLIPSE_GUARD * np.abs(c2) / ks.size
     c2k, s2k = np.cos(2 * ks), np.sin(2 * ks)
-    for i in np.flatnonzero(near.any(axis=1)):
-        j = np.flatnonzero(near[i])
+    rows, cols = np.nonzero(near)
+    step = max(1, LOOP_ENTRIES // (ks.size + 1))
+    for lo in range(0, rows.size, step):
+        i, j = rows[lo:lo + step], cols[lo:lo + step]
         # -d3 and d2, each product in the operand order the outputs were recorded with
         x = -(-al * np.outer(s2k, c2[j]))
         y = al * (np.outer(c2k, c2[j] * s1[i]) + c1[i] * s2[j])
@@ -327,7 +334,7 @@ class PhaseDiagram:
     """Winding/PT map over the (resolution,) angle axes theta1 and theta2, in
     (-pi, pi]: winding, pt_status and min_gap are (resolution, resolution)
     arrays with row i at theta1[i] and column j at theta2[j], winding NaN
-    where unlabeled."""
+    where unlabeled and pt_status holding the words of PT_STATUS."""
 
     theta1: np.ndarray
     theta2: np.ndarray
@@ -341,15 +348,27 @@ class PhaseDiagram:
         return len(self.theta1)
 
     def write_csv(self, path) -> None:
-        # each axis value is formatted once, the loss into the row template (a
-        # %.12g text holds no %) and each distinct label once
-        theta2 = [f"{x:.12g}" for x in self.theta2.tolist()]
-        label = _shared_text(self.winding, lambda w: "" if np.isnan(w) else str(int(w)))
-        _write_csv(path, ["theta1", "theta2", "loss", "winding", "pt_status", "min_gap"],
-                   f"%s,%s,{self.loss:.12g},%s,%s,%.12g", (
-            zip([f"{t1:.12g}"] * len(theta2), theta2, label[i].tolist(),
-                self.pt_status[i].tolist(), self.min_gap[i].tolist(), strict=True)
-            for i, t1 in enumerate(self.theta1.tolist())))
+        # each axis value, distinct min_gap and winding bit pattern and distinct
+        # tail ",loss,winding,pt_status,min_gap" is formatted once; a tail's key
+        # packs the gap's and winding's ids (each below 2^30, as no map has more
+        # cells) and the status code. 16 rows are looked up at a time, and row i
+        # is written as lead + lead.join(theta2 + tail) with lead "theta1[i],".
+        loss = f",{self.loss:.12g},"
+        gaps = _TextIds(lambda k: [f"{g:.12g}" for g in k.view(float).tolist()])
+        labels = _TextIds(lambda k: ["" if np.isnan(w) else str(int(w)) for w in k.view(float).tolist()])
+        tails = _TextIds(lambda k: [f"{loss}{labels.text[c >> 2 & 0x3FFFFFFF]},"
+                                    f"{PT_STATUS[c & 3]},{gaps.text[c >> 32]}\r\n" for c in k.tolist()])
+        theta2 = np.array([f"{x:.12g}" for x in self.theta2.tolist()], dtype=object)
+        with open(path, "w", newline="") as fh:
+            fh.write("theta1,theta2,loss,winding,pt_status,min_gap\r\n")
+            for rows in (slice(lo, lo + 16) for lo in range(0, self.resolution, 16)):
+                status = self.pt_status[rows]
+                texts = tails(gaps.ids(self.min_gap[rows].view(np.int64)) << 32
+                              | labels.ids(self.winding[rows].view(np.int64)) << 2
+                              | (status == "broken") | (status == "boundary") << 1)
+                for t1, tail in zip(self.theta1[rows].tolist(), texts):
+                    lead = f"{t1:.12g},"
+                    fh.write(lead + lead.join((theta2 + tail).tolist()))
 
 
 def phase_diagram_scan(theta1_range, theta2_range, resolution: int, l: float,

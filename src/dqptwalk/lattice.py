@@ -45,17 +45,28 @@ def coin_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _shared_text(values, fmt) -> np.ndarray:
-    """fmt(x) of each element of a real array, as an object array of the
-    array's shape. fmt runs once per distinct bit pattern, and elements with
-    equal bits share its text: keyed by bits, -0.0 and 0.0 keep their own
-    text and all NaNs of one pattern share one."""
-    keys = np.asarray(values, dtype=float).view(np.int64)
-    # the sorted distinct patterns, as np.unique without an inverse imports numpy.ma
-    bits = np.sort(keys, axis=None)
-    bits = bits[np.append(True, bits[1:] != bits[:-1])] if bits.size else bits
-    text = np.array([fmt(x) for x in bits.view(float).tolist()], dtype=object)
-    return text[np.searchsorted(bits, keys)]
+class _TextIds:
+    """Texts of int64 keys, each distinct key formatted once: ids(keys) gives
+    each key's index into text, in order of first sight, and fmt(the sorted
+    new keys) appends theirs. Keyed by float bits, -0.0 and 0.0 keep their
+    own text and each NaN pattern its one."""
+
+    def __init__(self, fmt):
+        self.fmt, self.id, self.text = fmt, {}, []
+
+    def __call__(self, keys):
+        """The keys' texts, an object array of their shape."""
+        ids = self.ids(keys)    # first: it may extend text
+        return np.array(self.text, dtype=object)[ids]
+
+    def ids(self, keys):
+        # the sorted distinct keys, as np.unique without an inverse imports numpy.ma
+        u = np.sort(keys, axis=None)
+        u = u[np.append(True, u[1:] != u[:-1])] if u.size else u
+        n = len(self.id)
+        ids = np.array([self.id.setdefault(k, len(self.id)) for k in u.tolist()], dtype=np.intp)
+        self.text += self.fmt(u[ids >= n])
+        return ids[np.searchsorted(u, keys)]
 
 
 def _run_blocks(n, width, block) -> list:

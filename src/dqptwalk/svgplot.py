@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import _shared_text
+from .lattice import _TextIds
 
 PALETTE = ("#2060a8", "#c03020", "#208040", "#9040a0", "#c08020", "#508090")
 W, H = 720, 420
@@ -170,12 +170,13 @@ def phase_map(path, diagram, title):
     boundary = diagram.pt_status == "boundary"
     fill = np.empty(boundary.shape, dtype=object)
     for mask, flag in ((boundary, True), (~boundary, False)):
-        fill[mask] = _shared_text(diagram.winding[mask], lambda w: f'{_winding_color(w, flag)}"/>')
+        color = _TextIds(lambda k: [f'{_winding_color(w, flag)}"/>' for w in k.view(float).tolist()])
+        fill[mask] = color(diagram.winding[mask].view(np.int64))
 
     def rows():
-        # one string per theta1 row: few writes, and never the whole map at once
+        # one string per theta1 row, its head the separator: never the whole map
         for h, f in zip(head.tolist(), fill):
-            yield "\n".join((h + mid + f).tolist())
+            yield h + ("\n" + h).join((mid + f).tolist())
         yield (f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
                f'height="{H - MT - MB}" fill="none" stroke="#333"/>')
 

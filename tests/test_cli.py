@@ -169,6 +169,7 @@ def test_non_integral_integer_key_is_usage_error(tmp_path, capsys, command, key,
     ("phase-diagram", "loss"), ("phase-diagram", "theta1_min"),
     ("phase-diagram", "resolution"),
     ("error-mc", "wp_angle_tol"), ("error-mc", "initial_theta1"), ("error-mc", "mc_samples"),
+    ("error-mc", "quantity"),
 ])
 def test_boolean_value_is_usage_error(tmp_path, capsys, command, key):
     """No config key takes a JSON true, which a float key would read as 1
@@ -213,6 +214,18 @@ def test_empty_angle_is_unset():
         {"final_theta1": "-1/2", "final_theta2": "3/8"})
     with pytest.raises(ConfigError, match="required"):
         cli.build_spec({"final_theta1": "-1/2", "final_theta2": ""})
+
+
+def test_empty_quantity_is_unset(tmp_path):
+    """An empty error-mc quantity takes the default, dtop, as any empty key does."""
+    argv = ["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+            "--set", "mc_samples=100", "--set", "n_steps=2", "--set", "kpoints=32"]
+    assert run_main([*argv, "--set", "quantity=", "--out", tmp_path / "empty"]) == 0
+    assert run_main([*argv, "--out", tmp_path / "unset"]) == 0
+    assert (tmp_path / "empty" / "errorbars.csv").read_bytes() == \
+        (tmp_path / "unset" / "errorbars.csv").read_bytes()
+    summaries = (json.loads((tmp_path / d / "summary.json").read_text()) for d in ("empty", "unset"))
+    assert next(summaries)["headline"] == next(summaries)["headline"]
 
 
 def test_whole_number_integer_key_runs(tmp_path):

@@ -182,16 +182,18 @@ def _project(c: np.ndarray, drn: np.ndarray) -> np.ndarray:
 
 def _projected_roots(spec: QuenchSpec, minus, lo, hi, c_lo, c_hi, drn) -> tuple:
     """Brent zero in each [lo, hi] of the channel projected onto drn, given
-    the channel at both ends, and the channel's modulus there; both NaN where
-    the projection does not change sign."""
+    the channel at both ends, and the channel's modulus there from Brent's own
+    evaluation; both NaN where the projection does not change sign."""
     k0, fun = np.full(lo.shape, np.nan), np.full(lo.shape, np.nan)
     p_lo, p_hi = _project(c_lo, drn), _project(c_hi, drn)
     ok = p_lo * p_hi < 0
     if ok.any():
-        k0[ok] = roots.brentq(lambda k, m, d: _project(_channel(spec, k, m), d),
-                              lo[ok], hi[ok], xtol=1e-13, args=(minus[ok], drn[ok]),
-                              ends=(p_lo[ok], p_hi[ok]))
-        fun[ok] = _cabs(_channel(spec, k0[ok], minus[ok]))
+        def projected(k, m, d):
+            c = _channel(spec, k, m)
+            return _project(c, d), c
+        k0[ok], c = roots.brentq(projected, lo[ok], hi[ok], xtol=1e-13, args=(minus[ok], drn[ok]),
+                                 ends=((p_lo[ok], c_lo[ok]), (p_hi[ok], c_hi[ok])))
+        fun[ok] = _cabs(c)
     return k0, fun
 
 
@@ -247,8 +249,8 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid) -> FixedPointSet:
     k_m = f_m = np.empty(0)
     if minus_m.size:
         i = np.concatenate(minima)
-        k0, fun = roots.minimize_bounded(lambda k, m: _cabs(_channel(spec, k, m)),
-                                         ks[i] - h, ks[i] + h, xatol=1e-12, args=(minus_m,))
+        k0, fun, _ = roots.minimize_bounded(lambda k, m: (_cabs(_channel(spec, k, m)),) * 2,
+                                            ks[i] - h, ks[i] + h, xatol=1e-12, args=(minus_m,))
         c_hi, c_lo = _ends(spec, minus_m, k0 + h, k0 - h)
         hit_k, hit_f = _projected_roots(spec, minus_m, k0 - h, k0 + h, c_lo, c_hi, c_hi - c_lo)
         better = hit_f < fun
@@ -316,9 +318,9 @@ def find_critical(fps: FixedPointSet, t_max: float) -> CriticalSet:
     spec = fps.spec
 
     def weight_h(k):
-        """weight_minus - weight_plus; its zeros are the critical momenta."""
+        """weight_minus - weight_plus, whose zeros are the critical momenta, and E."""
         tab = overlaps(spec, k, _rowwise=True)
-        return tab.weight_minus - tab.weight_plus
+        return tab.weight_minus - tab.weight_plus, tab.energy.real
 
     brackets = []
     pts = fps.points
@@ -333,13 +335,13 @@ def find_critical(fps: FixedPointSet, t_max: float) -> CriticalSet:
             brackets.append((k_lo, k_hi))
     k_lo, k_hi = np.array(brackets).reshape(-1, 2).T
     if k_lo.size:
-        f_lo, f_hi = np.split(weight_h(np.concatenate([k_lo, k_hi])), 2)
-        sign_change = ~(f_lo * f_hi > 0)
-        k_lo, k_hi, f_lo, f_hi = (v[sign_change] for v in (k_lo, k_hi, f_lo, f_hi))
+        f, e = (v.reshape(2, -1) for v in weight_h(np.concatenate([k_lo, k_hi])))
+        sign_change = ~(f[0] * f[1] > 0)
+        k_lo, k_hi, f, e = k_lo[sign_change], k_hi[sign_change], f[:, sign_change], e[:, sign_change]
     criticals = []
     if k_lo.size:
-        kcs = roots.brentq(weight_h, k_lo, k_hi, xtol=1e-12, ends=(f_lo, f_hi))
-        for kc, e in zip(kcs, overlaps(spec, kcs, _rowwise=True).energy.real):
+        kcs, es = roots.brentq(weight_h, k_lo, k_hi, xtol=1e-12, ends=tuple(zip(f, e)))
+        for kc, e in zip(kcs, es):
             if e <= 1e-12:
                 raise PhysicsError(f"vanishing quasienergy at critical momentum {kc}")
             criticals.append(CriticalMomentum(float(normalize_angle(kc)), float(e),

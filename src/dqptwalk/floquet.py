@@ -115,13 +115,12 @@ def _closed_form(be, d2, d3):
     ep, em = np.exp(1j * omega), np.exp(-1j * omega)
     eth = np.exp(1j * vth)
 
-    # rotate the analysis frame back with V = exp(i pi/4 sigma_y)
-    def frame(u0, u1):
-        return np.stack(((u0 - u1) / _SQ2, (u0 + u1) / _SQ2), axis=-1)
-
-    vectors = (frame(norm * ep, norm * eth * em), frame(-norm * em, norm * eth * ep),
-               frame(norm * ep, norm * em / eth), frame(-norm * em, norm * ep / eth))
-    return ok, vectors
+    # each frame (u0, u1) rotated back with V = exp(i pi/4 sigma_y), all four
+    # in one stacked subtract, add and divide (np.array stacks with less
+    # overhead than np.stack, which counts at the few momenta of a polish)
+    u0 = np.array((norm * ep, -norm * em) * 2)
+    u1 = np.array((norm * eth * em, norm * eth * ep, norm * em / eth, norm * ep / eth))
+    return ok, tuple(np.stack((u0 - u1, u0 + u1), axis=-1) / _SQ2)
 
 
 def _cabs(z):

@@ -87,6 +87,31 @@ def ellipse(theta1, theta2):
     return margin, np.where(margin > 0, 2 * np.sign(s1), np.where(margin < 0, 0.0, np.nan))
 
 
+# The closed-form biorthogonal frame with one frame() call per vector, as
+# floquet._closed_form first wrote it: the oracle of its stacked frames.
+
+def closed_form_frames(be, d2, d3):
+    """psi_p, psi_m, chi_p, chi_m over arrays of real Bloch components
+    (d1 = i*be), each (n, 2); only the rows where the closed form holds
+    (floquet._closed_form's mask) mean anything."""
+    d = np.hypot(d2, d3)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sin2o = np.where(d > 0, be / np.where(d > 0, d, 1.0), np.inf)
+        ok = (d > 0) & (sin2o < 1.0)
+        cos2o = np.sqrt(np.where(ok, 1 - sin2o**2, 1.0))
+    omega = np.where(ok, np.arcsin(np.where(ok, sin2o, 0.0)) / 2, 0.0)
+    norm = 1 / np.sqrt(2 * cos2o)
+    ep, em = np.exp(1j * omega), np.exp(-1j * omega)
+    eth = np.exp(1j * np.arctan2(d2, -d3))
+
+    def frame(u0, u1):
+        """(u0, u1) rotated back with V = exp(i pi/4 sigma_y)."""
+        return np.stack(((u0 - u1) / np.sqrt(2.0), (u0 + u1) / np.sqrt(2.0)), axis=-1)
+
+    return (frame(norm * ep, norm * eth * em), frame(-norm * em, norm * eth * ep),
+            frame(norm * ep, norm * em / eth), frame(-norm * em, norm * ep / eth))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

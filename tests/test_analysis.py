@@ -705,6 +705,20 @@ def test_batched_polish_equals_scalar_polish(spec, n_k):
         assert _bits(got_c[0].criticals, fields) == _bits(want_c[0], fields)
 
 
+@pytest.mark.parametrize("spec, calls", [(FIG2A, 30), (FIG3, 27), (FIG4A, 41), (FIG4B, 41)],
+                         ids=["fig2a", "fig3", "fig4a", "fig4b"])
+def test_polish_overlaps_calls(spec, calls, monkeypatch):
+    """find_fixed_points and find_critical at 128 momenta call overlaps for
+    the grid table, the bracket ends and once per polish round, and never at
+    a root: the residual and the quasienergy there come with the search's
+    last round. Evaluating them again made 32, 28, 43 and 42 calls."""
+    seen = []
+    monkeypatch.setattr(analysis, "overlaps",
+                        lambda *a, **kw: seen.append(1) or overlaps(*a, **kw))
+    find_critical(find_fixed_points(spec, MomentumGrid(128)), 7.0)
+    assert len(seen) == calls
+
+
 @given(_quench, st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_rowwise_overlaps_equal_one_momentum_calls(spec, ks):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import ellipse, floquet_matrix
+from conftest import closed_form_frames, ellipse, floquet_matrix
 
 from dqptwalk import floquet, roots
 from dqptwalk.errors import (
@@ -411,14 +411,31 @@ def test_scan_label_beyond_the_guard_equals_the_numeric_windings(t1, excess, ins
         assert winding_global_berry(cell, l, MomentumGrid(2048)) == label
 
 
+@given(angle, angle, st.one_of(st.just(0.0), loss), st.integers(1, 300),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(-np.pi / 3, np.pi / 5, 0.36, 257, 0)
+@example(-np.pi / 2, 3 * np.pi / 8, 0.0, 1, 1)
+def test_stacked_frames_equal_per_vector_frames(theta1, theta2, l, n, seed):
+    """The four frames of floquet._closed_form, formed in one stacked pass,
+    equal the per-vector closed form byte for byte on every row where the
+    closed form holds, lossless and lossy, at 1-300 momenta."""
+    ks = np.random.default_rng(seed).uniform(-np.pi, np.pi, n)
+    _, be, d2, d3 = bloch_coefficients(CoinAngles(theta1, theta2), l, ks)
+    ok, frames = floquet._closed_form(be, d2, d3)
+    for got, want in zip(frames, closed_form_frames(be, d2, d3), strict=True):
+        assert got.shape == want.shape == (n, 2)
+        assert got[ok].tobytes() == want[ok].tobytes()
+
+
 def _reference_pt_classify(angles, l, grid=MomentumGrid(2048)):
     """The former PT classification: max d0^2 over the grid samples, then a
     bounded search for the maximum around the largest one."""
     ks = grid.samples
     sq = bloch_coefficients(angles, l, ks)[0] ** 2
     i = int(np.argmax(sq))
-    _, fun = roots.minimize_bounded(lambda k: -bloch_coefficients(angles, l, k)[0] ** 2,
-                                    ks[i] - grid.spacing, ks[i] + grid.spacing, xatol=1e-12)
+    _, fun, _ = roots.minimize_bounded(lambda k: (-bloch_coefficients(angles, l, k)[0] ** 2,) * 2,
+                                       ks[i] - grid.spacing, ks[i] + grid.spacing, xatol=1e-12)
     max_sq = max(float(sq[i]), float(-fun))
     return str(floquet._pt_status(max_sq)), max_sq
 

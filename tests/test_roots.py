@@ -27,24 +27,41 @@ SPECIAL = [
     (lambda x: x, 0.0, 1.0),                                        # zero at a
     (lambda x: x, -1.0, -0.0),                                      # -0.0 at b
     (lambda x: -0.0 if x < 0.5 else 1.0, 0.0, 1.0),                 # f(a) is -0.0
+    (lambda x: math.nan if abs(x - 0.1 ** (1 / 3)) < 1e-4 else x ** 3 - 0.1,
+     0.0, 1.0),                                                     # NaN at step 6
+]
+# minimize_bounded cases that stop at the 500-evaluation limit
+BOUNDED_SPECIAL = [
+    (abs, -1e300, 1e300),
+    (lambda x: math.sqrt(abs(x - 1e-3)), -1e300, 1e300),
 ]
 
 
 def _elementwise(f):
-    """The array form of a scalar function, one math call per element."""
-    return lambda xs: np.array([f(x) for x in xs], dtype=float)
+    """The array form of a scalar function, one math call per element, with
+    its values as its rows."""
+    return lambda xs: (np.array([f(x) for x in xs], dtype=float),) * 2
 
 
 def _brentq(f, a, b, xtol):
     """brentq on a scalar f, given f at both bracket ends from its
     elementwise form, as every caller passes them."""
     g = _elementwise(f)
-    return brentq(g, a, b, xtol, ends=(g([a])[0], g([b])[0]))
+    return brentq(g, a, b, xtol, ends=(g([a]), g([b])))[0]
 
 
 def _per_element(fs):
-    """One batched function that applies fs[i] to the element with index i."""
-    return lambda xs, i: np.array([fs[j](x) for x, j in zip(xs, i)], dtype=float)
+    """One batched function that applies fs[i] to the element with index i;
+    its rows are (f(x), x, i)."""
+    def f(xs, i):
+        v = np.array([fs[j](x) for x, j in zip(xs, i)], dtype=float)
+        return v, np.stack([v, xs, i], axis=-1)
+    return f
+
+
+def _fresh_rows(batch_f, xs):
+    """batch_f's row at each xs[i] for element i, one call per element."""
+    return [batch_f(np.array([x]), np.array([i]))[1][0] for i, x in enumerate(xs)]
 
 
 def _same(a, b):
@@ -242,7 +259,7 @@ def test_minimize_bounded_matches_scipy(family, c, r, lo, width_exp, square, xat
     for bounds in ((lo, hi), (np.float64(lo), np.float64(hi))):
         res = optimize.minimize_scalar(f, bounds=bounds, method="bounded",
                                        options={"xatol": xatol})
-        x, fx = minimize_bounded(_elementwise(f), *bounds, xatol)
+        x, fx, _ = minimize_bounded(_elementwise(f), *bounds, xatol)
         assert _same(x, res.x) and _same(fx, res.fun)
 
 
@@ -267,10 +284,16 @@ _element = st.tuples(st.sampled_from(sorted(FAMILIES)), st.tuples(coef, coef, co
 @settings(max_examples=300, deadline=None)
 @example([("step", (0.0, 0.0, 1.0), 0.5, -3.0, -3.0, False), 4, 5, 6], 1e-12)
 @example([("cubic", (1.0, 0.0, 0.0), 0.25, -1.0, -2.0, True), 2], 1e-12)
+@example([("sine", (1.0, 0.0, 0.0), 0.25, -1.0, -2.0, False), 5, 7, 3], 1e-12)
+@example([4, ("kink", (1.0, 1.0, 0.0), 0.1, -2.0, 0.0, True), 7], 1e-13)
+@example([3, 7], 1e-12)
+@example([5, 4, 6], 1e-12)
 def test_batched_brentq_equals_scalar_port(elements, xtol):
     """Each root of a batch carries the bits of the scalar search on its
-    bracket, zero signs included; a batch raises if one of its elements
-    does, with one of their error types."""
+    bracket, zero signs included, and its row is f's fresh row there. A
+    batch raises in the first round where one of its elements does, with
+    that element's error type: before any call for bad bracket ends, in the
+    call whose value is NaN, after the 100th call without convergence."""
     fs, lo, hi = [], [], []
     for el in elements:
         if isinstance(el, int):
@@ -289,22 +312,30 @@ def test_batched_brentq_equals_scalar_port(elements, xtol):
     def counted(f):
         return lambda x: calls.append(1) or f(x)
 
-    want = [_outcome(lambda: _reference_brentq(counted(f), a, b, xtol))
-            for f, a, b in zip(fs, lo, hi)]
+    want, rounds = [], []      # per element: outcome, and calls past the two ends
+    for f, a, b in zip(fs, lo, hi):
+        before = len(calls)
+        want.append(_outcome(lambda: _reference_brentq(counted(f), a, b, xtol)))
+        rounds.append(max(len(calls) - before - 2, 0))
     scalar_calls = len(calls)
     batch_f, index = _per_element(fs), np.arange(len(fs))
     ends = tuple(batch_f(np.array(x), index) for x in (lo, hi))
     got = _outcome(lambda: brentq(lambda xs, i: calls.append(xs.size) or batch_f(xs, i),
                                   np.array(lo), np.array(hi), xtol, ends=ends, args=(index,)))
-    errors = {err for _, err in want if err is not None}
-    if errors:
-        assert got[1] in errors
+    failing = [(n, err) for n, (_, err) in zip(rounds, want) if err is not None]
+    if failing:
+        first = min(n for n, _ in failing)
+        assert got[1] in {err for n, err in failing if n == first}
+        assert len(calls) - scalar_calls == first
     else:
-        assert got[1] is None and got[0].shape == (len(fs),)
-        assert all(_same(g, w) for g, (w, _) in zip(got[0], want))
+        assert got[1] is None
+        ks, rows = got[0]
+        assert ks.shape == (len(fs),) and rows.shape == (len(fs), 3)
+        assert all(_same(g, w) for g, (w, _) in zip(ks, want))
         # given f at the bracket ends, the batch evaluates each element where
         # its scalar search does, except at the two ends
         assert sum(calls[scalar_calls:]) == scalar_calls - 2 * len(fs)
+        assert [r.tobytes() for r in rows] == [r.tobytes() for r in _fresh_rows(batch_f, ks)]
     for f, a, b, w in zip(fs, lo, hi, want):
         one = _outcome(lambda: _brentq(f, a, b, xtol))
         assert one[1] == w[1]
@@ -312,24 +343,43 @@ def test_batched_brentq_equals_scalar_port(elements, xtol):
             assert _same(one[0], w[0])
 
 
-@given(st.lists(st.tuples(st.sampled_from(sorted(FAMILIES)), st.tuples(coef, coef, coef),
-                          coef, st.floats(-5, 5), st.floats(-4, 1), st.booleans()),
+@given(st.lists(st.one_of(st.tuples(st.sampled_from(sorted(FAMILIES)),
+                                    st.tuples(coef, coef, coef), coef, st.floats(-5, 5),
+                                    st.floats(-4, 1), st.booleans()),
+                          st.integers(0, len(BOUNDED_SPECIAL) - 1)),
                 min_size=1, max_size=6),
        st.sampled_from([1e-12, 1e-8, 1e-5]))
 @settings(max_examples=300, deadline=None)
+@example([0, ("cubic", (1.0, 0.0, 0.0), 0.25, -1.0, -1.0, False), 1], 1e-12)
 def test_batched_minimize_bounded_equals_scalar_port(elements, xatol):
     """Each (x, f(x)) of a batch carries the bits of the scalar search on
-    its bounds."""
+    its bounds, also where it stops at the evaluation limit, and its row is
+    f's fresh row at x; the batch makes as many calls as its longest
+    search."""
     fs, lo, hi = [], [], []
-    for family, c, r, lo_, width_exp, square in elements:
-        g = FAMILIES[family](c, r)
-        fs.append((lambda g: lambda x: -g(x) ** 2)(g) if square
-                  else (lambda g: lambda x: abs(g(x)))(g))
-        lo.append(lo_)
-        hi.append(lo_ + 10 ** width_exp)
-    x, fx = minimize_bounded(_per_element(fs), np.array(lo), np.array(hi), xatol,
-                             args=(np.arange(len(fs)),))
-    assert x.shape == fx.shape == (len(fs),)
-    for f, a, b, xi, fi in zip(fs, lo, hi, x, fx):
-        want = _reference_minimize_bounded(f, a, b, xatol)
+    for el in elements:
+        if isinstance(el, int):
+            f, a, b = BOUNDED_SPECIAL[el]
+        else:
+            family, c, r, a, width_exp, square = el
+            g = FAMILIES[family](c, r)
+            f = (lambda g: lambda x: -g(x) ** 2)(g) if square \
+                else (lambda g: lambda x: abs(g(x)))(g)
+            b = a + 10 ** width_exp
+        fs.append(f)
+        lo.append(a)
+        hi.append(b)
+    evaluations = []
+    for f, a, b in zip(fs, lo, hi):
+        calls = []
+        want = _reference_minimize_bounded(lambda x: calls.append(1) or f(x), a, b, xatol)
+        evaluations.append((len(calls), want))
+    batch_f, rounds = _per_element(fs), []
+    x, fx, rows = minimize_bounded(lambda xs, i: rounds.append(1) or batch_f(xs, i),
+                                   np.array(lo), np.array(hi), xatol,
+                                   args=(np.arange(len(fs)),))
+    assert x.shape == fx.shape == (len(fs),) and rows.shape == (len(fs), 3)
+    for xi, fi, (_, want) in zip(x, fx, evaluations):
         assert _same(xi, want[0]) and _same(fi, want[1])
+    assert len(rounds) == max(n for n, _ in evaluations)
+    assert [r.tobytes() for r in rows] == [r.tobytes() for r in _fresh_rows(batch_f, x)]

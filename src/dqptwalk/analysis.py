@@ -208,8 +208,8 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid) -> FixedPointSet:
     Grid minima of each overlap channel are polished to machine precision;
     only zeros below a hard acceptance threshold count. A channel that
     vanishes identically means the quench does not change the state at all.
-    Candidates of both channels are polished together, one lockstep batch
-    per stage.
+    Candidates of both channels are polished together per stage, one batched
+    ``overlaps`` call per round; a Brent root's residual is read from its row.
     """
     ks = grid.samples
     table = overlaps(spec, ks)
@@ -249,8 +249,8 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid) -> FixedPointSet:
     k_m = f_m = np.empty(0)
     if minus_m.size:
         i = np.concatenate(minima)
-        k0, fun, _ = roots.minimize_bounded(lambda k, m: (_cabs(_channel(spec, k, m)),) * 2,
-                                            ks[i] - h, ks[i] + h, xatol=1e-12, args=(minus_m,))
+        k0, fun = roots.minimize_bounded(lambda k, m: (_cabs(_channel(spec, k, m)),) * 2,
+                                         ks[i] - h, ks[i] + h, xatol=1e-12, args=(minus_m,))
         c_hi, c_lo = _ends(spec, minus_m, k0 + h, k0 - h)
         hit_k, hit_f = _projected_roots(spec, minus_m, k0 - h, k0 + h, c_lo, c_hi, c_hi - c_lo)
         better = hit_f < fun
@@ -313,8 +313,8 @@ class CriticalSet:
 
 def find_critical(fps: FixedPointSet, t_max: float) -> CriticalSet:
     """Critical momenta: weight-balance zeros between fixed points of
-    opposite kind, each carrying its periodic ladder of critical times. All
-    brackets are polished together in one lockstep Brent batch."""
+    opposite kind, each carrying its periodic ladder of critical times, all
+    polished with one batched ``overlaps`` call per round; E is read from its row."""
     spec = fps.spec
 
     def weight_h(k):

@@ -18,7 +18,7 @@ and 2003- SciPy Developers): ``brentq`` of the C routine behind
 f is called as ``f(x, *args)``: x holds the points of the elements still
 searching and each of ``args`` the same elements' rows of a per-element
 parameter array. It returns ``(values, rows)``, row i being whatever else the
-caller wants at x[i]. Each search returns the row of its result, so a caller
+caller wants at x[i]. ``brentq`` returns the row of each root, so a caller
 reads it there without evaluating f again.
 """
 from __future__ import annotations
@@ -155,11 +155,11 @@ def _sign1(v: float) -> float:
 
 def _bounded(a, b, xatol):
     """``_minimize_scalar_bounded`` on [a, b]: yields each point, is sent
-    (f, row) there, and returns the minimum's point, value and row."""
+    (f, row) there, and returns the minimum's point and value."""
     fulc = a + _GOLDEN_MEAN * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
-    fx, rx = yield xf
+    fx, _ = yield xf
     num = 1
     ffulc = fnfc = fx
     while True:
@@ -167,7 +167,7 @@ def _bounded(a, b, xatol):
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
         if not (abs(xf - xm) > (tol2 - 0.5 * (b - a)) and num < BOUNDED_MAXITER):
-            return xf, fx, rx
+            return xf, fx
         parabolic = abs(e) > tol1
         if parabolic:  # parabolic fit
             r = (xf - nfc) * (fx - ffulc)
@@ -186,11 +186,11 @@ def _bounded(a, b, xatol):
             e = (a - xf) if xf >= xm else (b - xf)
             rat = _GOLDEN_MEAN * e
         x = xf + _sign1(rat) * max(abs(rat), tol1)
-        fu, ru = yield x
+        fu, _ = yield x
         num += 1
         if fu <= fx:
             a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx, rx = nfc, fnfc, xf, fx, x, fu, ru
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
         else:
             a, b = (x, b) if x < xf else (a, x)
             if fu <= fnfc or nfc == xf:
@@ -200,12 +200,12 @@ def _bounded(a, b, xatol):
 
 
 def minimize_bounded(f, lo, hi, xatol: float, args=()) -> tuple:
-    """(x, f(x), row) at a local minimum of f on each [lo, hi].
+    """(x, f(x)) at a local minimum of f on each [lo, hi].
 
     SciPy's ``minimize_scalar(method="bounded")`` (Brent's golden-section
     search with parabolic steps) with at most 500 evaluations, step for
     step. Stops silently at the evaluation limit, as SciPy does. Returns
-    the three in the broadcast shape of lo and hi.
+    both in the broadcast shape of lo and hi.
     """
     (a, b), shape = _batch(lo, hi)
     if not np.isfinite(a).all() or not np.isfinite(b).all():
@@ -213,4 +213,4 @@ def minimize_bounded(f, lo, hi, xatol: float, args=()) -> tuple:
     if (a > b).any():
         raise ValueError("The lower bound exceeds the upper bound.")
     searches = [_bounded(*e, xatol) for e in zip(a.tolist(), b.tolist())]
-    return _arrays(_drive(f, searches, _args(args, shape)), shape, 3)
+    return _arrays(_drive(f, searches, _args(args, shape)), shape, 2)

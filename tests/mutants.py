@@ -3,8 +3,7 @@ tests that must fail on it.
 
 Run from the root of a checkout, with the test extras installed:
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # the named ones
+    python tests/mutants.py
 
 For each mutant the script copies the checkout (without .git) into a
 temporary directory, replaces the snippet in its copy of src/, and runs the
@@ -142,25 +141,21 @@ def run(m: Mutant) -> tuple:
         return proc.returncode, time.perf_counter() - start, lines[-1]
 
 
-def main(names) -> int:
-    mutants = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
+def main() -> int:
     stale = check_snippets(MUTANTS + tuple(m for m, _ in SURVIVORS))
     for m, count in stale:
         print(f"ERROR {m.name}: snippet occurs {count} times in {m.path}: {m.snippet!r}")
-    if unknown:
-        print(f"ERROR unknown mutants: {', '.join(sorted(unknown))}")
-    if stale or unknown:
+    if stale:
         return 2
     start = time.perf_counter()
-    tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     code, seconds, last = run(Mutant("control", MUTANTS[0].path, "", "", tests))
     print(f"{'control' if code == 0 else 'ERROR control':<24} {'(no mutant)':<26} "
           f"{seconds:6.1f} s  {last}")
     if code != 0:
         return 2
     survived = errors = 0
-    for m in mutants:
+    for m in MUTANTS:
         code, seconds, last = run(m)
         verdict = {1: "killed", 0: "SURVIVED"}.get(code, f"ERROR (pytest exit {code})")
         survived += code == 0
@@ -168,10 +163,10 @@ def main(names) -> int:
         print(f"{verdict:<24} {m.name:<26} {seconds:6.1f} s  {last}")
     for m, reason in SURVIVORS:
         print(f"{'expected survivor':<24} {m.name:<26}  {reason}")
-    print(f"{len(mutants)} mutants: {len(mutants) - survived - errors} killed, "
+    print(f"{len(MUTANTS)} mutants: {len(MUTANTS) - survived - errors} killed, "
           f"{survived} survived, {errors} errors, in {time.perf_counter() - start:.0f} s")
     return 1 if survived or errors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -434,8 +434,8 @@ def _reference_pt_classify(angles, l, grid=MomentumGrid(2048)):
     ks = grid.samples
     sq = bloch_coefficients(angles, l, ks)[0] ** 2
     i = int(np.argmax(sq))
-    _, fun, _ = roots.minimize_bounded(lambda k: (-bloch_coefficients(angles, l, k)[0] ** 2,) * 2,
-                                       ks[i] - grid.spacing, ks[i] + grid.spacing, xatol=1e-12)
+    _, fun = roots.minimize_bounded(lambda k: (-bloch_coefficients(angles, l, k)[0] ** 2,) * 2,
+                                    ks[i] - grid.spacing, ks[i] + grid.spacing, xatol=1e-12)
     max_sq = max(float(sq[i]), float(-fun))
     return str(floquet._pt_status(max_sq)), max_sq
 

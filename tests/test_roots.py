@@ -259,7 +259,7 @@ def test_minimize_bounded_matches_scipy(family, c, r, lo, width_exp, square, xat
     for bounds in ((lo, hi), (np.float64(lo), np.float64(hi))):
         res = optimize.minimize_scalar(f, bounds=bounds, method="bounded",
                                        options={"xatol": xatol})
-        x, fx, _ = minimize_bounded(_elementwise(f), *bounds, xatol)
+        x, fx = minimize_bounded(_elementwise(f), *bounds, xatol)
         assert _same(x, res.x) and _same(fx, res.fun)
 
 
@@ -353,9 +353,8 @@ def test_batched_brentq_equals_scalar_port(elements, xtol):
 @example([0, ("cubic", (1.0, 0.0, 0.0), 0.25, -1.0, -1.0, False), 1], 1e-12)
 def test_batched_minimize_bounded_equals_scalar_port(elements, xatol):
     """Each (x, f(x)) of a batch carries the bits of the scalar search on
-    its bounds, also where it stops at the evaluation limit, and its row is
-    f's fresh row at x; the batch makes as many calls as its longest
-    search."""
+    its bounds, also where it stops at the evaluation limit; the batch makes
+    as many calls as its longest search."""
     fs, lo, hi = [], [], []
     for el in elements:
         if isinstance(el, int):
@@ -375,11 +374,9 @@ def test_batched_minimize_bounded_equals_scalar_port(elements, xatol):
         want = _reference_minimize_bounded(lambda x: calls.append(1) or f(x), a, b, xatol)
         evaluations.append((len(calls), want))
     batch_f, rounds = _per_element(fs), []
-    x, fx, rows = minimize_bounded(lambda xs, i: rounds.append(1) or batch_f(xs, i),
-                                   np.array(lo), np.array(hi), xatol,
-                                   args=(np.arange(len(fs)),))
-    assert x.shape == fx.shape == (len(fs),) and rows.shape == (len(fs), 3)
+    x, fx = minimize_bounded(lambda xs, i: rounds.append(1) or batch_f(xs, i),
+                             np.array(lo), np.array(hi), xatol, args=(np.arange(len(fs)),))
+    assert x.shape == fx.shape == (len(fs),)
     for xi, fi, (_, want) in zip(x, fx, evaluations):
         assert _same(xi, want[0]) and _same(fi, want[1])
     assert len(rounds) == max(n for n, _ in evaluations)
-    assert [r.tobytes() for r in rows] == [r.tobytes() for r in _fresh_rows(batch_f, x)]

@@ -7,7 +7,7 @@ decimal ("0.375"). Every run writes its data files plus one summary.json
 carrying the input echo, the file manifest, and headline numbers.
 
 Exit codes: 0 ok, 2 bad configuration, 3 physics-domain failure (closed gap,
-symmetry-broken request, trivial quench), 4 output I/O failure.
+symmetry-broken request, trivial quench), 4 file I/O failure.
 """
 from __future__ import annotations
 
@@ -53,15 +53,13 @@ def parse_pi_value(text) -> float:
 
 
 def load_config(path) -> dict:
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        try:
-            cfg = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"bad JSON config: {err}") from None
-        if not isinstance(cfg, dict):
-            raise ConfigError("JSON config must be an object")
-        return cfg
+    try:
+        text = Path(path).read_text()
+        if text.lstrip().startswith("{"):
+            return json.loads(text)
+    except (ValueError, RecursionError) as err:
+        # not UTF-8, bad JSON, or JSON nested past the recursion limit
+        raise ConfigError(f"unreadable config: {err}") from None
     out = {}
     for i, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -83,18 +81,15 @@ class RunConfig:
     figure: str | None = None
 
 
-def _get(cfg, key, default, cast):
-    """cfg[key] cast, or default where cfg leaves key out or empty. No key
-    takes a bool, which a JSON config can give and every cast would read
-    as 0 or 1 (or pi)."""
-    if key not in cfg or cfg[key] in ("", None):
-        return default
+def _cast(cast, key, value):
+    """value cast for key. No key takes a bool, which a JSON config can give
+    and every cast would read as 0 or 1 (or pi)."""
     try:
-        if isinstance(cfg[key], bool):
+        if isinstance(value, bool):
             raise TypeError
-        return cast(cfg[key])
+        return cast(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from None
+        raise ConfigError(f"bad value for {key}: {value!r}") from None
 
 
 def _integer(value) -> int:
@@ -115,25 +110,22 @@ def _positions(value) -> tuple:
     return tuple(_integer(p) for p in items)
 
 
-def _given(cfg, **casts) -> dict:
-    """Each key of casts that cfg sets, cast; the callee's signature keeps
-    the default of every key that cfg leaves out."""
-    values = {key: _get(cfg, key, None, cast) for key, cast in casts.items()}
-    return {key: v for key, v in values.items() if v is not None}
+def _given(cfg, *keys) -> dict:
+    """Each of keys that cfg sets; the callee's signature keeps the default
+    of every key that cfg leaves out."""
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def build_spec(cfg) -> QuenchSpec:
-    final = tuple(_get(cfg, key, None, parse_pi_value) for key in ("final_theta1", "final_theta2"))
-    if None in final:
+    if {"final_theta1", "final_theta2"} - cfg.keys():
         raise ConfigError("final_theta1 and final_theta2 are required")
-    initial = (_get(cfg, "initial_theta1", np.pi / 4, parse_pi_value),
-               _get(cfg, "initial_theta2", -np.pi / 2, parse_pi_value))
-    return QuenchSpec(initial, final, **_given(cfg, loss=float, mix_p=float))
+    return QuenchSpec((cfg.get("initial_theta1", np.pi / 4), cfg.get("initial_theta2", -np.pi / 2)),
+                      (cfg["final_theta1"], cfg["final_theta2"]), **_given(cfg, "loss", "mix_p"))
 
 
 def _grids(cfg):
-    n_k = _get(cfg, "kpoints", 128, _integer)
-    grid, tgrid = MomentumGrid(n_k), TimeGrid(**_given(cfg, t_max=float, dt=float))
+    n_k = cfg.get("kpoints", 128)
+    grid, tgrid = MomentumGrid(n_k), TimeGrid(**_given(cfg, "t_max", "dt"))
     n_t = len(tgrid.samples)
     if n_k * n_t > MAX_TABLE_ENTRIES:
         raise ConfigError(f"kpoints x time samples must be at most {MAX_TABLE_ENTRIES}, "
@@ -230,16 +222,11 @@ def _quench_products(qa: QuenchAnalysis, em, label):
                     f"{label}: winding order parameter")
 
 
-def cmd_phase_diagram(config: RunConfig) -> dict:
-    cfg = config.options
-    res = _get(cfg, "resolution", 64, _integer)
-    loss = _get(cfg, "loss", 0.0, float)
-    t1r = (_get(cfg, "theta1_min", -np.pi, parse_pi_value),
-           _get(cfg, "theta1_max", np.pi, parse_pi_value))
-    t2r = (_get(cfg, "theta2_min", -np.pi, parse_pi_value),
-           _get(cfg, "theta2_max", np.pi, parse_pi_value))
-    n_k = _get(cfg, "kpoints", 256, _integer)
-    pd = phase_diagram_scan(t1r, t2r, res, loss, n_k)
+def cmd_phase_diagram(config: RunConfig, cfg: dict) -> dict:
+    loss = cfg.get("loss", 0.0)
+    pd = phase_diagram_scan((cfg.get("theta1_min", -np.pi), cfg.get("theta1_max", np.pi)),
+                            (cfg.get("theta2_min", -np.pi), cfg.get("theta2_max", np.pi)),
+                            cfg.get("resolution", 64), loss, cfg.get("kpoints", 256))
     em = _Emitter(config.out_dir)
     pd.write_csv(em.path("phase_diagram.csv"))
     svgplot.phase_map(em.path("phase_diagram.svg"), pd,
@@ -253,8 +240,7 @@ def cmd_phase_diagram(config: RunConfig) -> dict:
     return headline
 
 
-def cmd_quench(config: RunConfig) -> dict:
-    cfg = config.options
+def cmd_quench(config: RunConfig, cfg: dict) -> dict:
     spec = build_spec(cfg)
     grid, tgrid = _grids(cfg)
     # the walk comes first: its length check refuses before anything is written
@@ -273,8 +259,7 @@ def cmd_quench(config: RunConfig) -> dict:
     return headline
 
 
-def cmd_dtop(config: RunConfig) -> dict:
-    cfg = config.options
+def cmd_dtop(config: RunConfig, cfg: dict) -> dict:
     spec = build_spec(cfg)
     grid, tgrid = _grids(cfg)
     qa = QuenchAnalysis(spec, grid, tgrid)
@@ -296,17 +281,17 @@ _MC_UNREAD = {"rate_function": ("sector", "positions"), "dtop": ("positions",),
               "pbar": ("kpoints", "sector")}
 
 
-def cmd_error_mc(config: RunConfig) -> dict:
-    cfg = config.options
-    quantity = _get(cfg, "quantity", "dtop", str)
-    _refuse(f"error-mc quantity={quantity}", set(cfg) & set(_MC_UNREAD.get(quantity, ())))
+def cmd_error_mc(config: RunConfig, cfg: dict) -> dict:
+    quantity = cfg.get("quantity", "dtop")
+    _refuse(f"error-mc quantity={quantity}",
+            set(config.options) & set(_MC_UNREAD.get(quantity, ())))
     spec = build_spec(cfg)
     model = ErrorModel(seed=config.seed, **_given(
-        cfg, wp_angle_tol=float, path_loss_tol=float, total_coincidences=_integer,
-        dephasing_eta=float, mc_samples=_integer))
-    grid = None if quantity == "pbar" else MomentumGrid(_get(cfg, "kpoints", 256, _integer))
-    result = monte_carlo_errorbars(spec, quantity, model, grid=grid, **_given(
-        cfg, n_steps=_integer, sector=_integer, positions=_positions))
+        cfg, "wp_angle_tol", "path_loss_tol", "total_coincidences", "dephasing_eta",
+        "mc_samples"))
+    grid = None if quantity == "pbar" else MomentumGrid(cfg.get("kpoints", 256))
+    result = monte_carlo_errorbars(spec, quantity, model, grid=grid,
+                                   **_given(cfg, "n_steps", "sector", "positions"))
     em = _Emitter(config.out_dir)
     result.write_csv(em.path("errorbars.csv"))
     first = result.rows[0][0] if result.rows else None
@@ -322,12 +307,12 @@ def cmd_error_mc(config: RunConfig) -> dict:
     return headline
 
 
-def cmd_reproduce(config: RunConfig) -> dict:
+def cmd_reproduce(config: RunConfig, cfg: dict) -> dict:
     if not config.figure:
         raise ConfigError("reproduce-figure needs --figure "
                           f"(one of {', '.join(PRESET_IDS)})")
     runs = preset(config.figure)
-    grids = _grids(config.options)
+    grids = _grids(cfg)
     em = _Emitter(config.out_dir)
     headline: dict = {}
     for label, spec in runs:
@@ -338,19 +323,21 @@ def cmd_reproduce(config: RunConfig) -> dict:
     return headline
 
 
-_SPEC_KEYS = ("initial_theta1", "initial_theta2", "final_theta1", "final_theta2",
-              "loss", "mix_p")
-_GRID_KEYS = ("kpoints", "t_max", "dt")
+_SPEC_KEYS = dict.fromkeys(("initial_theta1", "initial_theta2", "final_theta1", "final_theta2"),
+                           parse_pi_value) | {"loss": float, "mix_p": float}
+_GRID_KEYS = {"kpoints": _integer, "t_max": float, "dt": float}
 
-# each command with the config keys it reads
+# each command with its config keys and their casts
 _COMMANDS = {
-    "phase-diagram": (cmd_phase_diagram, ("resolution", "loss", "kpoints", "theta1_min",
-                                          "theta1_max", "theta2_min", "theta2_max")),
-    "quench": (cmd_quench, _SPEC_KEYS + _GRID_KEYS),
-    "dtop": (cmd_dtop, _SPEC_KEYS + _GRID_KEYS),
-    "error-mc": (cmd_error_mc, _SPEC_KEYS + (
-        "kpoints", "quantity", "n_steps", "sector", "positions", "wp_angle_tol",
-        "path_loss_tol", "total_coincidences", "dephasing_eta", "mc_samples")),
+    "phase-diagram": (cmd_phase_diagram, {"resolution": _integer, "loss": float, "kpoints": _integer}
+                      | dict.fromkeys(("theta1_min", "theta1_max", "theta2_min", "theta2_max"),
+                                      parse_pi_value)),
+    "quench": (cmd_quench, _SPEC_KEYS | _GRID_KEYS),
+    "dtop": (cmd_dtop, _SPEC_KEYS | _GRID_KEYS),
+    "error-mc": (cmd_error_mc, _SPEC_KEYS | {
+        "kpoints": _integer, "quantity": str, "n_steps": _integer, "sector": _integer,
+        "positions": _positions, "wp_angle_tol": float, "path_loss_tol": float,
+        "total_coincidences": _integer, "dephasing_eta": float, "mc_samples": _integer}),
     "reproduce-figure": (cmd_reproduce, _GRID_KEYS),
 }
 
@@ -362,14 +349,21 @@ def _refuse(what: str, unread) -> None:
                           f"{', '.join(map(str, sorted(unread)))}")
 
 
+def _typed(command: str, options: dict) -> dict:
+    """Each key of options cast once by the command's table; an empty value
+    leaves its key unset."""
+    casts = _COMMANDS[command][1]
+    _refuse(command, set(options) - set(casts))
+    return {key: _cast(casts[key], key, value) for key, value in options.items()
+            if value not in ("", None)}
+
+
 def run(config: RunConfig) -> dict:
     if config.command not in _COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    command, keys = _COMMANDS[config.command]
-    _refuse(config.command, set(config.options) - set(keys))
-    return command(config)
+    return _COMMANDS[config.command][0](config, _typed(config.command, config.options))
 
 
 def _parser() -> argparse.ArgumentParser:

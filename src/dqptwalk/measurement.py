@@ -32,6 +32,8 @@ U_DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
 MC_BLOCK = 32
 # sector momenta of a replayed order parameter
 MC_DTOP_POINTS = 512
+# samples of one call, 2-3 minutes at about 0.14 ms a sample
+MAX_MC_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -87,12 +89,12 @@ def poisson_counts(block, total_coincidences: int, rngs) -> None:
     cannot draw are refused."""
     if total_coincidences <= 0:
         raise ConfigError("counting statistics need a positive total")
-    np.multiply(np.clip(block, 0.0, None, out=block), total_coincidences, out=block)
     try:
+        np.multiply(np.clip(block, 0.0, None, out=block), total_coincidences, out=block)
         for g, row in zip(rngs, block, strict=True):
             np.divide(g.poisson(row), total_coincidences, out=row)
-    except ValueError:
-        # numpy draws no count past its int64 range, nor an infinite or NaN one
+    except (ValueError, OverflowError):
+        # numpy draws no count past int64, inf or NaN; a total past float overflows
         raise ConfigError("expected counts too large to draw: lower "
                           "total_coincidences or n_steps") from None
 
@@ -249,8 +251,8 @@ def monte_carlo_errorbars(spec: QuenchSpec, quantity: str, error_model: ErrorMod
     on how samples are grouped: they are replayed in blocks of MC_BLOCK, each
     block as one batched walk, probability and reduction pass.
     """
-    if error_model.mc_samples < 100:
-        raise ConfigError("mc_samples must be at least 100")
+    if not 100 <= error_model.mc_samples <= MAX_MC_SAMPLES:
+        raise ConfigError(f"mc_samples must be in [100, {MAX_MC_SAMPLES}]")
     if quantity not in ("rate_function", "dtop", "pbar"):
         raise ConfigError(f"unknown quantity {quantity!r}")
     if grid is None and quantity != "pbar":

@@ -104,6 +104,20 @@ MUTANTS = (
            "np.multiply(w * ref2, np.conj(v, out=v), out=v)",
            "np.multiply(np.conj(v, out=v), w * ref2, out=v)",
            ("tests/test_measurement.py::test_ideal_apparatus_equals_reference_probs",)),
+    # command line
+    Mutant("kpoints-cast-int", "src/dqptwalk/cli.py",
+           '_GRID_KEYS = {"kpoints": _integer,',
+           '_GRID_KEYS = {"kpoints": int,',
+           ("tests/test_cli.py::test_non_integral_integer_key_is_usage_error",)),
+    Mutant("cast-takes-bool", "src/dqptwalk/cli.py",
+           "        if isinstance(value, bool):\n            raise TypeError\n",
+           "",
+           ("tests/test_cli.py::test_boolean_value_is_usage_error",)),
+    Mutant("empty-value-cast", "src/dqptwalk/cli.py",
+           '\n            if value not in ("", None)}',
+           "}",
+           ("tests/test_cli.py::test_empty_angle_is_unset",
+            "tests/test_cli.py::test_empty_quantity_is_unset")),
 )
 
 # (mutant, why no test catches it)

@@ -1,11 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dqptwalk import analysis, cli, floquet, measurement, quench
 from dqptwalk.errors import ConfigError
@@ -53,14 +56,30 @@ def test_load_config_bad_line(tmp_path):
         cli.load_config(f)
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe kpoints=32\n",
+    b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    # past the 4300 digits Python converts from text
+    b'{"kpoints": ' + b"1" * 5000 + b"}",
+], ids=["not-utf8", "json-nested-past-the-recursion-limit", "json-integer-of-5000-digits"])
+def test_load_config_unreadable_file(tmp_path, content):
+    f = tmp_path / "c.cfg"
+    f.write_bytes(content)
+    with pytest.raises(ConfigError, match="unreadable config"):
+        cli.load_config(f)
+
+
+def _spec(options):
+    """The quench spec of options, cast as a quench run casts them."""
+    return cli.build_spec(cli._typed("quench", options))
+
+
 def test_build_spec_regime_inference():
-    s = cli.build_spec({"final_theta1": "-1/2", "final_theta2": "3/8"})
+    s = _spec({"final_theta1": "-1/2", "final_theta2": "3/8"})
     assert s.regime == "pure"
-    s = cli.build_spec({"final_theta1": "-1/3", "final_theta2": "1/5",
-                        "loss": "0.36"})
+    s = _spec({"final_theta1": "-1/3", "final_theta2": "1/5", "loss": "0.36"})
     assert s.regime == "nonunitary" and s.loss == pytest.approx(0.36)
-    s = cli.build_spec({"final_theta1": "-1/2", "final_theta2": "3/8",
-                        "mix_p": "0.7"})
+    s = _spec({"final_theta1": "-1/2", "final_theta2": "3/8", "mix_p": "0.7"})
     assert s.regime == "mixed" and s.mix_p == pytest.approx(0.7)
 
 
@@ -192,6 +211,8 @@ def test_boolean_value_is_usage_error(tmp_path, capsys, command, key):
     ["final_theta2=3/8", "n_steps=2", "total_coincidences=10000000000000000000"],
     # a PT-broken lossy walk, whose unnormalized probabilities grow with the steps
     ["final_theta2=0.45", "loss=0.9", "n_steps=40"],
+    # a total no float holds
+    ["final_theta2=3/8", "n_steps=2", "total_coincidences=" + "9" * 401],
 ])
 def test_counts_numpy_cannot_draw_are_usage_error(tmp_path, capsys, settings):
     out = tmp_path / "mc"
@@ -209,11 +230,10 @@ def test_counts_numpy_cannot_draw_are_usage_error(tmp_path, capsys, settings):
 
 def test_empty_angle_is_unset():
     """An empty angle value takes the default, as any empty key does."""
-    assert cli.build_spec({"final_theta1": "-1/2", "final_theta2": "3/8",
-                           "initial_theta1": ""}) == cli.build_spec(
-        {"final_theta1": "-1/2", "final_theta2": "3/8"})
+    assert _spec({"final_theta1": "-1/2", "final_theta2": "3/8", "initial_theta1": ""}) == \
+        _spec({"final_theta1": "-1/2", "final_theta2": "3/8"})
     with pytest.raises(ConfigError, match="required"):
-        cli.build_spec({"final_theta1": "-1/2", "final_theta2": ""})
+        _spec({"final_theta1": "-1/2", "final_theta2": ""})
 
 
 def test_empty_quantity_is_unset(tmp_path):
@@ -599,3 +619,71 @@ def test_error_mc_unreadable_positions_is_usage_error(tmp_path, capsys, position
     assert run_main(["error-mc", "--config", path, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: config: bad value for positions")
     assert not out.exists()
+
+
+# The fixed hostile values of a config key, plus None, which stands for the
+# key's valid value in VALID. Integers this long and non-finite floats reach
+# a JSON config as written.
+HOSTILE = (True, "", math.nan, math.inf, -math.inf, "1e400", 32.9, [], {}, "x", 10 ** 400)
+VALID = {"initial_theta1": "1/4", "initial_theta2": "-1/2", "final_theta1": "-1/2",
+         "final_theta2": "3/8", "loss": 0.2, "mix_p": 0.7, "kpoints": 32, "t_max": 2,
+         "dt": 0.05, "resolution": 32, "theta1_min": -1, "theta1_max": 1, "theta2_min": -1,
+         "theta2_max": 1, "quantity": "pbar", "n_steps": 2, "sector": 1, "positions": "0,2",
+         "wp_angle_tol": 0.001, "path_loss_tol": 0.02, "total_coincidences": 40000,
+         "dephasing_eta": 0.97, "mc_samples": 100}
+KEYS = [(command, key) for command, (_, casts) in cli._COMMANDS.items() for key in casts]
+TYPES = {cli.parse_pi_value: float, float: float, cli._integer: int, cli._positions: tuple,
+         str: str}
+
+
+def _hostile_config(command, key, value) -> dict:
+    """A small run of command with key set to value (None: a valid value)."""
+    cfg = {"final_theta1": "-1/2", "final_theta2": "3/8"}
+    if command == "phase-diagram":
+        cfg = {"resolution": 32, "kpoints": 16}
+    elif command == "error-mc":
+        cfg |= {"mc_samples": 100, "n_steps": 2,
+                "quantity": "dtop" if key in ("kpoints", "sector") else "pbar"}
+    elif command == "reproduce-figure":
+        cfg = {}
+    if command in ("quench", "dtop", "reproduce-figure"):
+        cfg |= {"kpoints": 32, "t_max": 2}
+    return cfg | {key: VALID[key] if value is None else value}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(KEYS), st.sampled_from(HOSTILE + (None,)))
+def test_hostile_value_is_cast_once_or_refused(command_key, value):
+    """Each key's cast refuses a value with a usage error or yields the
+    type the command reads; an empty value leaves the key unset."""
+    command, key = command_key
+    cast = cli._COMMANDS[command][1][key]
+    try:
+        cfg = cli._typed(command, _hostile_config(command, key, value))
+    except ConfigError as err:
+        assert value is not None
+        assert value is not True or str(err) == f"bad value for {key}: True"
+        return
+    assert value is not True and not (cast is cli._integer and value == 32.9)
+    if value == "":
+        assert key not in cfg
+    else:
+        assert type(cfg[key]) is TYPES[cast]
+
+
+@settings(max_examples=40, deadline=None)
+@example(("error-mc", "total_coincidences"), 10 ** 400)
+@example(("error-mc", "mc_samples"), 10 ** 400)
+@given(st.sampled_from(KEYS), st.sampled_from(HOSTILE + (None,)))
+def test_hostile_value_run_exits_0_2_or_3(command_key, value):
+    """No value of a config key ends a run in a crash, and a refused run
+    writes nothing."""
+    command, key = command_key
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(_hostile_config(command, key, value)))
+        figure = ["--figure", "fig2a"] if command == "reproduce-figure" else []
+        with np.errstate(all="ignore"):
+            rc = run_main([command, "--config", path, "--out", out, *figure])
+        assert rc in (0, 2, 3)
+        assert rc != 2 or not out.exists()

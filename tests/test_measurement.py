@@ -6,6 +6,7 @@ from dqptwalk.analysis import _rate, find_fixed_points
 from dqptwalk.errors import ConfigError, PhysicsError
 from dqptwalk.lattice import MomentumGrid, coin_matrix
 from dqptwalk.measurement import (
+    MAX_MC_SAMPLES,
     MC_BLOCK,
     U_CIRC,
     U_DIAG,
@@ -174,6 +175,13 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             monte_carlo_errorbars(SPEC, "rate_function",
                                   error_model=ErrorModel(mc_samples=10), grid=MomentumGrid(256))
+
+    @pytest.mark.parametrize("samples", [MAX_MC_SAMPLES + 1, 10**19])
+    def test_sample_cap(self, samples):
+        """A sample count past the cap is refused before any replay, where
+        10**19 samples would run for practically ever."""
+        with pytest.raises(ConfigError, match="mc_samples"):
+            monte_carlo_errorbars(SPEC, "pbar", error_model=ErrorModel(mc_samples=samples))
 
     def test_unknown_quantity(self):
         with pytest.raises(ConfigError):

@@ -227,7 +227,7 @@ def find_fixed_points(spec: QuenchSpec, grid: MomentumGrid) -> FixedPointSet:
         # between samples still flips the aligned sign across the interval;
         # catches dips narrower than the grid spacing near PT boundaries
         step = np.roll(raw_vals, -1) - raw_vals
-        rel = np.angle(np.roll(raw_vals, -1) * np.conj(raw_vals))
+        rel = phase_increments(np.append(raw_vals, raw_vals[0]))
         flip = (np.abs(rel) > np.pi / 2) & (vals > 0) \
             & ~local & ~np.roll(local, -1)
         flips.append(np.nonzero(flip)[0])

@@ -284,7 +284,7 @@ _MC_UNREAD = {"rate_function": ("sector", "positions"), "dtop": ("positions",),
 def cmd_error_mc(config: RunConfig, cfg: dict) -> dict:
     quantity = cfg.get("quantity", "dtop")
     _refuse(f"error-mc quantity={quantity}",
-            set(config.options) & set(_MC_UNREAD.get(quantity, ())))
+            set(cfg) & set(_MC_UNREAD.get(quantity, ())))
     spec = build_spec(cfg)
     model = ErrorModel(seed=config.seed, **_given(
         cfg, "wp_angle_tol", "path_loss_tol", "total_coincidences", "dephasing_eta",

@@ -28,45 +28,35 @@ def _pure(final):
     return QuenchSpec(FLAT_INITIAL, CoinAngles(*final))
 
 
-def _mixed(final, p):
-    return QuenchSpec(FLAT_INITIAL, CoinAngles(*final), mix_p=p)
+def _mixed(p):
+    """The fig2a quench from a mixed preparation, lower-band weight p."""
+    return QuenchSpec(FLAT_INITIAL, CoinAngles(-np.pi / 2, 3 * np.pi / 8), mix_p=p)
 
 
 def _lossy(final):
     return QuenchSpec(FLAT_INITIAL, CoinAngles(*final), loss=DEMO_LOSS)
 
 
-def _build(pid: str):
-    two_a = (-np.pi / 2, 3 * np.pi / 8)
-    if pid == "fig2a":
-        return [("fig2a", _pure(two_a))]
-    if pid == "fig2b":
-        return [("fig2b", _pure((-np.pi / 2, np.pi / 4)))]
-    if pid == "fig3":
-        return [("fig3", _pure((-np.pi / 16, -3 * np.pi / 16)))]
-    if pid == "fig4a":
-        return [("fig4a", _lossy((-np.pi / 3, np.pi / 5)))]
-    if pid == "fig4b":
-        return [("fig4b", _lossy((-np.pi / 2, _broken_theta2(DEMO_LOSS))))]
-    if pid == "mixed-p07":
-        return [("mixed-p07", _mixed(two_a, 0.7))]
-    if pid == "mixed-p09":
-        return [("mixed-p09", _mixed(two_a, 0.9))]
-    if pid == "s1":
-        # the fig2a quench on the same grids, under its own label
-        return [("s1", _pure(two_a))]
-    if pid == "s2":
-        return [("s2-p07", _mixed(two_a, 0.7)), ("s2-p09", _mixed(two_a, 0.9))]
-    if pid == "s3":
-        return [("s3-a", _lossy((-np.pi / 3, np.pi / 5))),
-                ("s3-b", _lossy((-np.pi / 2, _broken_theta2(DEMO_LOSS))))]
-    raise ConfigError(f"unknown figure id {pid!r}; choose from {', '.join(PRESET_IDS)}")
-
-
-PRESET_IDS = ("fig2a", "fig2b", "fig3", "fig4a", "fig4b",
-              "mixed-p07", "mixed-p09", "s1", "s2", "s3")
+# each figure id's builder; a spec is built per call
+_BUILDERS = {
+    "fig2a": lambda: [("fig2a", _pure((-np.pi / 2, 3 * np.pi / 8)))],
+    "fig2b": lambda: [("fig2b", _pure((-np.pi / 2, np.pi / 4)))],
+    "fig3": lambda: [("fig3", _pure((-np.pi / 16, -3 * np.pi / 16)))],
+    "fig4a": lambda: [("fig4a", _lossy((-np.pi / 3, np.pi / 5)))],
+    "fig4b": lambda: [("fig4b", _lossy((-np.pi / 2, _broken_theta2(DEMO_LOSS))))],
+    "mixed-p07": lambda: [("mixed-p07", _mixed(0.7))],
+    "mixed-p09": lambda: [("mixed-p09", _mixed(0.9))],
+    # the fig2a quench on the same grids, under its own label
+    "s1": lambda: [("s1", _pure((-np.pi / 2, 3 * np.pi / 8)))],
+    "s2": lambda: [("s2-p07", _mixed(0.7)), ("s2-p09", _mixed(0.9))],
+    "s3": lambda: [("s3-a", _lossy((-np.pi / 3, np.pi / 5))),
+                   ("s3-b", _lossy((-np.pi / 2, _broken_theta2(DEMO_LOSS))))],
+}
+PRESET_IDS = tuple(_BUILDERS)
 
 
 def preset(pid: str):
     """List of (label, QuenchSpec) runs for a figure id."""
-    return _build(pid)
+    if pid not in _BUILDERS:
+        raise ConfigError(f"unknown figure id {pid!r}; choose from {', '.join(PRESET_IDS)}")
+    return _BUILDERS[pid]()

@@ -1,11 +1,11 @@
 """Root finding and bounded minimization over batches, one evaluation per round.
 
-Each routine runs one independent search per element of its bracket or bound
-arrays. A search is a generator that takes the scalar steps of its SciPy
-counterpart: it yields its next point and is sent f's value there. ``_drive``
-calls f once per round, on the points of every search still running in
-element order, so a batch costs as many calls of f as its slowest element.
-A scalar call is a batch of one.
+Each routine runs one independent search per element of its flat bracket or
+bound arrays, which have one length. A search is a generator that takes the
+scalar steps of its SciPy counterpart: it yields its next point and is sent
+f's value there. ``_drive`` calls f once per round, on the points of every
+search still running in element order, so a batch costs as many calls of f
+as its slowest element.
 
 Per element, both routines reproduce the floating-point operations of their
 SciPy counterparts in the same order, so a polished root or minimum carries
@@ -35,12 +35,6 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def _batch(*ends):
-    """The ends as flat float arrays of one broadcast shape, and that shape."""
-    ends = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in ends))
-    return [e.ravel() for e in ends], ends[0].shape
-
-
 def _drive(f, searches, args) -> list:
     """Each search's result: every round sends each search still running f's
     value and row at its last point, then calls f once on their next points."""
@@ -61,15 +55,9 @@ def _drive(f, searches, args) -> list:
         replies = zip(np.asarray(values, dtype=float).tolist(), rows)
 
 
-def _arrays(results, shape, n: int) -> tuple:
-    """Each of the n fields of the searches' results as an array in the batch shape."""
-    fields = (np.array([r[j] for r in results]) for j in range(n))
-    return tuple(v.reshape(shape + v.shape[1:])[()] for v in fields)
-
-
-def _args(args, shape) -> list:
-    """Per-element parameter arrays, flat like the bracket ends."""
-    return [np.broadcast_to(np.asarray(v), shape).ravel() for v in args]
+def _arrays(results) -> tuple:
+    """Both fields of the searches' results, each as an array."""
+    return tuple(np.array([r[j] for r in results]) for j in range(2))
 
 
 def _number(x: float, fx: float) -> float:
@@ -133,19 +121,18 @@ def brentq(f, a, b, xtol: float, ends, args=()) -> tuple:
 
     SciPy's ``brentq`` with rtol 4*eps and at most 100 iterations, step for
     step: the same interpolation, extrapolation and bisection choices and
-    the same arithmetic. ``ends`` are f's returns at the flat a and at the
-    flat b, which every caller has. Returns the roots in the broadcast shape
-    of a and b, and f's rows at them. Raises ValueError if f(a) and f(b) of
-    some element have the same sign or f returns NaN, and RuntimeError if
-    some element does not converge.
+    the same arithmetic. a and b are flat arrays of one length, and ``ends``
+    are f's returns at a and at b, which every caller has. Returns the roots
+    and f's rows at them. Raises ValueError if the arrays differ in length,
+    if f(a) and f(b) of some element have the same sign or f returns NaN, and
+    RuntimeError if some element does not converge.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    (a, b), shape = _batch(a, b)
     (fa, ra), (fb, rb) = ends
-    fa, fb = (np.asarray(v, dtype=float).tolist() for v in (fa, fb))
-    searches = [_brent(*e, xtol) for e in zip(a.tolist(), b.tolist(), fa, fb, ra, rb)]
-    return _arrays(_drive(f, searches, _args(args, shape)), shape, 2)
+    a, b, fa, fb = (np.asarray(v, dtype=float).tolist() for v in (a, b, fa, fb))
+    searches = [_brent(*e, xtol) for e in zip(a, b, fa, fb, ra, rb, strict=True)]
+    return _arrays(_drive(f, searches, args))
 
 
 def _sign1(v: float) -> float:
@@ -204,13 +191,14 @@ def minimize_bounded(f, lo, hi, xatol: float, args=()) -> tuple:
 
     SciPy's ``minimize_scalar(method="bounded")`` (Brent's golden-section
     search with parabolic steps) with at most 500 evaluations, step for
-    step. Stops silently at the evaluation limit, as SciPy does. Returns
-    both in the broadcast shape of lo and hi.
+    step. Stops silently at the evaluation limit, as SciPy does. lo and hi
+    are flat arrays of one length; raises ValueError if they differ in
+    length.
     """
-    (a, b), shape = _batch(lo, hi)
+    a, b = (np.asarray(v, dtype=float) for v in (lo, hi))
     if not np.isfinite(a).all() or not np.isfinite(b).all():
         raise ValueError("Optimization bounds must be finite scalars.")
     if (a > b).any():
         raise ValueError("The lower bound exceeds the upper bound.")
-    searches = [_bounded(*e, xatol) for e in zip(a.tolist(), b.tolist())]
-    return _arrays(_drive(f, searches, _args(args, shape)), shape, 2)
+    searches = [_bounded(*e, xatol) for e in zip(a.tolist(), b.tolist(), strict=True)]
+    return _arrays(_drive(f, searches, args))

@@ -55,6 +55,18 @@ MUTANTS = (
            "if fu <= fnfc or nfc == xf:",
            "if fu <= fnfc:",
            ("tests/test_roots.py::test_batched_minimize_bounded_equals_scalar_port",)),
+    Mutant("brentq-zip-not-strict", "src/dqptwalk/roots.py",
+           "zip(a, b, fa, fb, ra, rb, strict=True)",
+           "zip(a, b, fa, fb, ra, rb)",
+           ("tests/test_roots.py::test_unequal_lengths_raise",)),
+    Mutant("bounded-zip-not-strict", "src/dqptwalk/roots.py",
+           "zip(a.tolist(), b.tolist(), strict=True)",
+           "zip(a.tolist(), b.tolist())",
+           ("tests/test_roots.py::test_unequal_lengths_raise",)),
+    Mutant("flip-step-second-sample", "src/dqptwalk/analysis.py",
+           "phase_increments(np.append(raw_vals, raw_vals[0]))",
+           "phase_increments(np.append(raw_vals, raw_vals[1]))",
+           ("tests/test_analysis.py::test_flip_mask_equals_inline_phase_step",)),
     Mutant("project-complex-product", "src/dqptwalk/analysis.py",
            "return c.real * drn.real + c.imag * drn.imag",
            "return (c * np.conj(drn)).real",
@@ -85,6 +97,14 @@ MUTANTS = (
            "float(np.pi / (2 * e))",
            "float(np.pi / (2 * e) * (1 + 1e-11))",
            ("tests/test_analysis.py::test_lossless_geometry_equals_closed_form",)),
+    Mutant("loop-unclosed", "src/dqptwalk/floquet.py",
+           "phase_increments(np.concatenate((z, z[:1])))",
+           "phase_increments(z)",
+           ("tests/test_floquet.py::test_phase_diagram_scan_equals_cell_reference",)),
+    Mutant("two-mode-out-order", "src/dqptwalk/quench.py",
+           "np.multiply(a, g, out=g)",
+           "np.multiply(g, a, out=g)",
+           ("tests/test_kernels.py::test_kernels_keep_the_large_table_bits",)),
     # emit
     Mutant("loschmidt-csv-11g", "src/dqptwalk/quench.py",
            '"%s,%s,%.12g,%.12g,%.12g"',
@@ -95,6 +115,10 @@ MUTANTS = (
            "u1, i1 = diagram.theta1, np.arange(diagram.theta1.size)",
            ("tests/test_emit.py::test_phase_map_svg_bytes",
             "tests/test_emit.py::test_scanned_map_bytes")),
+    Mutant("svg-fill-ignores-boundary", "src/dqptwalk/svgplot.py",
+           "_winding_color(w, flag)",
+           "_winding_color(w, False)",
+           ("tests/test_emit.py::test_phase_map_svg_bytes",)),
     # Monte Carlo replay
     Mutant("analyzer-array-square", "src/dqptwalk/measurement.py",
            "np.float_power(np.abs(u0), 2.0)",
@@ -104,6 +128,15 @@ MUTANTS = (
            "np.multiply(w * ref2, np.conj(v, out=v), out=v)",
            "np.multiply(np.conj(v, out=v), w * ref2, out=v)",
            ("tests/test_measurement.py::test_ideal_apparatus_equals_reference_probs",)),
+    # specs and command line
+    Mutant("mix-with-loss", "src/dqptwalk/quench.py",
+           "(self.loss > 0 or not 0 <= self.mix_p <= 1)",
+           "(not 0 <= self.mix_p <= 1)",
+           ("tests/test_quench.py::TestSpecValidation::test_regime_rules",)),
+    Mutant("momenta-uncapped", "src/dqptwalk/lattice.py",
+           "n < 16 or n % 2 or n > MAX_MOMENTA",
+           "n < 16 or n % 2",
+           ("tests/test_cli.py::test_oversized_grid_is_usage_error",)),
     # command line
     Mutant("kpoints-cast-int", "src/dqptwalk/cli.py",
            '_GRID_KEYS = {"kpoints": _integer,',

@@ -705,6 +705,54 @@ def test_batched_polish_equals_scalar_polish(spec, n_k):
         assert _bits(got_c[0].criticals, fields) == _bits(want_c[0], fields)
 
 
+def _inline_flips(raw_vals):
+    """The sign-flip mask of one channel with the inline cyclic phase step
+    find_fixed_points once spelled, and that step's modulus."""
+    vals = np.abs(raw_vals)
+    local = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)) \
+        & (vals < analysis.FIXED_POINT_CUT)
+    rel = np.abs(np.angle(np.roll(raw_vals, -1) * np.conj(raw_vals)))
+    return (rel > np.pi / 2) & (vals > 0) & ~local & ~np.roll(local, -1), rel
+
+
+@given(_quench, st.integers(32, 512).map(lambda n: 2 * n))
+@example(QuenchSpec(FIG2A.initial_angles, (0.02, -2.66), loss=0.84), 114)
+@example(FIG4A, 128)
+@settings(max_examples=60, deadline=None)
+def test_flip_mask_equals_inline_phase_step(spec, n_k):
+    """The intervals find_fixed_points brackets as sign flips are those of
+    the inline step, except where its modulus is within 1e-12 of pi/2. In
+    the first example the lossy channel jumps in phase next to the zone
+    edge, where a loop closed on a wrong sample adds a flip."""
+    grid = MomentumGrid(n_k)
+    try:
+        table = overlaps(spec, grid.samples)
+    except PhysicsError:
+        return      # find_fixed_points starts with this call
+    stages = []     # the polish stages in call order: (minus, lo) or None
+    projected, bounded = analysis._projected_roots, analysis.roots.minimize_bounded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_projected_roots",
+                   lambda s, minus, lo, *a: stages.append((minus, lo)) or projected(s, minus, lo, *a))
+        mp.setattr(analysis.roots, "minimize_bounded",
+                   lambda *a, **kw: stages.append(None) or bounded(*a, **kw))
+        try:
+            find_fixed_points(spec, grid)
+        except TrivialQuenchError:
+            return
+        except (PhysicsError, ValueError, RuntimeError):
+            pass
+    # the flip stage comes first, and runs only if some interval flips
+    minus, lo = stages[0] if stages and stages[0] is not None else (np.empty(0, bool), np.empty(0))
+    for m, raw_vals in ((False, table.ct_plus), (True, table.ct_minus)):
+        want, rel = _inline_flips(raw_vals)
+        i = np.searchsorted(grid.samples, lo[minus == m])
+        assert grid.samples[i].tolist() == lo[minus == m].tolist()
+        got = np.zeros_like(want)
+        got[i] = True
+        assert (np.abs(rel[got != want] - np.pi / 2) <= 1e-12).all()
+
+
 @pytest.mark.parametrize("spec, calls", [(FIG2A, 30), (FIG3, 27), (FIG4A, 41), (FIG4B, 41)],
                          ids=["fig2a", "fig3", "fig4a", "fig4b"])
 def test_polish_overlaps_calls(spec, calls, monkeypatch):

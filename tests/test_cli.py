@@ -597,6 +597,17 @@ def test_error_mc_refuses_keys_its_quantity_ignores(tmp_path, capsys, quantity, 
     assert not out.exists()
 
 
+def test_error_mc_empty_unread_key_is_unset(tmp_path):
+    """An empty value of a key the quantity ignores leaves it unset, as any
+    empty key does, instead of being refused."""
+    argv = ["error-mc", "--set", "final_theta1=-1/2", "--set", "final_theta2=3/8",
+            "--set", "quantity=pbar", "--set", "mc_samples=100", "--set", "n_steps=2"]
+    assert run_main([*argv, "--set", "sector=", "--out", tmp_path / "empty"]) == 0
+    assert run_main([*argv, "--out", tmp_path / "unset"]) == 0
+    assert (tmp_path / "empty" / "errorbars.csv").read_bytes() == \
+        (tmp_path / "unset" / "errorbars.csv").read_bytes()
+
+
 @pytest.mark.parametrize("positions", [[0, 2], "0,2"])
 def test_error_mc_positions_as_json_list_or_string(tmp_path, positions):
     cfg = {"final_theta1": "-1/2", "final_theta2": "3/8", "quantity": "pbar",

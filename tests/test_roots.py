@@ -44,10 +44,10 @@ def _elementwise(f):
 
 
 def _brentq(f, a, b, xtol):
-    """brentq on a scalar f, given f at both bracket ends from its
-    elementwise form, as every caller passes them."""
+    """brentq on a scalar f as a batch of one, given f at both bracket ends
+    from its elementwise form, as every caller passes them."""
     g = _elementwise(f)
-    return brentq(g, a, b, xtol, ends=(g([a]), g([b])))[0]
+    return brentq(g, [a], [b], xtol, ends=(g([a]), g([b])))[0][0]
 
 
 def _per_element(fs):
@@ -259,17 +259,30 @@ def test_minimize_bounded_matches_scipy(family, c, r, lo, width_exp, square, xat
     for bounds in ((lo, hi), (np.float64(lo), np.float64(hi))):
         res = optimize.minimize_scalar(f, bounds=bounds, method="bounded",
                                        options={"xatol": xatol})
-        x, fx = minimize_bounded(_elementwise(f), *bounds, xatol)
+        (x,), (fx,) = minimize_bounded(_elementwise(f), [bounds[0]], [bounds[1]], xatol)
         assert _same(x, res.x) and _same(fx, res.fun)
 
 
 def test_minimize_bounded_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        minimize_bounded(np.abs, 1.0, 0.0, 1e-12)
+        minimize_bounded(np.abs, [1.0], [0.0], 1e-12)
     with pytest.raises(ValueError):
-        minimize_bounded(np.abs, 0.0, math.inf, 1e-12)
+        minimize_bounded(np.abs, [0.0], [math.inf], 1e-12)
     with pytest.raises(ValueError):
         minimize_bounded(np.abs, [0.0, 0.0], [1.0, math.nan], 1e-12)
+
+
+@pytest.mark.parametrize("n_lo, n_hi, n_ends", [(2, 3, 3), (3, 2, 3), (3, 3, 1), (1, 3, 3)])
+def test_unequal_lengths_raise(n_lo, n_hi, n_ends):
+    """Bracket, bound and end arrays of unequal length raise ValueError
+    instead of being cut to the shortest; every bracket here is valid."""
+    g = _elementwise(lambda x: x - 0.5)
+    lo, hi = np.zeros(n_lo), np.ones(n_hi)
+    with pytest.raises(ValueError):
+        brentq(g, lo, hi, 1e-12, ends=(g(np.zeros(n_ends)), g(np.ones(n_ends))))
+    if n_lo != n_hi:
+        with pytest.raises(ValueError):
+            minimize_bounded(g, lo, hi, 1e-12)
 
 
 # Batched against the scalar ports, element by element.

@@ -10,7 +10,7 @@ quantized amount that jumps at the critical times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -24,7 +24,14 @@ from .errors import (
     UnresolvedPhaseJumpError,
 )
 from .floquet import _cabs, _row_sum, phase_increments
-from .lattice import MomentumGrid, TimeGrid, _run_blocks, normalize_angle
+from .lattice import (
+    MomentumGrid,
+    TimeGrid,
+    _buffer,
+    _column_blocks,
+    _run_blocks,
+    normalize_angle,
+)
 from .quench import (
     LoschmidtField,
     QuenchSpec,
@@ -42,11 +49,6 @@ PHASE_JUMP_GUARD = np.pi - 0.1
 DTOP_REFINE_POINTS = 16
 DTOP_REFINE_DEPTH = 3
 DTOP_RESOLUTION = 256        # sector momenta of an order-parameter evaluation
-# time columns per block of a two-thread trace (lattice._run_blocks). Small
-# blocks keep small the transients that each thread's glibc arena holds:
-# quench_figures peaked at 47.0 MB with 64 columns, 47.8 with 128 and 51.9
-# with two whole-width halves (median of 4 benchmark runs each)
-DTOP_BLOCK = 64
 KINK_FACTOR = 10.0           # second differences this many medians out are kinks
 DIP_CUT = 0.05               # min_k |G| below this is a rate dip
 AGREEMENT_WINDOW = 0.05      # signals this close in time are one event
@@ -114,8 +116,8 @@ def rate_function(field: LoschmidtField) -> RateTrace:
     return RateTrace(field.times, _rate(field.values))
 
 
-def dynamic_phase(table: SectorTable, times) -> np.ndarray:
-    """Dynamical phase per momentum sector, (n_k, n_t).
+def dynamic_phase(table: SectorTable, times, out=None) -> np.ndarray:
+    """Dynamical phase per momentum sector, (n_k, n_t), in out if given.
 
     Linear in t with rate Re[A - B] Re[E]; for mixtures that reduces to the
     (2p - 1)-weighted band imbalance. Needs a real quasienergy spectrum.
@@ -123,14 +125,18 @@ def dynamic_phase(table: SectorTable, times) -> np.ndarray:
     if not table.energy_is_real:
         raise UndefinedDynamicPhaseError(
             "quasienergies are complex; the dynamical phase has no meaning here")
-    return table.dynamic_rate[:, None] * np.asarray(times, dtype=float)[None, :]
+    return np.multiply(table.dynamic_rate[:, None], np.asarray(times, dtype=float)[None, :],
+                       out=out)
 
 
-def _unwound(table: SectorTable, times) -> np.ndarray:
-    """G e^{-i phi_dyn}, (n_k, n_t), whose phase is the PGP; E is taken real."""
-    phi = dynamic_phase(table, times)
-    g = two_mode_table(table.A, table.B, table.energy.real, times)
-    w = np.multiply(-1j, phi)
+def _unwound(table: SectorTable, times, out=(None, None, None)) -> np.ndarray:
+    """G e^{-i phi_dyn}, (n_k, n_t), whose phase is the PGP; E is taken real.
+    out may give two complex and one float (n_k, n_t) buffers; the result is
+    the first."""
+    g, w, phi = out
+    phi = dynamic_phase(table, times, out=phi)
+    g = two_mode_table(table.A, table.B, table.energy.real, times, out=(g, w))
+    w = np.multiply(-1j, phi, out=w)
     # the phase factor is the first operand, the order of the elided g * exp(...)
     return np.multiply(np.exp(w, out=w), g, out=g)
 
@@ -407,19 +413,22 @@ class DtopTrace:
         return bool(np.all(np.abs(v - np.round(v)) < 0.05))
 
 
-def _trace_block(spec: QuenchSpec, table: SectorTable, ks, times) -> np.ndarray:
+def _trace_block(spec: QuenchSpec, table: SectorTable, ks, times, scratch) -> np.ndarray:
     """Order parameter at each of times from the sector table over ks, NaN
-    where G vanishes on the sector.
+    where G vanishes on the sector; the tables live in scratch's two complex
+    and one float flat buffers.
 
     Each time's increments are summed in momentum order (_row_sum), so a
     time has the same bits in a block of any width. Only a time whose
     increments cross the jump guard is refined, from its own column.
     """
-    z = _unwound(table, times)
+    g, w, f = scratch
+    shape, steps = (ks.size, times.size), (ks.size - 1, times.size)
+    z = _unwound(table, times, (_buffer(g, shape), _buffer(w, shape), _buffer(f, shape)))
+    bad = np.abs(z, out=_buffer(f, shape)).min(axis=0) < 1e-12
     inc = phase_increments(z)
     vals = _row_sum(inc) / (2 * np.pi)
-    bad = np.abs(z).min(axis=0) < 1e-12
-    rough = (np.abs(inc).max(axis=0) > PHASE_JUMP_GUARD) & ~bad
+    rough = (np.abs(inc, out=_buffer(f, steps)).max(axis=0) > PHASE_JUMP_GUARD) & ~bad
     vals[bad] = np.nan
     for j in np.nonzero(rough)[0]:
         try:
@@ -429,23 +438,36 @@ def _trace_block(spec: QuenchSpec, table: SectorTable, ks, times) -> np.ndarray:
     return vals
 
 
-def dtop_trace(fps: FixedPointSet, sector: int, times) -> DtopTrace:
-    """Order-parameter trace over a time grid, NaN where G vanishes on the
-    sector.
+def dtop_traces(fps: FixedPointSet, sectors, times) -> list:
+    """Order-parameter trace of each of sectors over one time grid, NaN where
+    G vanishes on the sector.
 
-    One momentum table of DTOP_RESOLUTION + 1 sector momenta serves all
-    times. The times run in blocks of DTOP_BLOCK columns on the calling
-    thread and one helper thread (lattice._run_blocks). Columns are
-    independent, so the values do not depend on the blocks or the threads.
+    Each sector gets one momentum table of DTOP_RESOLUTION + 1 sector
+    momenta for all times. Every sector's time blocks (lattice._column_blocks),
+    sector by sector, run in one lattice._run_blocks run on the calling
+    thread and one helper thread. Columns are independent, so the values do
+    not depend on the blocks or the threads.
     """
     spec = fps.spec
-    lo, hi = _sector_bounds(fps, sector)
     times = np.asarray(times, dtype=float)
-    ks = np.linspace(lo, hi, DTOP_RESOLUTION + 1)
-    table = overlaps(spec, ks)
-    done = _run_blocks(times.size, DTOP_BLOCK,
-                       lambda a, b: _trace_block(spec, table, ks, times[a:b]))
-    return DtopTrace(sector, times, np.concatenate(done))
+    spans = _column_blocks(times.size)
+    blocks = []
+    for m in sectors:
+        ks = np.linspace(*_sector_bounds(fps, m), DTOP_RESOLUTION + 1)
+        table = overlaps(spec, ks)
+        blocks += [partial(_trace_block, spec, table, ks, times[a:b]) for a, b in spans]
+    size = (DTOP_RESOLUTION + 1) * (spans[0][1] - spans[0][0])
+    done = _run_blocks(blocks, lambda: (np.empty(size, complex), np.empty(size, complex),
+                                        np.empty(size)))
+    n = len(spans)
+    return [DtopTrace(m, times, np.concatenate(done[i * n:(i + 1) * n]))
+            for i, m in enumerate(sectors)]
+
+
+def dtop_trace(fps: FixedPointSet, sector: int, times) -> DtopTrace:
+    """Order-parameter trace of one sector over a time grid, NaN where G
+    vanishes on the sector (dtop_traces)."""
+    return dtop_traces(fps, [sector], times)[0]
 
 
 @dataclass(frozen=True)
@@ -513,8 +535,7 @@ class QuenchAnalysis:
         fps = self.fixed_points
         if isinstance(fps, PhysicsError):
             return []
-        return [dtop_trace(fps, m, self.tgrid.samples)
-                for m in range(1, len(fps.segments()) + 1)]
+        return dtop_traces(fps, range(1, len(fps.segments()) + 1), self.tgrid.samples)
 
     @cached_property
     def dqpt(self) -> DqptReport:

@@ -24,6 +24,11 @@ MAX_TIME_STEPS = 10**6
 MAX_MOMENTA = 2**14
 # most entries of one (momenta, times) table: the 184 MB above
 MAX_TABLE_ENTRIES = MAX_MOMENTA * 701
+# time columns per block of a two-thread run (_run_blocks). Small blocks keep
+# small the transients that each thread's glibc arena holds: quench_figures
+# peaked at 47.0 MB with 64 columns, 47.8 with 128 and 51.9 with two
+# whole-width halves (median of 4 benchmark runs each)
+BLOCK_COLUMNS = 64
 
 
 def normalize_angle(a: float) -> float:
@@ -60,8 +65,10 @@ class _TextIds:
         return np.array(self.text, dtype=object)[ids]
 
     def ids(self, keys):
-        # the sorted distinct keys by hand, for speed: np.unique took 4x as long (7.6
-        # against 1.9 ms per 256x256, loss-0.2 map in 16-row blocks; numpy 2.4.6, Xeon VM)
+        # the sorted distinct keys and each key's index by hand, for speed:
+        # np.unique(keys, return_inverse=True) gives the same ids in 3.97 against
+        # 3.26 ms per 256x256, loss-0.2 map of gap and winding keys in 16-row blocks
+        # (median of 6 x best of 7; numpy 2.4.6, 2-core Xeon VM)
         u = np.sort(keys, axis=None)
         u = u[np.append(True, u[1:] != u[:-1])] if u.size else u
         n = len(self.id)
@@ -70,31 +77,51 @@ class _TextIds:
         return ids[np.searchsorted(u, keys)]
 
 
-def _run_blocks(n, width, block) -> list:
-    """block(lo, hi) for each block [lo, hi) of width columns of range(n),
-    one empty block if n is 0, and the blocks' results in order.
+def _column_blocks(n) -> list:
+    """The blocks [lo, hi) of BLOCK_COLUMNS columns of range(n); one empty
+    block if n is 0."""
+    return [(lo, min(lo + BLOCK_COLUMNS, n)) for lo in range(0, max(n, 1), BLOCK_COLUMNS)]
 
-    The calling thread runs the even blocks and, if there is more than one,
-    one helper thread the odd ones. A failure raises the error of the
-    earliest failing block, which is the error a one-thread run meets first.
+
+def _buffer(flat, shape):
+    """The leading entries of the flat buffer as a C-contiguous (rows, columns)
+    array."""
+    return flat[:shape[0] * shape[1]].reshape(shape)
+
+
+def _run_blocks(blocks, scratch) -> list:
+    """Each of blocks called once with its thread's scratch, and the blocks'
+    results in order.
+
+    The calling thread and, if there is more than one block, one helper
+    thread each claim the next unclaimed block in ascending order, so neither
+    waits while blocks remain. scratch() makes one thread's buffers; it runs
+    on the calling thread, once per thread, because a helper's glibc arena
+    keeps what the helper allocates. A thread stops at its first failure, and
+    the run raises the error of the earliest failing block, which is the
+    error a one-thread run meets first: every block before it was claimed
+    first, and so has run.
     """
-    starts = range(0, max(n, 1), width)
-    done = [None] * len(starts)     # each block's result, or its error
+    done = [None] * len(blocks)     # each block's result, or its error
+    claims, lock = iter(range(len(blocks))), threading.Lock()
 
-    def run(first):
-        # a thread's blocks ascend, so it stops at its first failure
-        for b in range(first, len(starts), 2):
+    def run(buffers):
+        while True:
+            with lock:
+                b = next(claims, None)
+            if b is None:
+                return
             try:
-                done[b] = block(starts[b], min(starts[b] + width, n))
+                done[b] = blocks[b](buffers)
             except Exception as err:  # raised by the caller below, in block order
                 done[b] = err
                 return
 
-    helper = threading.Thread(target=run, args=(1,)) if len(starts) > 1 else None
+    helper = threading.Thread(target=run, args=(scratch(),)) if len(blocks) > 1 else None
     if helper is not None:
         helper.start()
     try:
-        run(0)
+        run(scratch())
     finally:
         if helper is not None:
             helper.join()

@@ -14,13 +14,22 @@ and B are no longer real or positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInitialProtocolError
 from .floquet import _require_gap, bloch_coefficients, eigensystem_arrays, step_gamma
-from .lattice import CoinAngles, MomentumGrid, TimeGrid, _as_coin_angles, _write_csv
+from .lattice import (
+    CoinAngles,
+    MomentumGrid,
+    TimeGrid,
+    _as_coin_angles,
+    _buffer,
+    _column_blocks,
+    _run_blocks,
+    _write_csv,
+)
 
 FLAT_BAND_TOL = 1e-10
 # most steps of a position-space walk, whose history holds about
@@ -112,17 +121,21 @@ def initial_state(spec: QuenchSpec) -> InitialState:
     return InitialState(np.array([psi_m]), np.array([1.0]))
 
 
-def two_mode_table(a, b, energy, times):
+def two_mode_table(a, b, energy, times, out=(None, None)):
     """G[j, i] = a[j] e^{i E[j] t[i]} + b[j] e^{-i E[j] t[i]} (complex E allowed),
-    spelled once on two (n_k, n_t) buffers: the same bits at every size."""
+    spelled once on two (n_k, n_t) buffers: the same bits at every size. out
+    may give the two buffers; the result is the first."""
+    g, w = out
     a = np.asarray(a, dtype=complex)[:, None]
     b = np.asarray(b, dtype=complex)[:, None]
     g = np.multiply(1j * np.asarray(energy, dtype=complex)[:, None],
-                    np.asarray(times, dtype=float)[None, :])
-    w = None if np.isrealobj(energy) else np.negative(g)
+                    np.asarray(times, dtype=float)[None, :], out=g)
+    real = np.isrealobj(energy)
+    if not real:
+        w = np.negative(g, out=w)
     np.exp(g, out=g)
     # for a real-dtype E, e^{-iEt} is the bit-equal conjugate of e^{iEt}
-    w = np.conjugate(g) if w is None else np.exp(w, out=w)
+    w = np.conjugate(g, out=w) if real else np.exp(w, out=w)
     # the (n_k, 1) coefficient is the first operand: numpy's elision of the
     # a * exp(...) temporary ran it in that order on tables of 256 KiB and up
     np.multiply(a, g, out=g)
@@ -158,10 +171,6 @@ class SectorTable:
     def dynamic_rate(self) -> np.ndarray:
         """Rate Re[A - B] Re[E] of the dynamical phase, linear in t."""
         return (self.A - self.B).real * self.energy.real
-
-    def loschmidt(self, times) -> np.ndarray:
-        """(n_k, n_t) table of G_k(t)."""
-        return two_mode_table(self.A, self.B, self.energy, times)
 
 
 def _rowwise_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -222,9 +231,24 @@ class LoschmidtField:
 
 
 def loschmidt_field(spec: QuenchSpec, grid: MomentumGrid, tgrid: TimeGrid) -> LoschmidtField:
+    """G_k(t) on the grids. The time blocks (lattice._column_blocks) run on
+    the calling thread and one helper thread (lattice._run_blocks), each into
+    its thread's two buffers and then into its columns of the table. Columns
+    are independent, so the table has the bits of one two_mode_table call."""
     table = overlaps(spec, grid.samples)
     times = tgrid.samples
-    return LoschmidtField(table.k, times, table.loschmidt(times))
+    values = np.empty((table.k.size, times.size), dtype=complex)
+
+    def block(lo, hi, scratch):
+        shape = (table.k.size, hi - lo)
+        values[:, lo:hi] = two_mode_table(table.A, table.B, table.energy, times[lo:hi],
+                                          out=[_buffer(flat, shape) for flat in scratch])
+
+    spans = _column_blocks(times.size)
+    size = table.k.size * (spans[0][1] - spans[0][0])
+    _run_blocks([partial(block, lo, hi) for lo, hi in spans],
+                lambda: (np.empty(size, complex), np.empty(size, complex)))
+    return LoschmidtField(table.k, times, values)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 
 from dqptwalk.floquet import step_gamma
 from dqptwalk.lattice import MomentumGrid, TimeGrid, _as_coin_angles, coin_matrix
+from dqptwalk.quench import two_mode_table
 
 # one-line verdicts from the acceptance suite, echoed after the run
 ACCEPTANCE_LINES = []
@@ -43,6 +44,12 @@ def circular_match(found, expected, tol):
 
 # The optical elements of one walk step, multiplied out: the oracle of the
 # Bloch form that the package computes.
+
+def loschmidt(table, times):
+    """(n_k, n_t) table of G_k(t) from a sector table, in one two_mode_table
+    call."""
+    return two_mode_table(table.A, table.B, table.energy, times)
+
 
 def shift_matrix(k):
     """Momentum-sector shift diag(e^{ik}, e^{-ik}); H moves left, V right."""

@@ -83,12 +83,25 @@ MUTANTS = (
            "np.stack((u0 - u1, u0 + u1), axis=-1)",
            "np.stack((u1 - u0, u0 + u1), axis=-1)",
            ("tests/test_floquet.py::test_stacked_frames_equal_per_vector_frames",)),
-    # order parameter and critical times
+    # block runner, order parameter and critical times
     Mutant("blocks-no-join", "src/dqptwalk/lattice.py",
            "            helper.join()",
            "            pass",
-           ("tests/test_analysis.py::test_earliest_failing_block_raises",
+           ("tests/test_lattice.py::test_run_blocks_contract",
+            "tests/test_analysis.py::test_earliest_failing_block_raises",
             "tests/test_analysis.py::test_preset_trace_bits_do_not_depend_on_the_threads")),
+    Mutant("blocks-completion-order", "src/dqptwalk/lattice.py",
+           "done[b] = blocks[b](buffers)",
+           "done[done.index(None)] = blocks[b](buffers)",
+           ("tests/test_lattice.py::test_run_blocks_contract",)),
+    Mutant("sector-slice-one-off", "src/dqptwalk/analysis.py",
+           "np.concatenate(done[i * n:(i + 1) * n])",
+           "np.concatenate(done[i * n + 1:(i + 1) * n + 1])",
+           ("tests/test_analysis.py::test_batched_traces_equal_one_sector_traces",)),
+    Mutant("field-block-column-off", "src/dqptwalk/quench.py",
+           "values[:, lo:hi] = ",
+           "values[:, lo + 1:hi + 1] = ",
+           ("tests/test_quench.py::test_field_equals_one_call_table",)),
     Mutant("row-sum-pairwise", "src/dqptwalk/floquet.py",
            "return np.add.accumulate(inc, axis=0)[-1]",
            "return inc.sum(axis=0)",
@@ -128,7 +141,44 @@ MUTANTS = (
            "np.multiply(w * ref2, np.conj(v, out=v), out=v)",
            "np.multiply(np.conj(v, out=v), w * ref2, out=v)",
            ("tests/test_measurement.py::test_ideal_apparatus_equals_reference_probs",)),
+    # eigensystem and angles
+    Mutant("generic-swap-reversed", "src/dqptwalk/floquet.py",
+           "swap = _cabs(lam[:, 0] - lam_p) > _cabs(lam[:, 1] - lam_p)",
+           "swap = _cabs(lam[:, 0] - lam_p) < _cabs(lam[:, 1] - lam_p)",
+           ("tests/test_floquet.py::test_batched_generic_equals_row_reference",)),
+    Mutant("generic-pivot-argmin", "src/dqptwalk/floquet.py",
+           "np.abs(cols).argmax(axis=-1)",
+           "np.abs(cols).argmin(axis=-1)",
+           ("tests/test_floquet.py::test_batched_generic_equals_row_reference",)),
+    Mutant("generic-norm-real-part", "src/dqptwalk/floquet.py",
+           "norm = np.sqrt(np.vecdot(cols.real, cols.real) + np.vecdot(cols.imag, cols.imag))",
+           "norm = np.sqrt(np.vecdot(cols.real, cols.real))",
+           ("tests/test_floquet.py::test_batched_generic_equals_row_reference",)),
+    Mutant("angle-wrap-keeps-minus-pi", "src/dqptwalk/lattice.py",
+           "return np.where(y == -np.pi, np.pi, y)",
+           "return y",
+           ("tests/test_lattice.py::test_normalize_angle_seam",)),
+    Mutant("winding-residual-unchecked", "src/dqptwalk/floquet.py",
+           "(np.abs(raw - nu) >= WINDING_RESIDUAL_MAX)",
+           "(np.abs(raw - nu) > 1)",
+           ("tests/test_floquet.py::test_phase_diagram_scan_equals_cell_reference",)),
+    Mutant("mixed-weights-swapped", "src/dqptwalk/quench.py",
+           "A = (p * a + (1 - p) * b).astype(complex)",
+           "A = ((1 - p) * a + p * b).astype(complex)",
+           ("tests/test_quench.py::test_coefficient_path_equals_matrix_powers",)),
+    Mutant("lossy-b-from-ct-minus", "src/dqptwalk/quench.py",
+           "B = b_p * ct_p",
+           "B = b_p * ct_m",
+           ("tests/test_quench.py::test_coefficient_path_equals_matrix_powers",)),
+    Mutant("text-ids-no-dedupe", "src/dqptwalk/lattice.py",
+           "u = u[np.append(True, u[1:] != u[:-1])] if u.size else u",
+           "u = u",
+           ("tests/test_emit.py::test_phase_diagram_csv_bytes",)),
     # specs and command line
+    Mutant("resolution-uncapped", "src/dqptwalk/floquet.py",
+           "if not 32 <= resolution <= MAX_RESOLUTION:",
+           "if not 32 <= resolution:",
+           ("tests/test_floquet.py::test_phase_diagram_resolution_cap",)),
     Mutant("mix-with-loss", "src/dqptwalk/quench.py",
            "(self.loss > 0 or not 0 <= self.mix_p <= 1)",
            "(not 0 <= self.mix_p <= 1)",

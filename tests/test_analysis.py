@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import circular_match, ellipse
+from conftest import circular_match, ellipse, loschmidt
 
-from dqptwalk import analysis
+from dqptwalk import analysis, lattice
 from dqptwalk.analysis import (
     QuenchAnalysis,
     detect_dqpt,
@@ -78,7 +78,7 @@ def test_dynamic_phase_refuses_complex_spectrum(kgrid):
 
 def _reference_pgp(table, times):
     """Pancharatnam geometric phase arg G - phi_dyn, wrapped to (-pi, pi]."""
-    phase = np.angle(table.loschmidt(times)) - dynamic_phase(table, times)
+    phase = np.angle(loschmidt(table, times)) - dynamic_phase(table, times)
     return np.angle(np.exp(1j * phase))
 
 
@@ -477,8 +477,28 @@ def _sector_traces(fps, times, resolution):
 def _one_block(fps, times, resolution):
     """_sector_traces with each trace in one block: no helper thread."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "DTOP_BLOCK", times.size)
+        mp.setattr(lattice, "BLOCK_COLUMNS", max(times.size, 1))
         return _sector_traces(fps, times, resolution)
+
+
+def _batched(fps, times, resolution):
+    """Every sector's trace from one run of dtop_traces, as _sector_traces
+    gives them, or the repr of its error."""
+    sectors = range(1, len(fps.segments()) + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "DTOP_RESOLUTION", resolution)
+        try:
+            traces = analysis.dtop_traces(fps, sectors, times)
+        except PhysicsError as err:
+            return repr(err)
+    assert [tr.sector for tr in traces] == list(sectors)
+    assert all(tr.times.tobytes() == times.tobytes() for tr in traces)
+    return [tr.values.tobytes() for tr in traces]
+
+
+def _first_error(traces):
+    """What one run of the traces gives: the first sector's error, if any."""
+    return next((tr for tr in traces if isinstance(tr, str)), traces)
 
 
 # fig4b and s3-b have no sectors; fig4a at resolution 64 refines one time
@@ -491,42 +511,50 @@ _SECTOR_RUNS.append(("fig4a", FIG4A, 64))
 @pytest.mark.parametrize("label, spec, resolution", _SECTOR_RUNS,
                          ids=[f"{label}-{res}" for label, _, res in _SECTOR_RUNS])
 def test_preset_trace_bits_do_not_depend_on_the_threads(label, spec, resolution, monkeypatch):
-    """Every preset trace over the 701-sample grid, in blocks shared by the
-    caller and one helper thread, has the bits of the one-block trace that
-    the caller computes alone, NaNs and refined times included.
+    """Every preset's sector traces over the 701-sample grid, from one run of
+    time blocks shared by the caller and one helper thread, have the bits of
+    each sector's one-block trace that the caller computes alone, NaNs and
+    refined times included.
 
-    The threads are counted per trace: each trace starts its own helper, and
-    a later helper may or may not reuse an earlier one's thread id."""
+    The run keeps the runner's contract: it starts one helper thread, runs
+    every block exactly once, on the caller or that helper, puts the results
+    in block order (the bits) and joins the helper before it returns. The
+    one-block traces start no thread."""
     fps = find_fixed_points(spec, MomentumGrid(128))
     assert fps.segments()
     times = TimeGrid(7.0, 0.01).samples
-    calls, refined = [], []     # the thread ids of each trace's blocks
-    run_blocks, block, refine = analysis._run_blocks, analysis._trace_block, analysis._refined
+    started, ran, refined = [], [], []  # threads; (table, first time, thread) per block
+    start, block, refine = threading.Thread.start, analysis._trace_block, analysis._refined
 
-    def run_spy(*args):
-        calls.append(set())
-        return run_blocks(*args)
+    def start_spy(thread):
+        started.append(thread)
+        return start(thread)
 
-    def block_spy(*args):
-        calls[-1].add(threading.get_ident())
-        return block(*args)
+    def block_spy(spec, table, ks, times, scratch):
+        ran.append((id(table), times[0], threading.get_ident()))
+        return block(spec, table, ks, times, scratch)
 
     def refine_spy(spec, ks, inc, t, depth):
         if depth == 0:
             refined.append(t)
         return refine(spec, ks, inc, t, depth)
 
-    monkeypatch.setattr(analysis, "_run_blocks", run_spy)
+    monkeypatch.setattr(threading.Thread, "start", start_spy)
     monkeypatch.setattr(analysis, "_trace_block", block_spy)
     monkeypatch.setattr(analysis, "_refined", refine_spy)
-    blocked = _sector_traces(fps, times, resolution)
-    assert len(calls) == len(fps.segments())
-    assert all(len(ids) == 2 and threading.get_ident() in ids for ids in calls)
+    batched = _batched(fps, times, resolution)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert {thread for *_, thread in ran} <= {threading.get_ident(), started[0].ident}
+    blocks = [(table, t0) for table, t0, _ in ran]
+    per_sector = -(-times.size // lattice.BLOCK_COLUMNS)
+    assert len(blocks) == len(set(blocks)) == len(fps.segments()) * per_sector
+    assert len({table for table, _ in blocks}) == len(fps.segments())
     if resolution == 64:
         assert len(refined) == len(fps.segments())
-    calls.clear()
-    assert _one_block(fps, times, resolution) == blocked
-    assert calls and all(ids == {threading.get_ident()} for ids in calls)
+    started.clear()
+    ran.clear()
+    assert _one_block(fps, times, resolution) == batched
+    assert not started and ran and all(thread == threading.get_ident() for *_, thread in ran)
 
 
 @given(regime=st.sampled_from(sorted(_REGIMES)),
@@ -547,24 +575,65 @@ def test_random_trace_bits_do_not_depend_on_the_threads(regime, theta1, theta2):
     assert _sector_traces(fps, times, resolution) == _one_block(fps, times, resolution)
 
 
+# 1, 63, 64, 65 and 701 samples: one short block, one block short of the
+# width, exactly one block, one column past it, and the default grid
+_TIME_GRIDS = [TimeGrid(1.0, 1.5), TimeGrid(6.2, 0.1), TimeGrid(6.3, 0.1), TimeGrid(6.4, 0.1),
+               TimeGrid(7.0, 0.01)]
+
+
+@given(regime=st.sampled_from(sorted(_REGIMES)),
+       theta1=st.floats(-np.pi, np.pi), theta2=st.floats(-np.pi, np.pi),
+       tgrid=st.sampled_from(_TIME_GRIDS))
+@settings(max_examples=30, deadline=None)
+@example(regime="pure", theta1=-np.pi / 2, theta2=3 * np.pi / 8, tgrid=_TIME_GRIDS[0])
+@example(regime="lossy", theta1=-np.pi / 3, theta2=np.pi / 5, tgrid=_TIME_GRIDS[3])
+def test_batched_traces_equal_one_sector_traces(regime, theta1, theta2, tgrid):
+    """On random pure, mixed and PT-unbroken lossy quenches, the traces of
+    QuenchAnalysis.dtop_traces, all sectors in one run, have the bits of each
+    sector's own one-block trace, NaNs and refined times included, or raise
+    the error of the first sector that fails."""
+    assert [g.samples.size for g in _TIME_GRIDS] == [1, 63, 64, 65, 701]
+    spec = QuenchSpec(FIG2A.initial_angles, (theta1, theta2), **_REGIMES[regime])
+    assume(pt_classify(spec.final_angles, spec.loss)[0] == "unbroken")
+    qa = QuenchAnalysis(spec, MomentumGrid(128), tgrid)
+    if isinstance(qa.fixed_points, PhysicsError):
+        return
+    times = tgrid.samples
+    try:
+        batched = [tr.values.tobytes() for tr in qa.dtop_traces]
+    except PhysicsError as err:
+        batched = repr(err)
+    reference = _first_error(_one_block(qa.fixed_points, times, analysis.DTOP_RESOLUTION))
+    assert batched == reference
+
+
 @pytest.mark.parametrize("start", [0, 180])
 def test_earliest_failing_block_raises(start, monkeypatch):
     """Without refinement, fig4a's sector 1 at 32 momenta fails at t = 2.15
-    and at t = 6.54. From sample 0 the first failure falls in a helper block
-    (3) and the second in a caller block (10); from sample 180 the first
-    falls in the caller's block 0 and the second in helper block 7. Either
-    way the trace raises the earliest, as the one-block trace does, and the
-    helper is joined."""
+    and at t = 6.54. From sample 0 the first failure falls in block 3 and the
+    second in block 10; from sample 180 the first falls in block 0 and the
+    second in block 7. Whichever thread claims them, the trace raises the
+    earliest, as the one-block trace does, and the helper is joined.
+
+    Sector 2 fails first at t = 1.72, in block 2 from sample 0, earlier than
+    sector 1's block 3; all sectors in one run still raise sector 1's error,
+    because sector 1's blocks come first."""
     fps = find_fixed_points(FIG4A, MomentumGrid(128))
     times = TimeGrid().samples[start:]
     monkeypatch.setattr(analysis, "DTOP_REFINE_DEPTH", 0)
     running = threading.active_count()
     with pytest.raises(UnresolvedPhaseJumpError, match=r"at t = 6\.54"):
         _trace_at(fps, 1, times[times > 3], 32)
-    for block in (analysis.DTOP_BLOCK, times.size):
-        monkeypatch.setattr(analysis, "DTOP_BLOCK", block)
+    for block in (lattice.BLOCK_COLUMNS, times.size):
+        monkeypatch.setattr(lattice, "BLOCK_COLUMNS", block)
         with pytest.raises(UnresolvedPhaseJumpError, match=r"at t = 2\.15"):
             _trace_at(fps, 1, times, 32)
+        assert threading.active_count() == running
+        if start == 0:
+            with pytest.raises(UnresolvedPhaseJumpError, match=r"at t = 1\.72"):
+                _trace_at(fps, 2, times, 32)
+        batched = _batched(fps, times, 32)
+        assert batched.startswith("UnresolvedPhaseJumpError") and "at t = 2.15" in batched
         assert threading.active_count() == running
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import loschmidt
+
 from dqptwalk import analysis
 from dqptwalk.floquet import phase_increments
 from dqptwalk.lattice import MomentumGrid, TimeGrid
@@ -120,7 +122,7 @@ def test_two_mode_table_matches(rng):
         assert g.shape == (32, 15)
         for j, k in enumerate(table.k):
             # a one-momentum table, and the formula term by term
-            assert g[j] == pytest.approx(overlaps(spec, [k]).loschmidt(times)[0], abs=1e-12)
+            assert g[j] == pytest.approx(loschmidt(overlaps(spec, [k]), times)[0], abs=1e-12)
             a, b, e = complex(table.A[j]), complex(table.B[j]), complex(table.energy[j])
             scalar = [a * cmath.exp(1j * e * t) + b * cmath.exp(-1j * e * t) for t in times]
             assert g[j] == pytest.approx(scalar, abs=1e-12)

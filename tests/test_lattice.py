@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +14,7 @@ from dqptwalk.lattice import (
     CoinAngles,
     MomentumGrid,
     TimeGrid,
+    _run_blocks,
     coin_matrix,
     normalize_angle,
 )
@@ -102,3 +107,100 @@ def test_time_grid():
                       (1e300, 0.01), (1e7, 1e-3), (1e300, 1e-10)):
         with pytest.raises(ConfigError):
             TimeGrid(t_max, dt)
+
+
+def _spied_run(blocks, monkeypatch, log):
+    """_run_blocks over blocks, each called as block(scratch) -> value. log
+    gets the threads the run started, the (block, thread, scratch) of every
+    call and the thread that made each scratch."""
+    start = threading.Thread.start
+
+    def start_spy(thread):
+        log["started"].append(thread)
+        return start(thread)
+
+    def scratch():
+        log["made"].append(threading.get_ident())
+        return object()
+
+    def call(b):
+        def run(buffers):
+            log["calls"].append((b, threading.get_ident(), buffers))
+            return blocks[b](buffers)
+        return run
+
+    log.update(started=[], calls=[], made=[])
+    monkeypatch.setattr(threading.Thread, "start", start_spy)
+    try:
+        return _run_blocks([call(b) for b in range(len(blocks))], scratch)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_run_blocks_contract(n, monkeypatch):
+    """Every block runs exactly once, on the caller or the one helper that a
+    run of more than one block starts, with the scratch that its thread's
+    scratch() made on the calling thread; the results come back in block
+    order although the later blocks finish first, and the helper is joined."""
+    def block(b):
+        def run(buffers):
+            time.sleep(0.005 * (n - b))
+            return b
+        return run
+
+    log = {}
+    assert _spied_run([block(b) for b in range(n)], monkeypatch, log) == list(range(n))
+    started, calls = log["started"], log["calls"]
+    assert len(started) == (n > 1) and not any(t.is_alive() for t in started)
+    assert sorted(b for b, _, _ in calls) == list(range(n))
+    me = threading.get_ident()
+    assert log["made"] == [me] * (1 + (n > 1))
+    assert {t for _, t, _ in calls} <= {me} | {t.ident for t in started}
+    scratch = {}
+    for _, thread, buffers in calls:
+        assert scratch.setdefault(thread, buffers) is buffers
+    assert len({id(b) for b in scratch.values()}) == len(scratch)
+
+
+@pytest.mark.parametrize("failing", [[0], [3], [3, 5], [2, 3, 4, 5]])
+def test_run_blocks_raises_the_earliest_failure(failing, monkeypatch):
+    """Whichever thread meets which failure first, the run raises the
+    earliest failing block's error, after every block before it has run,
+    and joins the helper. The first failure is slow, so the other thread
+    meets a later one first."""
+    def block(b):
+        def run(buffers):
+            time.sleep(0.02 if b == failing[0] else 0.001)
+            if b in failing:
+                raise ValueError(b)
+            return b
+        return run
+
+    log = {}
+    with pytest.raises(ValueError) as info:
+        _spied_run([block(b) for b in range(8)], monkeypatch, log)
+    assert info.value.args == (failing[0],)
+    assert set(range(failing[0] + 1)) <= {b for b, _, _ in log["calls"]}
+    assert len(log["started"]) == 1 and not log["started"][0].is_alive()
+
+
+def test_run_blocks_stress():
+    """A run of many tiny blocks under a short switch interval: every block
+    is claimed once, so each count is 1 and each result sits at its index."""
+    counts = np.zeros(5000, dtype=int)
+
+    def block(b):
+        def run(buffers):
+            counts[b] += 1
+            return b
+        return run
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = _run_blocks([block(b) for b in range(counts.size)], tuple)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == list(range(counts.size))
+    assert (counts == 1).all()

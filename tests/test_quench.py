@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import floquet_matrix
+from conftest import floquet_matrix, loschmidt
 
 from dqptwalk import cli, quench
 from dqptwalk.errors import (
@@ -13,7 +13,7 @@ from dqptwalk.errors import (
     InvalidInitialProtocolError,
 )
 from dqptwalk.floquet import bloch_coefficients, pt_classify
-from dqptwalk.lattice import GAP_TOL, MomentumGrid
+from dqptwalk.lattice import GAP_TOL, MomentumGrid, TimeGrid
 from dqptwalk.quench import (
     QuenchSpec,
     evolve_position,
@@ -43,7 +43,7 @@ def _reference_loschmidt(spec, k, n_steps):
 
 def _one_sector(spec, k, times):
     """G_k(t) of a single momentum on the two-mode path."""
-    return overlaps(spec, [k]).loschmidt(np.asarray(times, dtype=float))[0]
+    return loschmidt(overlaps(spec, [k]), np.asarray(times, dtype=float))[0]
 
 
 def spec_pure(final=(-np.pi / 2, 3 * np.pi / 8)):
@@ -168,12 +168,12 @@ def test_loschmidt_is_one_at_t_zero(kgrid):
     for s in (spec_pure(),
               QuenchSpec(FLAT, (0.3, 0.4), mix_p=0.6),
               QuenchSpec(FLAT, (-np.pi / 3, np.pi / 5), loss=0.36)):
-        g = overlaps(s, kgrid.samples).loschmidt(np.array([0.0]))
+        g = loschmidt(overlaps(s, kgrid.samples), np.array([0.0]))
         assert np.abs(g - 1).max() < 1e-12
 
 
 def test_unitary_amplitude_bounded(kgrid):
-    g = overlaps(spec_pure(), kgrid.samples).loschmidt(np.linspace(0, 7, 29))
+    g = loschmidt(overlaps(spec_pure(), kgrid.samples), np.linspace(0, 7, 29))
     assert np.abs(g).max() <= 1 + 1e-12
 
 
@@ -247,12 +247,11 @@ def test_position_fourier_equals_momentum_product(t1, t2, regime, x, n_k):
     table = overlaps(s, grid.samples[gapped])
     pe = evolve_position(s, 7)
     for t in range(8):
-        g_cf = table.loschmidt(np.array([float(t)]))[:, 0]
+        g_cf = loschmidt(table, np.array([float(t)]))[:, 0]
         assert np.abs(g_cf - pe.loschmidt(grid, t)[gapped]).max() < 1e-10
 
 
 def test_field_csv_roundtrip(tmp_path, kgrid):
-    from dqptwalk.lattice import TimeGrid
     field = loschmidt_field(spec_pure(), kgrid, TimeGrid(2.0, 0.5))
     out = tmp_path / "g.csv"
     field.write_csv(out)
@@ -268,7 +267,7 @@ def test_field_csv_roundtrip(tmp_path, kgrid):
 def test_random_unitary_quench_amplitude_bound(t1, t2):
     try:
         s = QuenchSpec(FLAT, (t1, t2))
-        g = overlaps(s, MomentumGrid(32).samples).loschmidt(np.array([1.0, 2.5, 6.0]))
+        g = loschmidt(overlaps(s, MomentumGrid(32).samples), np.array([1.0, 2.5, 6.0]))
     except (ConfigError, DegenerateSpectrumError):
         return
     assert np.abs(g).max() <= 1 + 1e-9
@@ -290,8 +289,34 @@ def test_coefficient_path_equals_matrix_powers(t1, t2, regime, x, ks):
     if np.any(np.abs(np.abs(d0) - 1) < GAP_TOL):
         return  # closed gap: no two-mode decomposition
     steps = np.arange(8)
-    g = overlaps(s, np.array(ks)).loschmidt(steps)
+    g = loschmidt(overlaps(s, np.array(ks)), steps)
     for j, k in enumerate(ks):
         assert _one_sector(s, k, steps) == pytest.approx(g[j], abs=1e-12)
         direct = [_reference_loschmidt(s, k, int(t)) for t in steps]
         assert g[j] == pytest.approx(direct, abs=1e-9)
+
+
+@given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+       st.sampled_from(["pure", "mixed", "nonunitary"]), st.floats(0.01, 0.89),
+       st.integers(8, 128),
+       st.sampled_from([(1.0, 1.5), (6.2, 0.1), (6.3, 0.1), (6.4, 0.1), (7.0, 0.01)]))
+@settings(max_examples=60, deadline=None)
+@example(-np.pi / 3, np.pi / 5, "nonunitary", 0.36, 64, (7.0, 0.01))
+@example(-np.pi / 2, 3 * np.pi / 8, "pure", 0.5, 8, (6.4, 0.1))
+def test_field_equals_one_call_table(t1, t2, regime, x, half_k, tgrid):
+    """The Loschmidt field, built in time blocks on two threads, has the bits
+    of the one-call two_mode_table over the same grids, for pure, mixed and
+    lossy quenches (complex spectra included) on 1, 63, 64, 65 and 701
+    times."""
+    extra = {"pure": {}, "mixed": {"mix_p": x}, "nonunitary": {"loss": x}}[regime]
+    s = QuenchSpec(FLAT, (t1, t2), **extra)
+    grid, tgrid = MomentumGrid(2 * half_k), TimeGrid(*tgrid)
+    try:
+        table = overlaps(s, grid.samples)
+    except DegenerateSpectrumError:
+        return
+    field = loschmidt_field(s, grid, tgrid)
+    assert field.k.tobytes() == grid.samples.tobytes()
+    assert field.times.tobytes() == tgrid.samples.tobytes()
+    one = loschmidt(table, tgrid.samples)
+    assert field.values.shape == one.shape and field.values.tobytes() == one.tobytes()
